@@ -40,7 +40,13 @@ from .experiments import (
     train_classify_synth,
     train_reconstruction,
 )
-from .gridify import check_requirements, degridify_features, gridify_features, init_gridifier
+from .gridify import (
+    AGGREGATIONS,
+    check_requirements,
+    degridify_features,
+    gridify_features,
+    init_gridifier,
+)
 from .pccore import GridSpec, PointCloud, make_grid_coords, read_cloud, write_cloud
 
 __all__ = ["main", "run"]
@@ -108,7 +114,8 @@ _BATCH = _opt("batch_size", "--batch-size", _int, 32, "clouds per optimizer step
 _WD = _opt("weight_decay", "--weight-decay", _float, 0.0, "decoupled weight decay")
 _DROPOUT = _opt("dropout", "--dropout", _float, 0.1, "dropout rate inside conv blocks")
 _OMEGA = _opt("omega", "--omega", _float, 0.1, "initial frequency scale of the positional embedding")
-_AGG = _opt("aggregation", "--aggregation", str, "mean", "message aggregation: sum, mean, or max")
+_AGG = _opt("aggregation", "--aggregation", str, "mean",
+            "message aggregation: " + " or ".join(AGGREGATIONS))
 
 _COMMANDS: dict[str, list[_Opt]] = {
     "gridify": [
@@ -132,7 +139,7 @@ _COMMANDS: dict[str, list[_Opt]] = {
         _opt("n_val", "--n-val", _int, 50, "validation clouds"),
         _opt("out", "--out", str, help="CSV of per-setting validation MSE"),
         _opt("checkpoint", "--checkpoint", str, help="write final parameters here"),
-        _SEED, _STRICT,
+        _SEED,
     ],
     "train-classify": [
         _RES, _WIDTH, _KSIZE, _BLOCKS, _NPOINTS, _EPOCHS, _LR, _WARMUP, _WD,
@@ -144,7 +151,7 @@ _COMMANDS: dict[str, list[_Opt]] = {
              "permute training labels (chance-level control)"),
         _opt("out", "--out", str, help="CSV holding the validation accuracy"),
         _opt("checkpoint", "--checkpoint", str, help="write final parameters here"),
-        _SEED, _STRICT,
+        _SEED,
     ],
     "bench": [
         _opt("sizes", "--sizes", _int_list, (1000, 2000, 4000, 8000),
@@ -153,7 +160,7 @@ _COMMANDS: dict[str, list[_Opt]] = {
         _K, _RES, _KSIZE, _BLOCKS, _OMEGA,
         _opt("repetitions", "--repetitions", _int, 5, "timed repetitions per measurement"),
         _opt("out", "--out", str, help="CSV of timings, allocations, and kernel-eval counts"),
-        _SEED, _STRICT,
+        _SEED,
     ],
     "inspect": [
         _opt("in", "--in", str, help="point cloud to describe (csv or pcb)"),

@@ -1,10 +1,13 @@
 """k-nearest-neighbor search and bipartite connectivity between clouds and grids.
 
-The accelerated search is an axis-aligned space-partitioning tree over the
-target set.  Leaf scans evaluate squared distances with the same vectorized
-expression as the exhaustive scan, and candidates are ordered by the pair
-(squared distance, target index), so tree results match the exhaustive oracle
-index-for-index, including on inputs with duplicated coordinates.
+Every search returns, per query, the k targets ordered by the pair (squared
+distance, target index), with squared distances from one vectorized
+expression.  Small target sets are scanned exhaustively.  Larger ones ask
+``scipy.spatial.cKDTree`` for a few more than k candidates, re-rank them
+exactly by (squared distance, index), and rescan exhaustively every row where
+a target outside the candidates could tie or beat the k-th.  Both searches
+therefore match the exhaustive oracle index-for-index, including on inputs
+with duplicated coordinates or clouds that sit on the lattice.
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InvariantError
 
-# below this many targets one vectorized distance matrix beats per-query tree
-# descent by a wide margin; the exhaustive scan is also the oracle everywhere
+# below this many targets the exhaustive scan (the oracle) answers directly,
+# so a process that only searches small sets never imports scipy.spatial
 EXHAUSTIVE_CUTOFF = 512
 
-_LEAF_SIZE = 48
+# candidates the tree returns beyond k, so that a tie at the k-th distance
+# is usually settled without the exhaustive fallback
+_TIE_SLACK = 4
 
 
 class Direction(Enum):
@@ -122,7 +127,7 @@ def knn_brute(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     """Exhaustive k-NN: row m holds the k targets nearest query m.
 
     Ties in distance break toward the smaller target index; each row is sorted
-    by (distance, index).  This is the reference the tree must match exactly.
+    by (distance, index).  This is the reference ``knn_tree`` must match exactly.
     """
     queries, targets = _check_knn_args(queries, targets, k)
     m, t = queries.shape[0], targets.shape[0]
@@ -135,109 +140,53 @@ def knn_brute(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-class KdTree:
-    """Axis-aligned binary partition tree over a fixed target set.
+def knn_tree(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
+    """k-NN through ``scipy.spatial.cKDTree``, equal to ``knn_brute`` index-for-index.
 
-    Splits on the widest-spread axis at the median.  Queries return exactly
-    the exhaustive-scan result: candidate order is (squared distance, index).
+    The tree proposes a few more than k candidates per query.  Their squared
+    distances are recomputed with the ``knn_brute`` expression and each row is
+    ordered by (squared distance, index).  A row whose last tree candidate is
+    not strictly farther than its k-th exact distance may have an equally near
+    target outside the candidates (duplicated points, clouds on the lattice),
+    so it is recomputed exhaustively.
     """
+    from scipy.spatial import cKDTree  # imported on first use, see EXHAUSTIVE_CUTOFF
 
-    def __init__(self, points: np.ndarray, leaf_size: int = _LEAF_SIZE):
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        if points.ndim != 2:
-            raise DataError(f"tree points must be 2-d, got shape {points.shape}")
-        self.points = points
-        self.leaf_size = leaf_size
-        # parallel node arrays; leaves have split_dim == -1 and use lo/hi as a
-        # slice into the permuted point buffer
-        self._split_dim: list[int] = []
-        self._split_val: list[float] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._lo: list[int] = []
-        self._hi: list[int] = []
-        perm_parts: list[np.ndarray] = []
-        self._build(np.arange(points.shape[0]), perm_parts)
-        self._perm = np.concatenate(perm_parts) if perm_parts else np.empty(0, np.int64)
-        self._leaf_pts = points[self._perm]
+    queries, targets = _check_knn_args(queries, targets, k)
+    m, t = queries.shape[0], targets.shape[0]
+    n_cand = min(k + _TIE_SLACK, t)
+    tree_dist, idx = cKDTree(targets).query(queries, k=n_cand)
+    # cKDTree drops the candidate axis when n_cand == 1
+    tree_dist = tree_dist.reshape(m, n_cand)
+    idx = idx.reshape(m, n_cand)
 
-    def _build(self, idx: np.ndarray, perm_parts: list[np.ndarray]) -> int:
-        node = len(self._split_dim)
-        self._split_dim.append(-1)
-        self._split_val.append(0.0)
-        self._left.append(-1)
-        self._right.append(-1)
-        self._lo.append(0)
-        self._hi.append(0)
+    d2 = ((targets[idx] - queries[:, None, :]) ** 2).sum(axis=2)
+    by_index = np.argsort(idx, axis=1, kind="stable")
+    idx = np.take_along_axis(idx, by_index, axis=1)
+    d2 = np.take_along_axis(d2, by_index, axis=1)
+    by_dist = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    out = np.take_along_axis(idx, by_dist, axis=1)
 
-        pts = self.points[idx]
-        spread = pts.max(axis=0) - pts.min(axis=0) if idx.size else np.zeros(1)
-        dim = int(np.argmax(spread))
-        if idx.size <= self.leaf_size or spread[dim] == 0.0:
-            start = sum(p.size for p in perm_parts)
-            perm_parts.append(idx)
-            self._lo[node] = start
-            self._hi[node] = start + idx.size
-            return node
-
-        mid = idx.size // 2
-        part = np.argpartition(pts[:, dim], mid)
-        self._split_dim[node] = dim
-        self._split_val[node] = float(pts[part[mid], dim])
-        self._left[node] = self._build(idx[part[:mid]], perm_parts)
-        self._right[node] = self._build(idx[part[mid:]], perm_parts)
-        return node
-
-    def query(self, q: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the k nearest stored points, sorted by (distance, index)."""
-        cur_d2 = np.empty(0, dtype=np.float64)
-        cur_idx = np.empty(0, dtype=np.int64)
-
-        def visit(node):
-            nonlocal cur_d2, cur_idx
-            dim = self._split_dim[node]
-            if dim < 0:
-                lo, hi = self._lo[node], self._hi[node]
-                if lo == hi:
-                    return
-                pts = self._leaf_pts[lo:hi]
-                d2 = ((pts - q) ** 2).sum(axis=1)
-                if cur_d2.size == k and d2.min() > cur_d2[-1]:
-                    return
-                cand_d2 = np.concatenate([cur_d2, d2])
-                cand_idx = np.concatenate([cur_idx, self._perm[lo:hi]])
-                order = np.lexsort((cand_idx, cand_d2))[:k]
-                cur_d2 = cand_d2[order]
-                cur_idx = cand_idx[order]
-                return
-            delta = q[dim] - self._split_val[node]
-            near, far = (
-                (self._left[node], self._right[node])
-                if delta < 0
-                else (self._right[node], self._left[node])
-            )
-            visit(near)
-            # the far half-space can still hold a tying candidate with a
-            # smaller index, so only prune on strict inequality
-            if cur_d2.size < k or delta * delta <= cur_d2[-1]:
-                visit(far)
-
-        visit(0)
-        return cur_idx
-
-    def query_many(self, queries: np.ndarray, k: int) -> np.ndarray:
-        out = np.empty((queries.shape[0], k), dtype=np.int64)
-        for m, q in enumerate(queries):
-            out[m] = self.query(q, k)
-        return out
+    if n_cand < t:
+        kth_d2 = np.take_along_axis(d2, by_dist[:, -1:], axis=1)[:, 0]
+        unsure = np.flatnonzero(tree_dist[:, -1] ** 2 <= kth_d2 * (1.0 + 1e-9))
+        if unsure.size:
+            out[unsure] = knn_brute(queries[unsure], targets, k)
+    return out
 
 
 def knn(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
-    """k nearest targets per query; tree-accelerated above the exhaustive cutoff."""
+    """k nearest targets per query, rows ordered by (squared distance, index).
+
+    Below ``EXHAUSTIVE_CUTOFF`` targets this is ``knn_brute``; at or above it,
+    ``knn_tree``: cKDTree candidates, an exact re-rank, and an exhaustive
+    fallback for rows with a tie at the candidate boundary.  Both return the
+    same indices.
+    """
     queries, targets = _check_knn_args(queries, targets, k)
     if targets.shape[0] < EXHAUSTIVE_CUTOFF:
         return knn_brute(queries, targets, k)
-    return KdTree(targets).query_many(queries, k)
+    return knn_tree(queries, targets, k)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,14 @@ def _check_finite_loss(loss: Tensor, epoch: int) -> float:
 # reconstruction study
 
 
+def _check_schedule_and_k(warmup: int, epochs: int, k: int, n_points: int, n_cells: int):
+    """Reject settings that would otherwise fail only after data and edges exist."""
+    if not 0 <= warmup < epochs:
+        raise ConfigError(f"warmup must be in [0, epochs={epochs}), got {warmup}")
+    if k > min(n_points, n_cells):
+        raise ConfigError(f"k={k} exceeds min(n_points={n_points}, grid cells={n_cells})")
+
+
 @dataclass(frozen=True)
 class ReconConfig:
     """Sweep settings for the reconstruction study; loss is MSE over features."""
@@ -158,6 +166,8 @@ class ReconConfig:
             raise ConfigError(f"channel widths must be >= 1, got {self.channels}")
         if self.epochs < 1 or self.batch_size < 1 or self.k < 1 or self.n_points < 1:
             raise ConfigError("epochs, batch size, k, and n_points must all be >= 1")
+        _check_schedule_and_k(self.warmup, self.epochs, self.k, self.n_points,
+                              min(self.resolutions) ** self.dim)
 
 
 @dataclass(frozen=True)
@@ -284,6 +294,8 @@ class ClassifyConfig:
             raise ConfigError("need at least two clouds on each split for both classes")
         if self.n_blocks < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("n_blocks, epochs, and batch size must all be >= 1")
+        _check_schedule_and_k(self.warmup, self.epochs, self.k, self.n_points,
+                              self.resolution**3)
 
 
 _SHAPES = ("sphere", "cube")

@@ -31,7 +31,7 @@ class PointCloud:
     """Unordered set of coordinate/feature pairs on an irregular domain.
 
     coords: (n, d) float64, finite.
-    feats:  (n, f) float64.
+    feats:  (n, f) float64, finite.
     """
 
     coords: np.ndarray
@@ -52,6 +52,8 @@ class PointCloud:
             raise ConfigError(f"unsupported spatial dimension {coords.shape[1]}")
         if not np.all(np.isfinite(coords)):
             raise DataError("point cloud coordinates must be finite")
+        if not np.all(np.isfinite(feats)):
+            raise DataError("point cloud features must be finite")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "feats", feats)
 

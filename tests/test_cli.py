@@ -77,6 +77,17 @@ class TestGridifyCommand:
         args[args.index("--resolution") + 1] = "0"
         assert run(args) == 1
 
+    def test_nan_feature_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "nan.csv"
+        rows = [f"{x},{y},{z},{f}" for x, y, z, f in
+                [(0, 0, 0, 1.0), (0.5, 0, 0, "nan"), (0, 0.5, 0, 2.0)]]
+        src.write_text("D=3,F=1\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "grid.csv"
+        assert run(["gridify", "--in", str(src), "--out", str(out),
+                    "--resolution", "3", "--k", "2", "--channels", "2"]) == 1
+        assert "features must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_strict_promotes_warnings(self, cloud_file, tmp_path, capsys):
         # 30 points cannot fit losslessly on a 2**3 grid
         args, _ = gridify_args(cloud_file, tmp_path)
@@ -86,6 +97,10 @@ class TestGridifyCommand:
         assert run(args + ["--strict"]) == 1
         err = capsys.readouterr().err
         assert "warning: grid-capacity" in err and "error:" in err
+
+    def test_aggregation_help_lists_only_accepted_modes(self, capsys):
+        assert run(["gridify", "--help"]) == 0
+        assert "message aggregation: mean or max" in " ".join(capsys.readouterr().out.split())
 
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
@@ -226,6 +241,20 @@ class TestTrainingCommands:
         lines = csv_out.read_text().splitlines()
         assert lines[0] == "val_accuracy"
         assert 0.0 <= float(lines[1]) <= 1.0
+
+    def test_warmup_not_below_epochs_exits_1_before_data(self, monkeypatch, capsys):
+        def no_data(*args, **kwargs):
+            raise AssertionError("clouds generated before the config was validated")
+
+        monkeypatch.setattr("gridifier.experiments.gen_shape_cloud", no_data)
+        assert run(["train-classify", "--epochs", "5"]) == 1
+        assert "warmup" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", ["train-recon", "train-classify", "bench"])
+    def test_strict_not_accepted_where_unused(self, task, capsys):
+        # the bad seed stops the run early should the flag ever be accepted again
+        assert run([task, "--strict", "--seed", "none"]) == 1
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err
 
     def test_bench_tiny(self, tmp_path, capsys):
         csv_out = tmp_path / "bench.csv"

@@ -1,14 +1,18 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from gridifier.connectivity import (
+    EXHAUSTIVE_CUTOFF,
     Direction,
     EdgeSet,
-    KdTree,
     bilateral_knn,
     invert_edges,
     knn,
     knn_brute,
+    knn_tree,
     self_knn,
 )
 from gridifier.errors import ConfigError, DataError, InvariantError
@@ -69,7 +73,7 @@ class TestKnn:
         k = int(rng.integers(1, 10))
         targets = rng.uniform(-1, 1, (t, d))
         queries = rng.uniform(-1.2, 1.2, (m, d))
-        accelerated = KdTree(targets).query_many(queries, k)
+        accelerated = knn_tree(queries, targets, k)
         np.testing.assert_array_equal(accelerated, knn_brute(queries, targets, k))
 
     def test_tree_matches_brute_with_duplicates(self):
@@ -79,7 +83,7 @@ class TestKnn:
         targets = np.concatenate([base, base, base, rng.uniform(-1, 1, (80, 3))])
         queries = np.concatenate([base[:20], rng.uniform(-1, 1, (60, 3))])
         for k in (1, 4, 9):
-            accelerated = KdTree(targets).query_many(queries, k)
+            accelerated = knn_tree(queries, targets, k)
             np.testing.assert_array_equal(accelerated, knn_brute(queries, targets, k))
 
     def test_reference_example_dense(self):
@@ -94,6 +98,68 @@ class TestKnn:
         targets = np.zeros((200, 3))
         got = knn(np.ones((3, 3)), targets, k=5)
         np.testing.assert_array_equal(got, np.tile(np.arange(5), (3, 1)))
+
+
+def _tie_heavy_cases():
+    """Queries, targets and k for searches at or above the exhaustive cutoff."""
+    rng = np.random.default_rng(31)
+    lattice = make_grid_coords(GridSpec(resolution=9, dim=3))
+    on_nodes = lattice[rng.integers(0, lattice.shape[0], 1000)]
+    base = rng.uniform(-1, 1, (200, 3))
+    dense = rng.uniform(-1, 1, (2000, 3))
+    plane = make_grid_coords(GridSpec(resolution=30, dim=2))
+    # every cell centre is equidistant from its 8 corner nodes
+    centres = make_grid_coords(GridSpec(resolution=8, lo=-7 / 8, hi=7 / 8))
+    return {
+        "lattice_on_itself": (lattice, lattice, 9),
+        "cloud_on_lattice_nodes": (on_nodes, lattice, 9),
+        "lattice_on_cloud_nodes": (lattice, on_nodes, 9),
+        "duplicated_coordinates": (
+            np.concatenate([base[:60], rng.uniform(-1, 1, (100, 3))]),
+            np.concatenate([base, base, base]),
+            9,
+        ),
+        "k_equals_targets": (
+            rng.uniform(-1, 1, (20, 3)),
+            rng.uniform(-1, 1, (EXHAUSTIVE_CUTOFF, 3)),
+            EXHAUSTIVE_CUTOFF,
+        ),
+        "k_one_cell_centres": (centres, lattice, 1),
+        "k_one_random": (np.concatenate([dense[:100], rng.uniform(-1, 1, (300, 3))]), dense, 1),
+        "two_dimensional": (
+            np.concatenate([plane[::7], rng.uniform(-1, 1, (200, 2))]),
+            np.concatenate([plane, rng.uniform(-1, 1, (300, 2))]),
+            6,
+        ),
+    }
+
+
+_TIE_HEAVY = _tie_heavy_cases()
+
+
+@pytest.mark.parametrize(
+    "queries, targets, k", list(_TIE_HEAVY.values()), ids=list(_TIE_HEAVY)
+)
+def test_tree_search_matches_brute_force_above_cutoff(queries, targets, k):
+    assert targets.shape[0] >= EXHAUSTIVE_CUTOFF
+    expected = knn_brute(queries, targets, k)
+    np.testing.assert_array_equal(knn_tree(queries, targets, k), expected)
+    np.testing.assert_array_equal(knn(queries, targets, k), expected)
+
+
+def test_searches_below_cutoff_never_import_scipy_spatial():
+    # the import costs a few hundred ms of start-up that small-cloud runs
+    # (both training studies) would otherwise pay
+    code = (
+        "import sys, numpy as np\n"
+        "from gridifier.connectivity import bilateral_knn\n"
+        "rng = np.random.default_rng(0)\n"
+        "bilateral_knn(rng.uniform(-1, 1, (256, 3)), rng.uniform(-1, 1, (216, 3)), 3)\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestEdgeSet:
@@ -151,6 +217,14 @@ class TestBilateral:
         rng = np.random.default_rng(5)
         cloud = rng.uniform(-1, 1, (200, 3))
         grid = make_grid_coords(GridSpec(resolution=6, dim=3))
+        e = bilateral_knn(cloud, grid, k=9)
+        got = {(int(s), int(d)) for s, d in zip(e.src, e.dst)}
+        assert got == bilateral_oracle(cloud, grid, 9)
+
+    def test_union_equals_two_pass_oracle_large_cloud(self):
+        rng = np.random.default_rng(17)
+        cloud = rng.uniform(-1, 1, (8000, 3))
+        grid = make_grid_coords(GridSpec(resolution=9, dim=3))
         e = bilateral_knn(cloud, grid, k=9)
         got = {(int(s), int(d)) for s, d in zip(e.src, e.dst)}
         assert got == bilateral_oracle(cloud, grid, 9)

@@ -120,6 +120,19 @@ class TestReconConfig:
         with pytest.raises(ConfigError):
             ReconConfig(**{**TINY_RECON, "epochs": 0})
 
+    def test_rejects_warmup_not_below_epochs(self):
+        with pytest.raises(ConfigError, match="warmup"):
+            ReconConfig(**{**TINY_RECON, "epochs": 3, "warmup": 3})
+
+    def test_rejects_k_above_smallest_grid(self):
+        # the resolution-2 lattice has 8 cells, fewer than k
+        with pytest.raises(ConfigError, match="grid cells=8"):
+            ReconConfig(**{**TINY_RECON, "resolutions": (2, 3), "k": 9})
+
+    def test_rejects_k_above_n_points(self):
+        with pytest.raises(ConfigError, match="n_points"):
+            ReconConfig(**{**TINY_RECON, "n_points": 3, "k": 4})
+
 
 class TestReconTraining:
     def test_training_reduces_validation_mse(self):
@@ -209,6 +222,18 @@ class TestClassify:
     def test_rejects_zero_blocks(self):
         with pytest.raises(ConfigError):
             ClassifyConfig(**{**TINY_CLASSIFY, "n_blocks": 0})
+
+    def test_rejects_warmup_not_below_epochs(self):
+        with pytest.raises(ConfigError, match="warmup"):
+            ClassifyConfig(**{**TINY_CLASSIFY, "epochs": 2, "warmup": 5})
+
+    def test_rejects_k_above_grid_cells(self):
+        with pytest.raises(ConfigError, match="grid cells=8"):
+            ClassifyConfig(**{**TINY_CLASSIFY, "resolution": 2, "k": 9})
+
+    def test_rejects_k_above_n_points(self):
+        with pytest.raises(ConfigError, match="n_points"):
+            ClassifyConfig(**{**TINY_CLASSIFY, "n_points": 5, "k": 6})
 
     def test_checkpoint_written(self, tmp_path):
         path = tmp_path / "cls.ckpt"

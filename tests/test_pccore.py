@@ -103,6 +103,10 @@ class TestNormalize:
         with pytest.raises(DataError):
             PointCloud(coords, np.zeros((1, 1)))
 
+    def test_nonfinite_features_rejected(self):
+        with pytest.raises(DataError, match="features"):
+            PointCloud(np.zeros((2, 3)), np.array([[0.0], [np.nan]]))
+
 
 class TestCloudValidation:
     def test_row_count_mismatch(self):
