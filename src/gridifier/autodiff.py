@@ -11,6 +11,7 @@ central finite differences in the test suite.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .errors import InvariantError, ShapeError
@@ -273,28 +274,17 @@ def _sum_rows_at(values: np.ndarray, indices: np.ndarray, n_dst: int) -> np.ndar
 
 
 def gather_rows(t: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows of a 2-d tensor; index -1 yields an all-zero row.
-
-    The sentinel makes padded neighbor tables usable directly: missing
-    neighbors contribute nothing forward and receive no gradient.
-    """
+    """Select rows of a 2-d tensor; gradients of repeated rows are summed."""
     t = as_tensor(t)
     if t.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-d tensor, got {t.shape}")
     indices = np.asarray(indices, dtype=np.int64)
-    safe = np.maximum(indices, 0)
-    data = t.data[safe]
-    if (indices < 0).any():
-        data = data.copy()
-        data[indices < 0] = 0.0
-    out = Tensor(data, (t,))
+    if indices.size and (indices.min() < 0 or indices.max() >= t.shape[0]):
+        raise InvariantError(f"gather_rows index out of bounds [0, {t.shape[0]})")
+    out = Tensor(t.data[indices], (t,))
 
     def backward(g):
-        valid = indices >= 0
-        if valid.all():
-            t.accumulate(_sum_rows_at(g, indices, t.shape[0]))
-        else:
-            t.accumulate(_sum_rows_at(g[valid], indices[valid], t.shape[0]))
+        t.accumulate(_sum_rows_at(g, indices, t.shape[0]))
 
     out._backward = backward
     return out
@@ -388,6 +378,97 @@ def pairwise_apply(weights: Tensor, x: Tensor) -> Tensor:
     def backward(g):
         weights.accumulate(np.einsum("ni,no->nio", x.data, g))
         x.accumulate(np.einsum("nio,no->ni", weights.data, g))
+
+    out._backward = backward
+    return out
+
+
+def _window_cols(x: np.ndarray, resolution: int, dim: int, kernel_size: int) -> np.ndarray:
+    """Windows over every axis but the first, shape (r, r**(D-1), K**(D-1) * C).
+
+    Axes 1..D-1 are zero-padded by (K-1)/2 and each cell's K**(D-1) window is
+    copied once, taps in row-major order with the channel axis fastest, so
+    slicing the leading axis yields contiguous row blocks.
+    """
+    half = (kernel_size - 1) // 2
+    r, c = resolution, x.shape[1]
+    padded = np.zeros((r,) + (r + 2 * half,) * (dim - 1) + (c,))
+    padded[(slice(None),) + (slice(half, half + r),) * (dim - 1)] = x.reshape((r,) * dim + (c,))
+    win = sliding_window_view(padded, (kernel_size,) * (dim - 1), axis=tuple(range(1, dim)))
+    win = win.transpose(*range(dim), *range(dim + 1, 2 * dim), dim)
+    return np.ascontiguousarray(win).reshape(r, r ** (dim - 1), kernel_size ** (dim - 1) * c)
+
+
+def _tap_blocks(resolution: int, rows: int, kernel_size: int):
+    """(tap, dst, src) row slices for each first-axis tap that stays in range.
+
+    Tap a shifts the first axis by a - (K-1)/2; the slices cover the output
+    rows whose shifted source row exists, in blocks of ``rows`` flat rows.
+    """
+    half = (kernel_size - 1) // 2
+    for a in range(kernel_size):
+        shift = a - half
+        lo, hi = max(0, -shift), min(resolution, resolution - shift)
+        if lo < hi:
+            yield a, slice(lo * rows, hi * rows), slice((lo + shift) * rows, (hi + shift) * rows)
+
+
+def _correlate_cols(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum over first-axis taps a of the shifted row block of ``cols`` @ w[a].
+
+    ``cols`` comes from ``_window_cols``; ``w`` is (K, K**(D-1) * C_in, C_out),
+    one matrix per first-axis tap.  Each tap is one 2-d matmul.
+    """
+    r, rows, width = cols.shape
+    kernel_size = w.shape[0]
+    half = (kernel_size - 1) // 2
+    flat = cols.reshape(r * rows, width)
+    # the centre tap covers every row, so it initializes the output
+    out = flat @ w[half]
+    for a, dst, src in _tap_blocks(r, rows, kernel_size):
+        if a != half:
+            out[dst] += flat[src] @ w[a]
+    return out
+
+
+def grid_correlate(x, kernel, resolution: int, dim: int, kernel_size: int) -> Tensor:
+    """Zero-padded D-d cross-correlation on a lattice, (r**D, c_in) -> (r**D, c_out).
+
+    ``kernel`` is (K**D, c_in, c_out) with taps in row-major order (last axis
+    fastest) running from -(K-1)/2 to +(K-1)/2 per axis, and
+    out[p] = sum_t x[p + offset(t)] @ kernel[t].  Only the trailing D-1 axes
+    are windowed into memory; the first axis is a loop over K shifted row
+    blocks.  The input gradient is the same correlation of the output gradient
+    with the tap-reversed, channel-transposed kernel, exact for odd K with
+    symmetric zero padding.
+    """
+    x, kernel = as_tensor(x), as_tensor(kernel)
+    n_taps = kernel_size**dim
+    if (
+        x.ndim != 2
+        or kernel.ndim != 3
+        or x.shape[0] != resolution**dim
+        or kernel.shape[:2] != (n_taps, x.shape[1])
+    ):
+        raise ShapeError(
+            f"grid_correlate shapes incompatible: x {x.shape}, kernel {kernel.shape} "
+            f"for r={resolution}, D={dim}, K={kernel_size}"
+        )
+    c_in, c_out = kernel.shape[1:]
+    per_lead = n_taps // kernel_size
+    cols = _window_cols(x.data, resolution, dim, kernel_size)
+    w = kernel.data.reshape(kernel_size, per_lead * c_in, c_out)
+    out = Tensor(_correlate_cols(cols, w), (x, kernel))
+
+    def backward(g):
+        flipped = kernel.data[::-1].transpose(0, 2, 1).reshape(kernel_size, per_lead * c_out, c_in)
+        x.accumulate(_correlate_cols(_window_cols(g, resolution, dim, kernel_size), flipped))
+        _, rows, width = cols.shape
+        flat = cols.reshape(-1, width)
+        dw = np.zeros((kernel_size, width, c_out))
+        for a, dst, src in _tap_blocks(resolution, rows, kernel_size):
+            dw[a] = flat[src].T @ g[dst]
+        kernel.accumulate(dw.reshape(kernel.shape))
 
     out._backward = backward
     return out

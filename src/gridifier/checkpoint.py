@@ -12,6 +12,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -64,6 +65,22 @@ def save_checkpoint(
     params: dict[str, Tensor],
     optimizer: AdamWState | None = None,
 ) -> None:
+    """Write the checkpoint to a temporary file beside ``path``, then rename it.
+
+    A save that fails part-way leaves any earlier file at ``path`` untouched
+    and removes its temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        _write_checkpoint(tmp, params, optimizer)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_checkpoint(path: Path, params: dict[str, Tensor], optimizer: AdamWState | None) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(params)))
@@ -115,14 +132,20 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], AdamWState
 
 
 def restore_params(params: dict[str, Tensor], loaded: dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into an existing parameter tree (shapes must match)."""
+    """Copy loaded arrays into an existing parameter tree.
+
+    Every name and shape is checked before any parameter is touched, so a
+    mismatch leaves the whole tree as it was.
+    """
     missing = sorted(set(params) ^ set(loaded))
     if missing:
         raise ParseError(f"checkpoint parameter names do not match model: {missing}")
+    wrong = [
+        f"checkpoint {name}: shape {loaded[name].shape} does not match model {p.data.shape}"
+        for name, p in params.items()
+        if loaded[name].shape != p.data.shape
+    ]
+    if wrong:
+        raise ParseError("; ".join(wrong))
     for name, p in params.items():
-        arr = loaded[name]
-        if arr.shape != p.data.shape:
-            raise ParseError(
-                f"checkpoint {name}: shape {arr.shape} does not match model {p.data.shape}"
-            )
-        p.data = arr.copy()
+        p.data = loaded[name].copy()

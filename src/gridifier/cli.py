@@ -156,7 +156,7 @@ _COMMANDS: dict[str, list[_Opt]] = {
     "bench": [
         _opt("sizes", "--sizes", _int_list, (1000, 2000, 4000, 8000),
              "cloud sizes, comma-separated and increasing"),
-        _opt("hidden_channels", "--channels", _int_list, (128,), "channel widths"),
+        _opt("hidden_channels", "--channels", _int_list, (16,), "channel widths"),
         _K, _RES, _KSIZE, _BLOCKS, _OMEGA,
         _opt("repetitions", "--repetitions", _int, 5, "timed repetitions per measurement"),
         _opt("out", "--out", str, help="CSV of timings, allocations, and kernel-eval counts"),

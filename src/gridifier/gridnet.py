@@ -4,7 +4,9 @@ The centerpiece is a dense D-dimensional cross-correlation whose kernel can
 either be an explicit weight tensor or a *neural field*: a positional network
 evaluated on the K^D lattice of integer offsets scaled to the grid spacing.
 Because the grid is regular, that evaluation happens once per forward pass and
-the rendered kernel is reused at every cell.  ``conv_point_native`` is the
+the rendered kernel is reused at every cell: ``autodiff.grid_correlate``
+applies it as K shifted matmuls along the first axis over one windowed copy of
+the trailing axes, with no per-cell window matrix.  ``conv_point_native`` is the
 irregular counterpart — the same positional network evaluated once per edge —
 kept as a baseline so the two cost profiles can be compared directly.
 """
@@ -20,7 +22,7 @@ from .autodiff import Tensor
 from .connectivity import Direction, EdgeSet
 from .errors import ConfigError, InvariantError, ShapeError
 from .nn import PositionalNet, init_positional_net, positional_forward
-from .pccore import Grid, GridSpec
+from .pccore import GridSpec
 
 __all__ = [
     "AffineHead",
@@ -32,14 +34,12 @@ __all__ = [
     "block_forward",
     "classify_head",
     "conv_from_weights",
-    "conv_grid",
     "conv_grid_features",
     "conv_point_native",
     "dense_head",
     "init_affine_head",
     "init_conv",
     "init_conv_block",
-    "neighbor_map",
     "offset_lattice",
 ]
 
@@ -97,9 +97,7 @@ class KernelCache:
 
 
 # --------------------------------------------------------------------------
-# offset lattice and neighbor tables
-
-_NEIGHBOR_MAPS: dict[tuple[int, int, int], np.ndarray] = {}
+# offset lattice
 
 
 def offset_lattice(kernel_size: int, dim: int) -> np.ndarray:
@@ -113,31 +111,6 @@ def offset_lattice(kernel_size: int, dim: int) -> np.ndarray:
     axes = [np.arange(-half, half + 1)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, dim).astype(np.int64)
-
-
-def neighbor_map(resolution: int, dim: int, kernel_size: int) -> np.ndarray:
-    """Flat neighbor indices per cell, shape (r**dim, K**dim); -1 marks out-of-range.
-
-    Row p lists, for each kernel tap t, the flat index of the cell at
-    multi-index(p) + offset(t), so a gather over the table followed by a
-    matmul against the flattened kernel is the whole convolution.  Tables are
-    memoized per (resolution, dim, kernel_size) and returned read-only.
-    """
-    key = (resolution, dim, kernel_size)
-    cached = _NEIGHBOR_MAPS.get(key)
-    if cached is not None:
-        return cached
-    offsets = offset_lattice(kernel_size, dim)
-    axes = [np.arange(resolution)] * dim
-    cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    nb = cells[:, None, :] + offsets[None, :, :]  # (r^D, K^D, D)
-    valid = np.all((nb >= 0) & (nb < resolution), axis=-1)
-    radix = resolution ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    flat = nb @ radix
-    flat[~valid] = -1
-    flat.flags.writeable = False
-    _NEIGHBOR_MAPS[key] = flat
-    return flat
 
 
 # --------------------------------------------------------------------------
@@ -263,9 +236,9 @@ def conv_grid_features(
 ) -> Tensor:
     """Dense cross-correlation over grid features, (r**D, c_in) -> (r**D, c_out).
 
-    Gathers each cell's K**D window (zero rows outside the lattice), flattens
-    taps into the channel axis, and applies the kernel as a single matmul, so
-    the positional network never sees per-cell queries.
+    The kernel is rendered once per call (or fetched from ``cache``) and
+    applied at every cell by ``autodiff.grid_correlate``, zero padding
+    (K-1)/2 per axis, so the positional network never sees per-cell queries.
     """
     feats = ad.as_tensor(feats)
     if spec.dim != conv.dim:
@@ -275,25 +248,10 @@ def conv_grid_features(
             f"conv expects features ({spec.n_points}, {conv.in_channels}), got {feats.shape}"
         )
     kernel = _render_kernel(conv, spec.spacing, counter, cache)
-    table = neighbor_map(spec.resolution, spec.dim, conv.kernel_size)
-    gathered = ad.gather_rows(feats, table.ravel())
-    windows = ad.reshape(gathered, (spec.n_points, conv.n_taps * conv.in_channels))
-    flat_kernel = ad.reshape(kernel, (conv.n_taps * conv.in_channels, conv.out_channels))
-    out = ad.matmul(windows, flat_kernel)
+    out = ad.grid_correlate(feats, kernel, spec.resolution, spec.dim, conv.kernel_size)
     if counter is not None:
         counter.bump(applications=1)
     return out
-
-
-def conv_grid(
-    grid: Grid,
-    conv: ConvSpec,
-    counter: KernelEvalCounter | None = None,
-    cache: KernelCache | None = None,
-) -> Grid:
-    """Convenience wrapper: convolve a Grid and rewrap the result (detached)."""
-    out = conv_grid_features(Tensor(np.asarray(grid.feats)), grid.spec, conv, counter, cache)
-    return Grid(grid.spec, out.data)
 
 
 def conv_point_native(

@@ -50,10 +50,13 @@ class TestForwardValues:
         out = ad.scatter_sum(Tensor(values), idx, 7)
         np.testing.assert_array_equal(out.data, expected)
 
-    def test_gather_rows_sentinel(self):
+    def test_gather_rows_rejects_out_of_range_indices(self):
         t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.gather_rows(t, np.array([1, -1, 0]))
-        np.testing.assert_array_equal(out.data, [[3.0, 4.0], [0.0, 0.0], [1.0, 2.0]])
+        np.testing.assert_array_equal(ad.gather_rows(t, np.array([1, 0, 1])).data,
+                                      [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]])
+        for bad in ([1, -1, 0], [2]):
+            with pytest.raises(InvariantError, match="out of bounds"):
+                ad.gather_rows(t, np.array(bad))
 
     def test_reduce_max_tie_first_flat_index(self):
         t = Tensor([[2.0, 7.0], [7.0, 1.0]])
@@ -76,6 +79,14 @@ class TestForwardValues:
     def test_backward_requires_scalar(self):
         with pytest.raises(ShapeError):
             Tensor(np.zeros(3)).backward()
+
+    def test_grid_correlate_shape_error_names_geometry(self):
+        x = Tensor(np.zeros((9, 2)))
+        for kernel in (np.zeros((9, 3, 1)), np.zeros((3, 2, 1)), np.zeros((9, 2))):
+            with pytest.raises(ShapeError, match="r=3, D=2, K=3"):
+                ad.grid_correlate(x, Tensor(kernel), 3, 2, 3)
+        with pytest.raises(ShapeError, match="r=4"):
+            ad.grid_correlate(x, Tensor(np.zeros((9, 2, 1))), 4, 2, 3)
 
     def test_matmul_shape_error_names_both(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
@@ -138,10 +149,10 @@ class TestGradients:
             lambda ts: ad.reduce_mean(ad.reduce_max(ts[0], axis=axis)), arrays
         )
 
-    def test_gather_rows_with_padding(self):
+    def test_gather_rows_repeated_indices(self):
         rng = np.random.default_rng(8)
         arrays = [rand(rng, 6, 3)]
-        idx = np.array([0, 5, -1, 2, 2, -1, 4])
+        idx = np.array([0, 5, 2, 2, 4, 0, 2])
         assert_grads_match(
             lambda ts: ad.reduce_mean(ad.mul(ad.gather_rows(ts[0], idx), 1.5)), arrays
         )

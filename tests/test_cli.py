@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from gridifier.cli import run
+from gridifier.cli import _build_parser, _resolve, run
 from gridifier.connectivity import bilateral_knn
 from gridifier.gridify import gridify_features, init_gridifier
 from gridifier.autodiff import Tensor
@@ -255,6 +255,12 @@ class TestTrainingCommands:
         # the bad seed stops the run early should the flag ever be accepted again
         assert run([task, "--strict", "--seed", "none"]) == 1
         assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
+    def test_bench_channels_default_is_16(self):
+        # 128 channels would make the per-edge baseline render a
+        # (N*k, 128*128) kernel tensor: 9.4 GB at N=8000, k=9
+        eff = _resolve("bench", _build_parser().parse_args(["bench"]))
+        assert eff["hidden_channels"] == (16,)
 
     def test_bench_tiny(self, tmp_path, capsys):
         csv_out = tmp_path / "bench.csv"

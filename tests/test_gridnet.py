@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,18 +19,16 @@ from gridifier.gridnet import (
     block_forward,
     classify_head,
     conv_from_weights,
-    conv_grid,
     conv_grid_features,
     conv_point_native,
     dense_head,
     init_affine_head,
     init_conv,
     init_conv_block,
-    neighbor_map,
     offset_lattice,
 )
 from gridifier.nn import MlpParams, PositionalNet, RffConfig, init_positional_net
-from gridifier.pccore import Grid, GridSpec, make_grid_coords
+from gridifier.pccore import GridSpec, make_grid_coords
 
 
 def conv_oracle(feats, resolution, dim, kernel_size, kernel):
@@ -117,25 +116,6 @@ class TestLatticeTables:
     def test_offset_lattice_k1_is_origin(self):
         np.testing.assert_array_equal(offset_lattice(1, 3), [[0, 0, 0]])
 
-    def test_neighbor_map_line(self):
-        table = neighbor_map(3, 1, 3)
-        np.testing.assert_array_equal(table, [[-1, 0, 1], [0, 1, 2], [1, 2, -1]])
-
-    def test_neighbor_map_square_corner(self):
-        table = neighbor_map(2, 2, 3)
-        # cell (0,0): only the 2x2 south-east quadrant of the window exists
-        np.testing.assert_array_equal(table[0], [-1, -1, -1, -1, 0, 1, -1, 2, 3])
-
-    def test_neighbor_map_is_memoized_and_readonly(self):
-        a = neighbor_map(4, 2, 3)
-        assert neighbor_map(4, 2, 3) is a
-        assert not a.flags.writeable
-
-    def test_neighbor_map_center_cell_has_full_window(self):
-        table = neighbor_map(5, 3, 3)
-        center = 2 * 25 + 2 * 5 + 2
-        assert (table[center] >= 0).all()
-
 
 # ---------------------------------------------------------------------------
 # convolution vs the nested-loop oracle
@@ -152,6 +132,17 @@ class TestConvAgainstOracle:
             (2, 5, 5, 3, 1, 3),
             (3, 3, 3, 2, 2, 4),
             (3, 4, 3, 1, 2, 5),
+            # kernels wider than the grid: first-axis taps with |shift| >= r
+            # crop to nothing
+            (1, 3, 7, 2, 3, 40),
+            (2, 3, 7, 2, 2, 41),
+            (3, 3, 7, 1, 2, 42),
+            # a single cell sees only the centre tap
+            (1, 1, 3, 2, 2, 43),
+            (2, 1, 5, 2, 3, 44),
+            (3, 1, 3, 3, 2, 45),
+            # the infer geometry
+            (3, 9, 9, 2, 1, 46),
         ],
     )
     def test_explicit_kernel_matches_oracle(self, dim, resolution, kernel_size, c_in, c_out, seed):
@@ -205,16 +196,22 @@ class TestConvAgainstOracle:
         expected = conv_oracle(feats, 4, 3, 3, kernel)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
-    def test_grid_wrapper_round_trip(self):
-        rng = np.random.default_rng(8)
-        spec = GridSpec(resolution=3, dim=2)
-        grid = Grid(spec, rand(rng, spec.n_points, 2))
-        conv = conv_from_weights(rand(rng, 9, 2, 4), 3, 2)
-        out = conv_grid(grid, conv)
-        assert isinstance(out, Grid)
-        assert out.spec == spec
-        expected = conv_grid_features(Tensor(np.asarray(grid.feats)), spec, conv)
-        np.testing.assert_array_equal(out.feats, expected.data)
+    def test_rendered_layer_stays_below_window_matrix_size(self):
+        # an (r^D * K^D, C) window matrix at r=9, K=9, C=16 alone is 68 MB;
+        # windowing only the trailing axes needs (r^D * K^(D-1), C), 7.5 MB
+        rng = np.random.default_rng(47)
+        spec = GridSpec(resolution=9, dim=3)
+        conv = init_conv(9, 3, 16, 16, rng, n_frequencies=8, hidden=[32])
+        cache = KernelCache()
+        feats = Tensor(rand(rng, spec.n_points, 16))
+        conv_grid_features(feats, spec, conv, cache=cache)
+        tracemalloc.start()
+        try:
+            conv_grid_features(feats, spec, conv, cache=cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestConvValidation:
@@ -440,6 +437,30 @@ class TestConvGradients:
 
         def build(ts):
             out = conv_grid_features(ts[1], spec, conv_from_weights(ts[0], 3, 2))
+            return ad.reduce_mean(ad.mul(out, out))
+
+        assert_grads_match(build, arrays)
+
+    @pytest.mark.parametrize(
+        "dim,resolution,kernel_size,c_in,c_out,seed",
+        [
+            (1, 5, 3, 2, 2, 50),
+            (1, 3, 7, 2, 1, 51),
+            (2, 4, 3, 1, 2, 52),
+            (2, 3, 5, 2, 1, 53),
+            (3, 3, 3, 2, 1, 54),
+            (3, 2, 5, 1, 1, 55),
+        ],
+    )
+    def test_explicit_kernel_and_input_across_dims(
+        self, dim, resolution, kernel_size, c_in, c_out, seed
+    ):
+        rng = np.random.default_rng(seed)
+        spec = GridSpec(resolution=resolution, dim=dim)
+        arrays = [rand(rng, kernel_size**dim, c_in, c_out), rand(rng, spec.n_points, c_in)]
+
+        def build(ts):
+            out = conv_grid_features(ts[1], spec, conv_from_weights(ts[0], kernel_size, dim))
             return ad.reduce_mean(ad.mul(out, out))
 
         assert_grads_match(build, arrays)

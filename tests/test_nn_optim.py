@@ -4,6 +4,7 @@ from helpers import assert_grads_match, rand
 
 from gridifier import autodiff as ad
 from gridifier.autodiff import Tensor
+from gridifier import checkpoint
 from gridifier.checkpoint import load_checkpoint, restore_params, save_checkpoint
 from gridifier.errors import ConfigError, ParseError, ShapeError, TrainingError
 from gridifier.nn import (
@@ -303,6 +304,40 @@ class TestCheckpoint:
         del loaded["phi_node.b0"]
         with pytest.raises(ParseError, match="phi_node.b0"):
             restore_params(params, loaded)
+
+    def test_restore_shape_mismatch_changes_nothing(self, tmp_path):
+        # the mismatch sits on the last name restore visits, so a copy loop
+        # that checks as it goes would already have overwritten the others
+        params = self._tree(9)
+        before = {name: p.data for name, p in params.items()}
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._tree(10))
+        loaded, _ = load_checkpoint(path)
+        loaded["pos.rff.freq"] = np.zeros((3, 4))
+        with pytest.raises(ParseError, match="pos.rff.freq"):
+            restore_params(params, loaded)
+        for name, p in params.items():
+            assert p.data is before[name]
+            np.testing.assert_array_equal(p.data, self._tree(9)[name].data)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._tree(11))
+        first = path.read_bytes()
+        real_write_blob = checkpoint._write_blob
+        calls = []
+
+        def failing_write_blob(fh, name, arr):
+            calls.append(name)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real_write_blob(fh, name, arr)
+
+        monkeypatch.setattr(checkpoint, "_write_blob", failing_write_blob)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, self._tree(12))
+        assert path.read_bytes() == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
