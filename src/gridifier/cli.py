@@ -55,14 +55,6 @@ __all__ = ["main", "run"]
 # --------------------------------------------------------------------------
 # option tables
 
-def _int(s: str) -> int:
-    return int(s)
-
-
-def _float(s: str) -> float:
-    return float(s)
-
-
 def _int_list(s: str) -> tuple[int, ...]:
     items = tuple(int(t) for t in s.split(",") if t.strip())
     if not items:
@@ -94,78 +86,74 @@ class _Opt:
         return self.parse is _bool and self.default in (False, None)
 
 
-def _opt(key, flag, parse, default=None, help=""):
-    return _Opt(key, flag, parse, default, help)
+_SEED = _Opt("seed", "--seed", int, None, "random seed (falls back to GRIDIFIER_SEED, then 0)")
+_STRICT = _Opt("strict", "--strict", _bool, False, "treat requirement violations as fatal")
 
-
-_SEED = _opt("seed", "--seed", _int, None, "random seed (falls back to GRIDIFIER_SEED, then 0)")
-_STRICT = _opt("strict", "--strict", _bool, False, "treat requirement violations as fatal")
-
-_K = _opt("nr_neighbors", "--k", _int, 9, "neighbors per node in the bilateral k-NN pass")
-_RES = _opt("grid_resolution", "--resolution", _int, 9, "lattice points per axis")
-_KSIZE = _opt("conv_kernel_size", "--kernel-size", _int, 9, "convolution kernel width per axis")
-_BLOCKS = _opt("nr_conv_blocks", "--blocks", _int, 3, "number of convolution blocks/layers")
-_WIDTH = _opt("hidden_channels", "--channels", _int, 128, "channel width")
-_EPOCHS = _opt("nr_epochs", "--epochs", _int, 60, "training epochs")
-_NPOINTS = _opt("nr_input_points", "--n-points", _int, 1000, "points per generated cloud")
-_LR = _opt("learning_rate", "--lr", _float, 0.005, "peak learning rate")
-_WARMUP = _opt("learning_rate_warmup", "--warmup", _int, 10, "linear warm-up epochs")
-_BATCH = _opt("batch_size", "--batch-size", _int, 32, "clouds per optimizer step")
-_WD = _opt("weight_decay", "--weight-decay", _float, 0.0, "decoupled weight decay")
-_DROPOUT = _opt("dropout", "--dropout", _float, 0.1, "dropout rate inside conv blocks")
-_OMEGA = _opt("omega", "--omega", _float, 0.1, "initial frequency scale of the positional embedding")
-_AGG = _opt("aggregation", "--aggregation", str, "mean",
+_K = _Opt("nr_neighbors", "--k", int, 9, "neighbors per node in the bilateral k-NN pass")
+_RES = _Opt("grid_resolution", "--resolution", int, 9, "lattice points per axis")
+_KSIZE = _Opt("conv_kernel_size", "--kernel-size", int, 9, "convolution kernel width per axis")
+_BLOCKS = _Opt("nr_conv_blocks", "--blocks", int, 3, "number of convolution blocks/layers")
+_WIDTH = _Opt("hidden_channels", "--channels", int, 128, "channel width")
+_EPOCHS = _Opt("nr_epochs", "--epochs", int, 60, "training epochs")
+_NPOINTS = _Opt("nr_input_points", "--n-points", int, 1000, "points per generated cloud")
+_LR = _Opt("learning_rate", "--lr", float, 0.005, "peak learning rate")
+_WARMUP = _Opt("learning_rate_warmup", "--warmup", int, 10, "linear warm-up epochs")
+_BATCH = _Opt("batch_size", "--batch-size", int, 32, "clouds per optimizer step")
+_WD = _Opt("weight_decay", "--weight-decay", float, 0.0, "decoupled weight decay")
+_DROPOUT = _Opt("dropout", "--dropout", float, 0.1, "dropout rate inside conv blocks")
+_OMEGA = _Opt("omega", "--omega", float, 0.1, "initial frequency scale of the positional embedding")
+_AGG = _Opt("aggregation", "--aggregation", str, "mean",
             "message aggregation: " + " or ".join(AGGREGATIONS))
 
 _COMMANDS: dict[str, list[_Opt]] = {
     "gridify": [
-        _opt("in", "--in", str, help="input point cloud (csv or pcb)"),
-        _opt("out", "--out", str, help="output grid file (csv or pcb)"),
+        _Opt("in", "--in", str, help="input point cloud (csv or pcb)"),
+        _Opt("out", "--out", str, help="output grid file (csv or pcb)"),
         _RES, _K, _WIDTH, _OMEGA, _AGG, _SEED, _STRICT,
     ],
     "degridify": [
-        _opt("in", "--in", str, help="input grid file written by gridify"),
-        _opt("cloud", "--cloud", str, help="target point cloud supplying output coordinates"),
-        _opt("out", "--out", str, help="output point cloud file"),
-        _opt("grid_resolution", "--resolution", _int, None,
+        _Opt("in", "--in", str, help="input grid file written by gridify"),
+        _Opt("cloud", "--cloud", str, help="target point cloud supplying output coordinates"),
+        _Opt("out", "--out", str, help="output point cloud file"),
+        _Opt("grid_resolution", "--resolution", int, None,
              "lattice points per axis (default: inferred from the grid file)"),
         _K, _WIDTH, _OMEGA, _AGG, _SEED, _STRICT,
     ],
     "train-recon": [
-        _opt("grid_resolution", "--resolution", _int_list, (9,), "resolutions to sweep"),
-        _opt("hidden_channels", "--channels", _int_list, (128,), "channel widths to sweep"),
+        _Opt("grid_resolution", "--resolution", _int_list, (9,), "resolutions to sweep"),
+        _Opt("hidden_channels", "--channels", _int_list, (128,), "channel widths to sweep"),
         _NPOINTS, _EPOCHS, _LR, _WARMUP, _WD, _BATCH, _K, _OMEGA, _AGG,
-        _opt("n_train", "--n-train", _int, 200, "training clouds"),
-        _opt("n_val", "--n-val", _int, 50, "validation clouds"),
-        _opt("out", "--out", str, help="CSV of per-setting validation MSE"),
-        _opt("checkpoint", "--checkpoint", str, help="write final parameters here"),
+        _Opt("n_train", "--n-train", int, 200, "training clouds"),
+        _Opt("n_val", "--n-val", int, 50, "validation clouds"),
+        _Opt("out", "--out", str, help="CSV of per-setting validation MSE"),
+        _Opt("checkpoint", "--checkpoint", str, help="write final parameters here"),
         _SEED,
     ],
     "train-classify": [
         _RES, _WIDTH, _KSIZE, _BLOCKS, _NPOINTS, _EPOCHS, _LR, _WARMUP, _WD,
         _DROPOUT, _BATCH, _K, _OMEGA,
-        _opt("n_train", "--n-train", _int, 60, "training clouds"),
-        _opt("n_val", "--n-val", _int, 30, "validation clouds"),
-        _opt("noise", "--noise", _float, 0.02, "surface jitter of the generated shapes"),
-        _opt("shuffle_labels", "--shuffle-labels", _bool, False,
+        _Opt("n_train", "--n-train", int, 60, "training clouds"),
+        _Opt("n_val", "--n-val", int, 30, "validation clouds"),
+        _Opt("noise", "--noise", float, 0.02, "surface jitter of the generated shapes"),
+        _Opt("shuffle_labels", "--shuffle-labels", _bool, False,
              "permute training labels (chance-level control)"),
-        _opt("out", "--out", str, help="CSV holding the validation accuracy"),
-        _opt("checkpoint", "--checkpoint", str, help="write final parameters here"),
+        _Opt("out", "--out", str, help="CSV holding the validation accuracy"),
+        _Opt("checkpoint", "--checkpoint", str, help="write final parameters here"),
         _SEED,
     ],
     "bench": [
-        _opt("sizes", "--sizes", _int_list, (1000, 2000, 4000, 8000),
+        _Opt("sizes", "--sizes", _int_list, (1000, 2000, 4000, 8000),
              "cloud sizes, comma-separated and increasing"),
-        _opt("hidden_channels", "--channels", _int_list, (16,), "channel widths"),
+        _Opt("hidden_channels", "--channels", _int_list, (16,), "channel widths"),
         _K, _RES, _KSIZE, _BLOCKS, _OMEGA,
-        _opt("repetitions", "--repetitions", _int, 5, "timed repetitions per measurement"),
-        _opt("out", "--out", str, help="CSV of timings, allocations, and kernel-eval counts"),
+        _Opt("repetitions", "--repetitions", int, 5, "timed repetitions per measurement"),
+        _Opt("out", "--out", str, help="CSV of timings, allocations, and kernel-eval counts"),
         _SEED,
     ],
     "inspect": [
-        _opt("in", "--in", str, help="point cloud to describe (csv or pcb)"),
+        _Opt("in", "--in", str, help="point cloud to describe (csv or pcb)"),
         _RES, _K,
-        _opt("edges", "--edges", _bool, False, "print the bilateral edge list as src,dst lines"),
+        _Opt("edges", "--edges", _bool, False, "print the bilateral edge list as src,dst lines"),
         _SEED, _STRICT,
     ],
 }

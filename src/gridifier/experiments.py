@@ -31,7 +31,13 @@ from .autodiff import Tensor
 from .checkpoint import save_checkpoint
 from .connectivity import bilateral_knn, invert_edges, self_knn
 from .errors import ConfigError, TrainingError
-from .gridify import GridifierParams, degridify_features, gridify_features, init_gridifier
+from .gridify import (
+    AGGREGATIONS,
+    GridifierParams,
+    degridify_features,
+    gridify_features,
+    init_gridifier,
+)
 from .gridnet import (
     AffineHead,
     BlockSpec,
@@ -106,17 +112,6 @@ def gen_shape_cloud(n: int, shape: str, seed, noise: float = 0.02, extent: float
 # shared training plumbing
 
 
-def _scale_grads(params: dict[str, Tensor], factor: float) -> None:
-    for p in params.values():
-        if p.grad is not None:
-            p.grad *= factor
-
-
-def _batches(order: np.ndarray, batch_size: int):
-    for start in range(0, order.size, batch_size):
-        yield order[start : start + batch_size]
-
-
 def _check_finite_loss(loss: Tensor, epoch: int) -> float:
     value = loss.item()
     if not np.isfinite(value):
@@ -124,16 +119,49 @@ def _check_finite_loss(loss: Tensor, epoch: int) -> float:
     return value
 
 
+def _check_common(cfg, n_cells: int) -> None:
+    """Reject settings shared by both studies before any data exists."""
+    for name in ("epochs", "batch_size", "k", "n_points"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    if not 0 <= cfg.warmup < cfg.epochs:
+        raise ConfigError(f"warmup must be in [0, epochs={cfg.epochs}), got {cfg.warmup}")
+    if not cfg.omega > 0:
+        raise ConfigError(f"omega must be > 0, got {cfg.omega}")
+    if cfg.k > min(cfg.n_points, n_cells):
+        raise ConfigError(f"k={cfg.k} exceeds min(n_points={cfg.n_points}, grid cells={n_cells})")
+
+
+def _fit(cfg, params: dict[str, Tensor], loss_of, order_rng: np.random.Generator) -> None:
+    """Train ``params`` with AdamW on the ``cfg.n_train`` training clouds.
+
+    ``loss_of(i)`` builds the scalar loss of training cloud ``i``.  Every epoch
+    visits the clouds in one fresh ``order_rng`` permutation, ``cfg.batch_size``
+    at a time (the last batch may be shorter), and takes one AdamW step on the
+    batch-mean gradient at the warmup + cosine learning rate.  The final
+    parameters and optimizer state go to ``cfg.checkpoint_path`` when set.
+    """
+    state = adamw_init(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    for epoch in range(cfg.epochs):
+        lr = lr_at(epoch, cfg.epochs, cfg.warmup, cfg.lr)
+        order = order_rng.permutation(cfg.n_train)
+        for start in range(0, cfg.n_train, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            for i in batch:
+                loss = loss_of(i)
+                _check_finite_loss(loss, epoch)
+                loss.backward()
+            for p in params.values():
+                if p.grad is not None:
+                    p.grad *= 1.0 / batch.size
+            adamw_step(state, params, lr=lr)
+            zero_grads(params)
+    if cfg.checkpoint_path is not None:
+        save_checkpoint(cfg.checkpoint_path, params, state)
+
+
 # --------------------------------------------------------------------------
 # reconstruction study
-
-
-def _check_schedule_and_k(warmup: int, epochs: int, k: int, n_points: int, n_cells: int):
-    """Reject settings that would otherwise fail only after data and edges exist."""
-    if not 0 <= warmup < epochs:
-        raise ConfigError(f"warmup must be in [0, epochs={epochs}), got {warmup}")
-    if k > min(n_points, n_cells):
-        raise ConfigError(f"k={k} exceeds min(n_points={n_points}, grid cells={n_cells})")
 
 
 @dataclass(frozen=True)
@@ -143,7 +171,6 @@ class ReconConfig:
     n_train: int = 200
     n_val: int = 50
     n_points: int = 256
-    dim: int = 3
     resolutions: tuple[int, ...] = (6,)
     channels: tuple[int, ...] = (16,)
     epochs: int = 30
@@ -164,10 +191,11 @@ class ReconConfig:
             raise ConfigError(f"resolutions must all be >= 2, got {self.resolutions}")
         if not self.channels or min(self.channels) < 1:
             raise ConfigError(f"channel widths must be >= 1, got {self.channels}")
-        if self.epochs < 1 or self.batch_size < 1 or self.k < 1 or self.n_points < 1:
-            raise ConfigError("epochs, batch size, k, and n_points must all be >= 1")
-        _check_schedule_and_k(self.warmup, self.epochs, self.k, self.n_points,
-                              min(self.resolutions) ** self.dim)
+        if self.aggregation not in AGGREGATIONS:
+            raise ConfigError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
+        if self.checkpoint_path is not None and len(self.resolutions) * len(self.channels) > 1:
+            raise ConfigError("checkpoint_path needs a sweep of one resolution and one width")
+        _check_common(self, min(self.resolutions) ** 3)
 
 
 @dataclass(frozen=True)
@@ -209,7 +237,7 @@ def train_reconstruction(cfg: ReconConfig, out_csv: str | None = None) -> list[R
 
     rows = []
     for resolution in cfg.resolutions:
-        spec = GridSpec(resolution=resolution, dim=cfg.dim)
+        spec = GridSpec(resolution=resolution, dim=3)
         grid_coords = make_grid_coords(spec)
         edge_pairs = []
         for cloud in clouds:
@@ -221,32 +249,22 @@ def train_reconstruction(cfg: ReconConfig, out_csv: str | None = None) -> list[R
             run_ss = np.random.SeedSequence((cfg.seed, resolution, width))
             init_rng, order_rng = (np.random.default_rng(s) for s in run_ss.spawn(2))
             enc = init_gridifier(
-                1, width, width, cfg.dim, init_rng, omega=cfg.omega, aggregation=cfg.aggregation
+                1, width, width, 3, init_rng, omega=cfg.omega, aggregation=cfg.aggregation
             )
             dec = init_gridifier(
-                width, 1, width, cfg.dim, init_rng, omega=cfg.omega, aggregation=cfg.aggregation
+                width, 1, width, 3, init_rng, omega=cfg.omega, aggregation=cfg.aggregation
             )
             params = enc.named_parameters("enc.")
             params.update(dec.named_parameters("dec."))
-            state = adamw_init(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+
+            def loss_of(i):
+                fwd, inv = train_edges[i]
+                return _round_trip_loss(train[i], grid_coords, fwd, inv, enc, dec)
 
             untrained = _mean_val_loss(val, grid_coords, val_edges, enc, dec, epoch=0)
-            for epoch in range(cfg.epochs):
-                lr = lr_at(epoch, cfg.epochs, cfg.warmup, cfg.lr)
-                for batch in _batches(order_rng.permutation(cfg.n_train), cfg.batch_size):
-                    for ci in batch:
-                        fwd, inv = train_edges[ci]
-                        loss = _round_trip_loss(train[ci], grid_coords, fwd, inv, enc, dec)
-                        _check_finite_loss(loss, epoch)
-                        loss.backward()
-                    _scale_grads(params, 1.0 / batch.size)
-                    adamw_step(state, params, lr=lr)
-                    zero_grads(params)
-
+            _fit(cfg, params, loss_of, order_rng)
             val_mse = _mean_val_loss(val, grid_coords, val_edges, enc, dec, epoch=cfg.epochs - 1)
             rows.append(ReconRow(resolution, width, cfg.seed, val_mse, untrained))
-            if cfg.checkpoint_path is not None:
-                save_checkpoint(cfg.checkpoint_path, params, state)
 
     if out_csv is not None:
         write_recon_csv(rows, out_csv)
@@ -292,10 +310,17 @@ class ClassifyConfig:
     def __post_init__(self):
         if self.n_train < 2 or self.n_val < 2:
             raise ConfigError("need at least two clouds on each split for both classes")
-        if self.n_blocks < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("n_blocks, epochs, and batch size must all be >= 1")
-        _check_schedule_and_k(self.warmup, self.epochs, self.k, self.n_points,
-                              self.resolution**3)
+        if self.n_blocks < 1:
+            raise ConfigError(f"n_blocks must be >= 1, got {self.n_blocks}")
+        if self.channels < 1:
+            raise ConfigError(f"channels must be >= 1, got {self.channels}")
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise ConfigError(f"kernel_size must be odd and positive, got {self.kernel_size}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not self.noise >= 0.0:
+            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        _check_common(self, self.resolution**3)
 
 
 _SHAPES = ("sphere", "cube")
@@ -365,30 +390,18 @@ def train_classify_synth(cfg: ClassifyConfig) -> float:
     head = init_affine_head(cfg.channels, 2, init_rng)
     model = _ClassifyModel(spec, grid_coords, enc, blocks, head)
     params = model.named_parameters()
-    state = adamw_init(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-
-    order_rng = np.random.default_rng(order_ss)
     drop_rng = np.random.default_rng(drop_ss)
-    for epoch in range(cfg.epochs):
-        lr = lr_at(epoch, cfg.epochs, cfg.warmup, cfg.lr)
-        for batch in _batches(order_rng.permutation(cfg.n_train), cfg.batch_size):
-            for ci in batch:
-                logits = _classify_logits(
-                    model, train[ci], train_edges[ci], rng=drop_rng, training=True
-                )
-                loss = ad.softmax_cross_entropy(logits, train_labels[ci : ci + 1])
-                _check_finite_loss(loss, epoch)
-                loss.backward()
-            _scale_grads(params, 1.0 / batch.size)
-            adamw_step(state, params, lr=lr)
-            zero_grads(params)
+
+    def loss_of(i):
+        logits = _classify_logits(model, train[i], train_edges[i], rng=drop_rng, training=True)
+        return ad.softmax_cross_entropy(logits, train_labels[i : i + 1])
+
+    _fit(cfg, params, loss_of, np.random.default_rng(order_ss))
 
     hits = 0
     for cloud, cloud_edges, label in zip(val, val_edges, val_labels):
         logits = _classify_logits(model, cloud, cloud_edges)
         hits += int(np.argmax(logits.data[0]) == label)
-    if cfg.checkpoint_path is not None:
-        save_checkpoint(cfg.checkpoint_path, params, state)
     return hits / cfg.n_val
 
 

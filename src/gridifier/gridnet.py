@@ -36,7 +36,6 @@ __all__ = [
     "conv_from_weights",
     "conv_grid_features",
     "conv_point_native",
-    "dense_head",
     "init_affine_head",
     "init_conv",
     "init_conv_block",
@@ -296,13 +295,11 @@ def conv_point_native(
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """Wiring of one residual unit: norm -> conv -> nonlinearity -> dropout (+skip)."""
+    """Wiring of one residual unit: channel norm -> conv -> GELU -> dropout (+skip)."""
 
     in_channels: int
     out_channels: int
     kernel_size: int
-    normalization: str = "channel"
-    nonlinearity: str = "gelu"
     residual: bool = True
     dropout: float = 0.0
 
@@ -311,8 +308,6 @@ class BlockSpec:
             raise ConfigError(
                 f"residual block needs equal channels, got {self.in_channels} -> {self.out_channels}"
             )
-        if self.normalization not in ("channel", "none"):
-            raise ConfigError(f"unknown normalization {self.normalization!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout}")
 
@@ -362,16 +357,14 @@ def block_forward(
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> Tensor:
-    """norm -> conv -> nonlinearity -> dropout, plus the input when residual.
+    """channel norm -> conv -> GELU -> dropout, plus the input when residual.
 
-    With a zero kernel the conv emits zeros, the nonlinearity maps 0 to 0, and
-    a residual block therefore returns its input bit-for-bit.
+    With a zero kernel the conv emits zeros, GELU maps 0 to 0, and a residual
+    block therefore returns its input bit-for-bit.
     """
-    h = feats
-    if block.spec.normalization == "channel":
-        h = ad.channel_norm(h, block.gamma, block.beta)
+    h = ad.channel_norm(feats, block.gamma, block.beta)
     h = conv_grid_features(h, spec, block.conv, counter, cache)
-    h = ad.nonlinearity(h, block.spec.nonlinearity)
+    h = ad.nonlinearity(h, "gelu")
     if training and block.spec.dropout > 0.0:
         if rng is None:
             raise ConfigError("dropout during training needs an rng")
@@ -383,7 +376,7 @@ def block_forward(
 
 @dataclass
 class AffineHead:
-    """Single affine map shared by the classification and dense heads."""
+    """Single affine map of the classification head."""
 
     w: Tensor
     b: Tensor
@@ -409,8 +402,3 @@ def classify_head(grid_feats: Tensor, head: AffineHead) -> Tensor:
     grid_feats = ad.as_tensor(grid_feats)
     pooled = ad.reshape(ad.reduce_mean(grid_feats, axis=0), (1, grid_feats.shape[1]))
     return ad.affine(pooled, head.w, head.b)
-
-
-def dense_head(grid_feats: Tensor, head: AffineHead) -> Tensor:
-    """Per-cell affine map (a 1x1 convolution): (r**D, c) -> (r**D, n_out)."""
-    return ad.affine(ad.as_tensor(grid_feats), head.w, head.b)

@@ -144,10 +144,6 @@ class Grid:
     def n_feats(self) -> int:
         return self.feats.shape[1]
 
-    def as_cloud(self) -> PointCloud:
-        """View the grid as a point cloud (used by file I/O and de-gridification)."""
-        return PointCloud(self.coords, self.feats)
-
 
 def normalize_cloud(cloud: PointCloud) -> PointCloud:
     """Center the cloud on the origin and scale the largest point norm to 1.
@@ -167,10 +163,10 @@ def normalize_cloud(cloud: PointCloud) -> PointCloud:
 # ---------------------------------------------------------------------------
 
 
-def write_cloud(cloud: PointCloud, path: str | Path, fmt: str | None = None) -> None:
-    """Write ``cloud`` to ``path`` as ``csv`` or ``pcb`` (inferred from suffix)."""
+def write_cloud(cloud: PointCloud, path: str | Path) -> None:
+    """Write ``cloud`` to ``path`` as ``csv`` or ``pcb``, chosen by the suffix."""
     path = Path(path)
-    fmt = fmt or path.suffix.lstrip(".").lower()
+    fmt = path.suffix.lstrip(".").lower()
     if fmt == "csv":
         _write_csv(cloud, path)
     elif fmt == "pcb":
@@ -179,10 +175,10 @@ def write_cloud(cloud: PointCloud, path: str | Path, fmt: str | None = None) -> 
         raise ConfigError(f"unknown point cloud format {fmt!r} (expected csv or pcb)")
 
 
-def read_cloud(path: str | Path, fmt: str | None = None) -> PointCloud:
-    """Read a point cloud from ``path`` (``csv`` or ``pcb``)."""
+def read_cloud(path: str | Path) -> PointCloud:
+    """Read a point cloud from ``path`` (``csv`` or ``pcb``, chosen by the suffix)."""
     path = Path(path)
-    fmt = fmt or path.suffix.lstrip(".").lower()
+    fmt = path.suffix.lstrip(".").lower()
     if fmt == "csv":
         return _read_csv(path)
     if fmt == "pcb":

@@ -242,13 +242,38 @@ class TestTrainingCommands:
         assert lines[0] == "val_accuracy"
         assert 0.0 <= float(lines[1]) <= 1.0
 
-    def test_warmup_not_below_epochs_exits_1_before_data(self, monkeypatch, capsys):
+    BAD_CONFIGS = [
+        ("train-classify", ["--epochs", "5"], "warmup"),
+        ("train-classify", ["--channels", "0"], "channels"),
+        ("train-classify", ["--noise", "-1"], "noise"),
+        ("train-classify", ["--k", "0"], "k"),
+        ("train-classify", ["--kernel-size", "4"], "kernel_size"),
+        ("train-classify", ["--dropout", "1.5"], "dropout"),
+        ("train-classify", ["--omega", "0"], "omega"),
+        ("train-recon", ["--k", "0"], "k"),
+        ("train-recon", ["--omega", "0"], "omega"),
+        ("train-recon", ["--aggregation", "sum"], "aggregation"),
+        # each setting of a sweep would overwrite the one checkpoint file
+        ("train-recon", ["--resolution", "3,4", "--checkpoint", "x.ckpt"], "checkpoint"),
+    ]
+
+    @pytest.mark.parametrize(
+        "task, flags, field", BAD_CONFIGS, ids=[f"{t}-{f}" for t, _, f in BAD_CONFIGS]
+    )
+    def test_bad_config_exits_1_before_data(
+        self, task, flags, field, tmp_path, monkeypatch, capsys
+    ):
         def no_data(*args, **kwargs):
             raise AssertionError("clouds generated before the config was validated")
 
         monkeypatch.setattr("gridifier.experiments.gen_shape_cloud", no_data)
-        assert run(["train-classify", "--epochs", "5"]) == 1
-        assert "warmup" in capsys.readouterr().err
+        monkeypatch.setattr("gridifier.experiments.gen_random_cloud", no_data)
+        monkeypatch.chdir(tmp_path)
+        assert run([task, *flags]) == 1
+        # the config echo on stderr names every field, so look at the error line only
+        (error,) = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert field in error
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("task", ["train-recon", "train-classify", "bench"])
     def test_strict_not_accepted_where_unused(self, task, capsys):

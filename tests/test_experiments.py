@@ -6,6 +6,7 @@ test_acceptance.py.
 """
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -133,6 +134,11 @@ class TestReconConfig:
         with pytest.raises(ConfigError, match="n_points"):
             ReconConfig(**{**TINY_RECON, "n_points": 3, "k": 4})
 
+    def test_rejects_one_checkpoint_for_a_sweep(self):
+        # every setting would overwrite the same file, keeping only the last
+        with pytest.raises(ConfigError, match="checkpoint"):
+            ReconConfig(**{**TINY_RECON, "channels": (2, 4), "checkpoint_path": "x.ckpt"})
+
 
 class TestReconTraining:
     def test_training_reduces_validation_mse(self):
@@ -242,6 +248,24 @@ class TestClassify:
         assert any(name.startswith("blocks.0.") for name in params)
         assert any(name.startswith("head.") for name in params)
         assert state is not None
+
+    def test_divergence_raises_with_epoch(self):
+        cfg = ClassifyConfig(**{**TINY_CLASSIFY, "lr": 1e150})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match="epoch"):
+                train_classify_synth(cfg)
+
+
+@pytest.mark.parametrize("study", ["recon", "classify"])
+def test_fit_steps_once_per_batch_including_the_partial_last(study, tmp_path):
+    path = tmp_path / "fit.ckpt"
+    shared = dict(n_train=5, batch_size=2, epochs=2, warmup=1, checkpoint_path=str(path))
+    if study == "recon":
+        train_reconstruction(ReconConfig(**{**TINY_RECON, **shared}))
+    else:
+        train_classify_synth(ClassifyConfig(**{**TINY_CLASSIFY, **shared}))
+    _, state = load_checkpoint(path)
+    assert state.step == shared["epochs"] * math.ceil(shared["n_train"] / shared["batch_size"])
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from gridifier.gridnet import (
     conv_from_weights,
     conv_grid_features,
     conv_point_native,
-    dense_head,
     init_affine_head,
     init_conv,
     init_conv_block,
@@ -605,13 +604,6 @@ class TestHeads:
         logits = classify_head(Tensor(feats), head)
         expected = feats.mean(axis=0) @ head.w.data + head.b.data
         np.testing.assert_allclose(logits.data[0], expected, rtol=0, atol=1e-12)
-
-    def test_dense_head_is_per_cell_affine(self):
-        rng = np.random.default_rng(34)
-        head = init_affine_head(3, 2, rng)
-        feats = rand(rng, 8, 3)
-        out = dense_head(Tensor(feats), head)
-        np.testing.assert_allclose(out.data, feats @ head.w.data + head.b.data, rtol=0, atol=1e-12)
 
     def test_head_gradients(self):
         rng = np.random.default_rng(35)
