@@ -341,21 +341,32 @@ def scatter_aggregate(values: Tensor, indices: np.ndarray, n_dst: int, mode: str
         return out
 
     if mode == "max":
-        data = np.full((n_dst, values.shape[1]), -np.inf)
-        np.maximum.at(data, indices, values.data)
-        n_rows, width = values.shape
+        n_rows = values.shape[0]
+        # reduce over contiguous destination segments; message passing already
+        # passes indices sorted by destination, so the stable sort is rarely paid
+        if np.any(indices[1:] < indices[:-1]):
+            row_ids = np.argsort(indices, kind="stable")
+            seg_values = values.data[row_ids]
+        else:
+            row_ids = np.arange(n_rows)
+            seg_values = values.data
+        starts = np.zeros(n_dst, dtype=np.int64)
+        np.cumsum(counts[:-1], out=starts[1:])
+        data = np.maximum.reduceat(seg_values, starts, axis=0)
         # first row index attaining the per-destination maximum, per column
-        winner = np.full((n_dst, width), n_rows, dtype=np.int64)
-        row_ids = np.broadcast_to(np.arange(n_rows)[:, None], values.shape)
-        candidates = np.where(values.data == data[indices], row_ids, n_rows)
-        np.minimum.at(winner, indices, candidates)
+        candidates = np.where(
+            seg_values == np.repeat(data, counts, axis=0), row_ids[:, None], n_rows
+        )
+        winner = np.minimum.reduceat(candidates, starts, axis=0)
         out = Tensor(data, (values,))
 
         def backward(g):
             grad = np.zeros_like(values.data)
-            rows = winner.ravel()
-            cols = np.tile(np.arange(width), n_dst)
-            np.add.at(grad, (rows[rows < n_rows], cols[rows < n_rows]), g.ravel()[rows < n_rows])
+            # a NaN maximum has no winner (n_rows).  Destinations own disjoint
+            # rows, so each (winner, column) pair occurs once; adding onto the
+            # zeros keeps the bits of a summed 0.0 + g, signed zeros included
+            hit = winner < n_rows
+            grad[winner[hit], np.nonzero(hit)[1]] += g[hit]
             values.accumulate(grad)
 
         out._backward = backward
@@ -487,12 +498,22 @@ def nonlinearity(t: Tensor, tag: str) -> Tensor:
         out._backward = backward
         return out
     if tag == "gelu":
-        cdf = 0.5 * (1.0 + erf(t.data * _INV_SQRT2))
+        # cdf = 0.5 * (1 + erf(x / sqrt 2)), finished in the erf output
+        cdf = erf(t.data * _INV_SQRT2)
+        cdf += 1.0
+        cdf *= 0.5
         out = Tensor(t.data * cdf, (t,))
 
         def backward(g):
-            pdf = _INV_SQRT2PI * np.exp(-0.5 * t.data**2)
-            t.accumulate(g * (cdf + t.data * pdf))
+            # g * (cdf + x * pdf), pdf = exp(-x**2 / 2) / sqrt(2 pi), in one buffer
+            d = np.square(t.data)
+            d *= -0.5
+            np.exp(d, out=d)
+            d *= _INV_SQRT2PI
+            d *= t.data
+            d += cdf
+            d *= g
+            t.accumulate(d)
 
         out._backward = backward
         return out

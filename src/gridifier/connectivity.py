@@ -2,12 +2,15 @@
 
 Every search returns, per query, the k targets ordered by the pair (squared
 distance, target index), with squared distances from one vectorized
-expression.  Small target sets are scanned exhaustively.  Larger ones ask
-``scipy.spatial.cKDTree`` for a few more than k candidates, re-rank them
-exactly by (squared distance, index), and rescan exhaustively every row where
-a target outside the candidates could tie or beat the k-th.  Both searches
-therefore match the exhaustive oracle index-for-index, including on inputs
-with duplicated coordinates or clouds that sit on the lattice.
+expression.  Small target sets are scanned exhaustively: every distance is
+computed, ``np.argpartition`` selects k per row, and the rows where more than
+k targets lie at or below the k-th distance are answered by the fully sorting
+oracle ``knn_brute``.  Larger sets ask ``scipy.spatial.cKDTree`` for a few
+more than k candidates, re-rank them exactly by (squared distance, index), and
+rescan exhaustively every row where a target outside the candidates could tie
+or beat the k-th.  Both searches therefore match the oracle index-for-index,
+including on inputs with duplicated coordinates or clouds that sit on the
+lattice.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InvariantError
 
-# below this many targets the exhaustive scan (the oracle) answers directly,
+# below this many targets an exhaustive scan with partial selection answers,
 # so a process that only searches small sets never imports scipy.spatial
 EXHAUSTIVE_CUTOFF = 512
 
@@ -175,17 +178,44 @@ def knn_tree(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _knn_partition(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
+    """Exhaustive k-NN through partial selection, equal to ``knn_brute`` index-for-index.
+
+    Squared distances come from the ``knn_brute`` expression in the same
+    chunks.  ``np.argpartition`` selects k nearest targets per row, which are
+    then ordered by (squared distance, index).  The selection is exact unless
+    more than k targets lie at or below the k-th squared distance, where it
+    may have kept a larger index of a tie; those rows go to ``knn_brute``.
+    """
+    m, t = queries.shape[0], targets.shape[0]
+    out = np.empty((m, k), dtype=np.int64)
+    chunk = max(1, (1 << 22) // max(t, 1))
+    for lo in range(0, m, chunk):
+        q = queries[lo : lo + chunk]
+        d2 = ((targets[None, :, :] - q[:, None, :]) ** 2).sum(axis=2)
+        idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        near = np.take_along_axis(d2, idx, axis=1)
+        order = np.lexsort((idx, near), axis=1)
+        out[lo : lo + chunk] = np.take_along_axis(idx, order, axis=1)
+        kth = near.max(axis=1, keepdims=True)
+        tied = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k)
+        if tied.size:
+            out[lo + tied] = knn_brute(q[tied], targets, k)
+    return out
+
+
 def knn(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     """k nearest targets per query, rows ordered by (squared distance, index).
 
-    Below ``EXHAUSTIVE_CUTOFF`` targets this is ``knn_brute``; at or above it,
-    ``knn_tree``: cKDTree candidates, an exact re-rank, and an exhaustive
-    fallback for rows with a tie at the candidate boundary.  Both return the
-    same indices.
+    Below ``EXHAUSTIVE_CUTOFF`` targets every distance is computed and the k
+    nearest are found by partial selection, with ``knn_brute`` answering rows
+    that tie at the k-th distance; at or above it, ``knn_tree``: cKDTree
+    candidates, an exact re-rank, and an exhaustive fallback for rows with a
+    tie at the candidate boundary.  Both return the indices ``knn_brute`` does.
     """
     queries, targets = _check_knn_args(queries, targets, k)
     if targets.shape[0] < EXHAUSTIVE_CUTOFF:
-        return knn_brute(queries, targets, k)
+        return _knn_partition(queries, targets, k)
     return knn_tree(queries, targets, k)
 
 

@@ -128,6 +128,10 @@ def _check_common(cfg, n_cells: int) -> None:
         raise ConfigError(f"warmup must be in [0, epochs={cfg.epochs}), got {cfg.warmup}")
     if not cfg.omega > 0:
         raise ConfigError(f"omega must be > 0, got {cfg.omega}")
+    if not (np.isfinite(cfg.lr) and cfg.lr > 0):
+        raise ConfigError(f"lr must be finite and > 0, got {cfg.lr}")
+    if not (np.isfinite(cfg.weight_decay) and cfg.weight_decay >= 0):
+        raise ConfigError(f"weight_decay must be finite and >= 0, got {cfg.weight_decay}")
     if cfg.k > min(cfg.n_points, n_cells):
         raise ConfigError(f"k={cfg.k} exceeds min(n_points={cfg.n_points}, grid cells={n_cells})")
 
@@ -310,6 +314,8 @@ class ClassifyConfig:
     def __post_init__(self):
         if self.n_train < 2 or self.n_val < 2:
             raise ConfigError("need at least two clouds on each split for both classes")
+        if self.resolution < 1:
+            raise ConfigError(f"resolution must be >= 1, got {self.resolution}")
         if self.n_blocks < 1:
             raise ConfigError(f"n_blocks must be >= 1, got {self.n_blocks}")
         if self.channels < 1:

@@ -2,7 +2,9 @@
 
 Each test pins its tolerance and, where the claim carries a budget, asserts
 wall-clock time.  Claims 5, 6, and 9 train or benchmark at full scale and
-take minutes; everything else finishes in seconds.  Claim 1's per-node upper
+take minutes; everything else finishes in seconds.  Claims 3, 5, 6, 8 and 9
+train or time a run and carry the ``slow`` marker, so ``-m "not slow"``
+keeps the quick exactness claims 1, 2, 4 and 7.  Claim 1's per-node upper
 degree bound gets a strict xfail companion instead of an assertion: no such
 bound exists (every cloud point whose nearest cell is the same grid node
 donates an edge to it), so the passing test pins the bounds that do hold.
@@ -141,6 +143,7 @@ def test_criterion_2_gridify_and_degridify_match_naive_evaluation():
 # 3. end-to-end gradients against central finite differences
 
 
+@pytest.mark.slow
 def test_criterion_3_pipeline_gradients_match_finite_differences():
     start = time.perf_counter()
     step = 1e-5
@@ -231,6 +234,7 @@ def test_criterion_4_permutation_and_translation_leave_output_bits_unchanged():
 # 5. reconstruction error falls with capacity
 
 
+@pytest.mark.slow
 def test_criterion_5_reconstruction_error_improves_with_capacity():
     start = time.perf_counter()
     shared = dict(n_train=200, n_val=50, n_points=256, epochs=30, k=3,
@@ -255,6 +259,7 @@ def test_criterion_5_reconstruction_error_improves_with_capacity():
 # 6. kernel reuse: constant evaluation count and flatter time scaling
 
 
+@pytest.mark.slow
 def test_criterion_6_grid_path_reuses_kernels_and_scales_flatter():
     start = time.perf_counter()
     sizes = (1000, 2000, 4000, 8000)
@@ -293,6 +298,7 @@ def test_criterion_7_requirement_checker_reports_exactly_the_unmet_items():
 # 8. determinism and persistence
 
 
+@pytest.mark.slow
 def test_criterion_8_seeds_checkpoints_and_files_reproduce_bitwise(tmp_path):
     cfg = ReconConfig(n_train=4, n_val=2, n_points=24, resolutions=(3,),
                       channels=(3,), epochs=2, k=2, warmup=1,
@@ -321,6 +327,7 @@ def test_criterion_8_seeds_checkpoints_and_files_reproduce_bitwise(tmp_path):
 # 9. end-to-end classification with a chance-level control
 
 
+@pytest.mark.slow
 def test_criterion_9_classification_beats_ninety_percent_and_controls_at_chance():
     start = time.perf_counter()
     accuracy = train_classify_synth(ClassifyConfig())

@@ -25,6 +25,36 @@ class TestForwardValues:
         ad.reduce_mean(out).backward()
         np.testing.assert_array_equal(values.grad, [[1.0], [0.0]])
 
+    @pytest.mark.parametrize("layout", ["sorted", "unsorted"])
+    def test_scatter_max_bits_match_per_destination_loop(self, layout):
+        rng = np.random.default_rng(41)
+        # few distinct values tie across several rows of a destination
+        values = rng.integers(-2, 3, size=(60, 4)).astype(float)
+        values[::3] += rng.normal(size=(20, 4))
+        # destination 0 receives row 0 only
+        idx = np.concatenate([np.arange(8), rng.integers(1, 8, size=52)])
+        if layout == "sorted":
+            idx = np.sort(idx)
+        g = rng.normal(size=(8, 4))
+
+        expected = np.empty((8, 4))
+        expected_grad = np.zeros_like(values)
+        for d in range(8):
+            rows = [r for r in range(60) if idx[r] == d]
+            for c in range(4):
+                best = rows[0]
+                for r in rows[1:]:
+                    if values[r, c] > values[best, c]:
+                        best = r
+                expected[d, c] = values[best, c]
+                expected_grad[best, c] += g[d, c] / g.size
+
+        t = Tensor(values)
+        out = ad.scatter_aggregate(t, idx, 8, "max")
+        ad.reduce_mean(ad.mul(out, g)).backward()
+        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(t.grad, expected_grad)
+
     def test_scatter_mean_constant_identity(self):
         # aggregating a constant yields that constant at every destination
         rng = np.random.default_rng(0)

@@ -250,8 +250,16 @@ class TestTrainingCommands:
         ("train-classify", ["--kernel-size", "4"], "kernel_size"),
         ("train-classify", ["--dropout", "1.5"], "dropout"),
         ("train-classify", ["--omega", "0"], "omega"),
+        ("train-classify", ["--lr", "-1"], "lr"),
+        ("train-classify", ["--lr", "nan"], "lr"),
+        ("train-classify", ["--weight-decay", "-5"], "weight_decay"),
+        # reported before k, which the zero-cell grid would otherwise fail
+        ("train-classify", ["--resolution", "0"], "resolution"),
         ("train-recon", ["--k", "0"], "k"),
         ("train-recon", ["--omega", "0"], "omega"),
+        ("train-recon", ["--lr", "-1"], "lr"),
+        ("train-recon", ["--lr", "nan"], "lr"),
+        ("train-recon", ["--weight-decay", "-5"], "weight_decay"),
         ("train-recon", ["--aggregation", "sum"], "aggregation"),
         # each setting of a sweep would overwrite the one checkpoint file
         ("train-recon", ["--resolution", "3,4", "--checkpoint", "x.ckpt"], "checkpoint"),

@@ -147,6 +147,45 @@ def test_tree_search_matches_brute_force_above_cutoff(queries, targets, k):
     np.testing.assert_array_equal(knn(queries, targets, k), expected)
 
 
+def _small_tie_heavy_cases():
+    """Queries, targets and k for searches below the exhaustive cutoff."""
+    rng = np.random.default_rng(32)
+    lattice = make_grid_coords(GridSpec(resolution=6, dim=3))
+    on_nodes = lattice[rng.integers(0, lattice.shape[0], 300)]
+    base = rng.uniform(-1, 1, (100, 3))
+    plane = make_grid_coords(GridSpec(resolution=15, dim=2))
+    # every cell centre is equidistant from its 8 corner nodes
+    centres = make_grid_coords(GridSpec(resolution=5, lo=-0.8, hi=0.8))
+    return {
+        "lattice_on_itself": (lattice, lattice, 9),
+        "cloud_on_lattice_nodes": (on_nodes, lattice, 9),
+        "lattice_on_cloud_nodes": (lattice, on_nodes, 9),
+        "triplicated_points": (
+            np.concatenate([base[:40], rng.uniform(-1, 1, (80, 3))]),
+            np.concatenate([base, base, base]),
+            9,
+        ),
+        "k_one_cell_centres": (centres, lattice, 1),
+        "k_equals_targets": (rng.uniform(-1, 1, (20, 3)), rng.uniform(-1, 1, (100, 3)), 100),
+        "two_dimensional": (
+            np.concatenate([plane[::7], rng.uniform(-1, 1, (100, 2))]),
+            np.concatenate([plane, rng.uniform(-1, 1, (100, 2))]),
+            6,
+        ),
+    }
+
+
+_SMALL_TIE_HEAVY = _small_tie_heavy_cases()
+
+
+@pytest.mark.parametrize(
+    "queries, targets, k", list(_SMALL_TIE_HEAVY.values()), ids=list(_SMALL_TIE_HEAVY)
+)
+def test_search_matches_brute_force_below_cutoff(queries, targets, k):
+    assert targets.shape[0] < EXHAUSTIVE_CUTOFF
+    np.testing.assert_array_equal(knn(queries, targets, k), knn_brute(queries, targets, k))
+
+
 def test_searches_below_cutoff_never_import_scipy_spatial():
     # the import costs a few hundred ms of start-up that small-cloud runs
     # (both training studies) would otherwise pay
