@@ -542,6 +542,20 @@ def sin(t: Tensor) -> Tensor:
     return out
 
 
+def cos_sin(t: Tensor) -> Tensor:
+    """[cos t ; sin t] along the last axis; the backward reuses both halves."""
+    t = as_tensor(t)
+    c, s = np.cos(t.data), np.sin(t.data)
+    out = Tensor(np.concatenate([c, s], axis=-1), (t,))
+    width = t.shape[-1]
+
+    def backward(g):
+        t.accumulate(-g[..., :width] * s + g[..., width:] * c)
+
+    out._backward = backward
+    return out
+
+
 def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization over the channel axis with learnable scale/shift."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)

@@ -1,16 +1,16 @@
 """k-nearest-neighbor search and bipartite connectivity between clouds and grids.
 
 Every search returns, per query, the k targets ordered by the pair (squared
-distance, target index), with squared distances from one vectorized
-expression.  Small target sets are scanned exhaustively: every distance is
-computed, ``np.argpartition`` selects k per row, and the rows where more than
-k targets lie at or below the k-th distance are answered by the fully sorting
-oracle ``knn_brute``.  Larger sets ask ``scipy.spatial.cKDTree`` for a few
-more than k candidates, re-rank them exactly by (squared distance, index), and
-rescan exhaustively every row where a target outside the candidates could tie
-or beat the k-th.  Both searches therefore match the oracle index-for-index,
-including on inputs with duplicated coordinates or clouds that sit on the
-lattice.
+distance, target index), with squared distances equal bit for bit to the
+``knn_brute`` expression.  Small target sets are scanned exhaustively: every
+distance is computed, ``np.argpartition`` selects k per row, and the rows
+where more than k targets lie at or below the k-th distance are answered by
+the fully sorting oracle ``knn_brute``.  Larger sets ask
+``scipy.spatial.cKDTree`` for a few more than k candidates, re-rank them
+exactly by (squared distance, index), and rescan exhaustively every row where
+a target outside the candidates could tie or beat the k-th.  Both searches
+therefore match the oracle index-for-index, including on inputs with
+duplicated coordinates or clouds that sit on the lattice.
 """
 
 from __future__ import annotations
@@ -126,6 +126,20 @@ def _check_knn_args(queries, targets, k):
     return queries, targets
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between broadcast rows of ``a`` and ``b`` (last axis = D).
+
+    Accumulates one axis at a time, ``(d0 + d1) + d2``, the order in which
+    numpy reduces a length-D axis below 8 elements, so the bits equal
+    ``knn_brute``'s ``((a - b) ** 2).sum(axis=-1)`` without its (..., D)
+    temporary.
+    """
+    d2 = np.square(a[..., 0] - b[..., 0])
+    for c in range(1, a.shape[-1]):
+        d2 += np.square(a[..., c] - b[..., c])
+    return d2
+
+
 def knn_brute(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     """Exhaustive k-NN: row m holds the k targets nearest query m.
 
@@ -147,7 +161,7 @@ def knn_tree(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     """k-NN through ``scipy.spatial.cKDTree``, equal to ``knn_brute`` index-for-index.
 
     The tree proposes a few more than k candidates per query.  Their squared
-    distances are recomputed with the ``knn_brute`` expression and each row is
+    distances are recomputed exactly (``_squared_distances``) and each row is
     ordered by (squared distance, index).  A row whose last tree candidate is
     not strictly farther than its k-th exact distance may have an equally near
     target outside the candidates (duplicated points, clouds on the lattice),
@@ -163,7 +177,7 @@ def knn_tree(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     tree_dist = tree_dist.reshape(m, n_cand)
     idx = idx.reshape(m, n_cand)
 
-    d2 = ((targets[idx] - queries[:, None, :]) ** 2).sum(axis=2)
+    d2 = _squared_distances(targets[idx], queries[:, None, :])
     by_index = np.argsort(idx, axis=1, kind="stable")
     idx = np.take_along_axis(idx, by_index, axis=1)
     d2 = np.take_along_axis(d2, by_index, axis=1)
@@ -181,7 +195,7 @@ def knn_tree(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
 def _knn_partition(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     """Exhaustive k-NN through partial selection, equal to ``knn_brute`` index-for-index.
 
-    Squared distances come from the ``knn_brute`` expression in the same
+    Squared distances come from ``_squared_distances`` in ``knn_brute``'s
     chunks.  ``np.argpartition`` selects k nearest targets per row, which are
     then ordered by (squared distance, index).  The selection is exact unless
     more than k targets lie at or below the k-th squared distance, where it
@@ -192,7 +206,7 @@ def _knn_partition(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarr
     chunk = max(1, (1 << 22) // max(t, 1))
     for lo in range(0, m, chunk):
         q = queries[lo : lo + chunk]
-        d2 = ((targets[None, :, :] - q[:, None, :]) ** 2).sum(axis=2)
+        d2 = _squared_distances(targets[None, :, :], q[:, None, :])
         idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
         near = np.take_along_axis(d2, idx, axis=1)
         order = np.lexsort((idx, near), axis=1)

@@ -116,12 +116,17 @@ def _canonical_edge_order(
 
     Keying on source values instead of source indices makes the float
     accumulation sequence — and therefore the output bits — independent of how
-    the input points happen to be numbered.  Edges whose keys fully collide
+    the input points happen to be numbered.  One lexsort over the N source
+    points (coords, then features) ranks them, so the E edges sort on a single
+    integer key ``dst * N + rank[src]``.  Points whose keys fully collide rank
+    by index, as the stored (dst, src) edge order would break their tie; they
     carry bitwise-identical messages, so their mutual order cannot matter.
     """
-    coord_keys = [src_coords[src_idx][:, c] for c in reversed(range(src_coords.shape[1]))]
-    feat_keys = [src_feats[src_idx][:, c] for c in reversed(range(src_feats.shape[1]))]
-    return np.lexsort((*feat_keys, *coord_keys, dst_idx))
+    n_src = src_coords.shape[0]
+    by_value = np.lexsort((*src_feats.T[::-1], *src_coords.T[::-1]))
+    rank = np.empty(n_src, dtype=np.int64)
+    rank[by_value] = np.arange(n_src)
+    return np.argsort(dst_idx * n_src + rank[src_idx])
 
 
 def _message_passing(

@@ -139,7 +139,7 @@ def rff_embed(cfg: RffConfig, rel_pos: Tensor) -> Tensor:
     # a frozen frequency matrix is detached so it never collects gradient
     freq = cfg.freq if cfg.trainable else Tensor(cfg.freq.data)
     phase = ad.mul(ad.matmul(rel_pos, ad.transpose2d(freq)), TWO_PI)
-    return ad.concat_last_axis([ad.cos(phase), ad.sin(phase)])
+    return ad.cos_sin(phase)
 
 
 @dataclass

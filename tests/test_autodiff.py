@@ -250,6 +250,16 @@ class TestGradients:
             lambda ts: ad.reduce_mean(ad.add(ad.cos(ts[0]), ad.sin(ts[0]))), arrays
         )
 
+    def test_cos_sin(self):
+        rng = np.random.default_rng(13)
+        arrays = [rand(rng, 4, 3), rand(rng, 4, 6)]
+        # a weight per output column, so the cos and sin halves get distinct gradients
+        assert_grads_match(
+            lambda ts: ad.reduce_mean(ad.mul(ad.cos_sin(ts[0]), ts[1])), arrays, skip=(1,)
+        )
+        out = ad.cos_sin(Tensor(arrays[0]))
+        np.testing.assert_array_equal(out.data, np.concatenate([np.cos(arrays[0]), np.sin(arrays[0])], axis=1))
+
     def test_channel_norm(self):
         rng = np.random.default_rng(14)
         arrays = [rand(rng, 6, 5), rand(rng, 5), rand(rng, 5)]

@@ -8,6 +8,7 @@ from gridifier.connectivity import (
     EXHAUSTIVE_CUTOFF,
     Direction,
     EdgeSet,
+    _squared_distances,
     bilateral_knn,
     invert_edges,
     knn,
@@ -199,6 +200,29 @@ def test_searches_below_cutoff_never_import_scipy_spatial():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _distance_cases(dim):
+    rng = np.random.default_rng(40 + dim)
+    base = rng.uniform(-1, 1, (90, dim))
+    lattice = make_grid_coords(GridSpec(resolution=9 if dim == 3 else 12, dim=dim))
+    return {
+        "random": (rng.uniform(-1.2, 1.2, (70, dim)), base),
+        "duplicated": (np.concatenate([base[:30], base[:30]]), np.concatenate([base, base])),
+        "on_lattice": (lattice[rng.integers(0, lattice.shape[0], 80)], lattice),
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_squared_distances_bits_equal_knn_brute_expression(dim):
+    for queries, targets in _distance_cases(dim).values():
+        old = ((targets[None, :, :] - queries[:, None, :]) ** 2).sum(axis=2)
+        got = _squared_distances(targets[None, :, :], queries[:, None, :])
+        assert got.tobytes() == old.tobytes()
+        # the tree re-rank's gathered (m, candidates, D) layout
+        idx = np.random.default_rng(dim).integers(0, targets.shape[0], (queries.shape[0], 7))
+        old = ((targets[idx] - queries[:, None, :]) ** 2).sum(axis=2)
+        assert _squared_distances(targets[idx], queries[:, None, :]).tobytes() == old.tobytes()
 
 
 class TestEdgeSet:

@@ -9,6 +9,7 @@ from gridifier.errors import ConfigError, InvariantError
 from gridifier.gridify import (
     GridifierParams,
     Violation,
+    _canonical_edge_order,
     check_requirements,
     degridify,
     degridify_features,
@@ -213,6 +214,43 @@ class TestInvariances:
                 Tensor(feats), coords + shift, grid_coords + shift, shifted_edges, params
             )
             np.testing.assert_array_equal(got.data, base.data)
+
+
+def lexsort_edge_order(src, dst, coords, feats):
+    """The per-edge oracle: one lexsort of the E edges on (dst, coords, feats)."""
+    coord_keys = [coords[src][:, c] for c in reversed(range(coords.shape[1]))]
+    feat_keys = [feats[src][:, c] for c in reversed(range(feats.shape[1]))]
+    return np.lexsort((*feat_keys, *coord_keys, dst))
+
+
+def _order_cases():
+    rng = np.random.default_rng(24)
+    base = rng.uniform(-1, 1, (30, 3))
+    lattice = make_grid_coords(GridSpec(resolution=4, dim=3))
+    on_lattice = lattice[rng.integers(0, lattice.shape[0], 60)]
+    dup_rows = np.concatenate([base, base[:12], base[:5]])
+    dup_feats = rng.integers(-1, 2, (30, 2)).astype(float)
+    return {
+        "duplicated_coords": (np.concatenate([base, base]), rng.normal(size=(60, 2)), 4),
+        "duplicated_coord_feature_rows": (
+            dup_rows, np.concatenate([dup_feats, dup_feats[:12], dup_feats[:5]]), 4
+        ),
+        "one_dimensional": (rng.integers(-8, 9, (40, 1)) / 8.0, rng.normal(size=(40, 1)), 6),
+        "two_dimensional": (rng.integers(-4, 5, (50, 2)) / 4.0, rng.integers(0, 2, (50, 3)) * 1.0, 3),
+        "on_lattice": (on_lattice, rng.integers(0, 2, (60, 1)) * 1.0, 4),
+    }
+
+
+_ORDER_CASES = _order_cases()
+
+
+@pytest.mark.parametrize("coords, feats, res", list(_ORDER_CASES.values()), ids=list(_ORDER_CASES))
+def test_rank_keyed_order_matches_edge_lexsort(coords, feats, res):
+    grid = make_grid_coords(GridSpec(resolution=res, dim=coords.shape[1]))
+    edges = bilateral_knn(coords, grid, 3)
+    got = _canonical_edge_order(edges.src, edges.dst, coords, feats)
+    want = lexsort_edge_order(edges.src, edges.dst, coords, feats)
+    np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

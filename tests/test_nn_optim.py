@@ -120,6 +120,24 @@ class TestRff:
         assert_grads_match(build, arrays)
 
 
+    def test_bits_equal_cos_sin_concat_composition(self):
+        from gridifier.nn import RffConfig
+
+        rng = np.random.default_rng(9)
+        x, freq, weight = rand(rng, 7, 3), rand(rng, 5, 3), rand(rng, 7, 10)
+        pos, b = Tensor(x), Tensor(freq)
+        out = rff_embed(RffConfig(1.0, b, trainable=True), pos)
+        ad.reduce_mean(ad.mul(out, weight)).backward()
+        # the separate cos, sin and concat nodes, with their backward rules, in numpy
+        phase = (x @ freq.T) * (2.0 * np.pi)
+        np.testing.assert_array_equal(out.data, np.concatenate([np.cos(phase), np.sin(phase)], axis=1))
+        g = np.full(out.shape, 1.0 / out.data.size) * weight
+        g_phase = (-g[:, :5] * np.sin(phase)) + g[:, 5:] * np.cos(phase)
+        g_phase = g_phase * (2.0 * np.pi)
+        np.testing.assert_array_equal(pos.grad, g_phase @ freq)
+        np.testing.assert_array_equal(b.grad, (x.T @ g_phase).T)
+
+
 class TestPositionalNet:
     def test_shapes_and_gradient(self):
         rng = np.random.default_rng(9)
