@@ -182,26 +182,6 @@ def affine(x, w, b) -> Tensor:
     return out
 
 
-def concat_last_axis(parts: list[Tensor]) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    lead = parts[0].shape[:-1]
-    for p in parts[1:]:
-        if p.shape[:-1] != lead:
-            raise ShapeError(
-                f"concat_last_axis leading shapes differ: {parts[0].shape} vs {p.shape}"
-            )
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1), parts)
-    widths = [p.shape[-1] for p in parts]
-    splits = np.cumsum(widths)[:-1]
-
-    def backward(g):
-        for p, piece in zip(parts, np.split(g, splits, axis=-1)):
-            p.accumulate(piece)
-
-    out._backward = backward
-    return out
-
-
 def transpose2d(t: Tensor) -> Tensor:
     t = as_tensor(t)
     if t.ndim != 2:
@@ -241,24 +221,6 @@ def reduce_mean(t: Tensor, axis: int | None = None) -> Tensor:
     return out
 
 
-def reduce_max(t: Tensor, axis: int | None = None) -> Tensor:
-    t = as_tensor(t)
-    out = Tensor(t.data.max(axis=axis), (t,))
-
-    def backward(g):
-        grad = np.zeros_like(t.data)
-        if axis is None:
-            # route to the first maximum in flat order
-            grad.ravel()[int(np.argmax(t.data))] = g
-        else:
-            idx = np.expand_dims(np.argmax(t.data, axis=axis), axis)
-            np.put_along_axis(grad, idx, np.expand_dims(g, axis), axis)
-        t.accumulate(grad)
-
-    out._backward = backward
-    return out
-
-
 def _sum_rows_at(values: np.ndarray, indices: np.ndarray, n_dst: int) -> np.ndarray:
     """Row-wise indexed summation, out[indices[i]] += values[i].
 
@@ -285,6 +247,34 @@ def gather_rows(t: Tensor, indices: np.ndarray) -> Tensor:
 
     def backward(g):
         t.accumulate(_sum_rows_at(g, indices, t.shape[0]))
+
+    out._backward = backward
+    return out
+
+
+def gather_concat_affine(rows, index: np.ndarray, x, w, b) -> Tensor:
+    """[rows[index] ; x] @ w + b, computed as (rows @ w[:R])[index] + x @ w[R:] + b.
+
+    By linearity the R-wide product runs once per row of ``rows``, not once
+    per index, and neither the gathered copy nor the concatenation is formed.
+    """
+    rows, x, w, b = as_tensor(rows), as_tensor(x), as_tensor(w), as_tensor(b)
+    index = np.asarray(index, dtype=np.int64)
+    split = rows.shape[-1]
+    if (rows.ndim, x.ndim, index.shape, w.shape) != (2, 2, x.shape[:1], (split + x.shape[-1],) + b.shape):
+        raise ShapeError(f"gather_concat_affine shapes incompatible: {rows.shape}, {x.shape}, {w.shape}")
+    if index.size and (index.min() < 0 or index.max() >= rows.shape[0]):
+        raise InvariantError(f"gather_concat_affine index out of bounds [0, {rows.shape[0]})")
+    w_rows, w_x = w.data[:split], w.data[split:]
+    out = Tensor((rows.data @ w_rows)[index] + x.data @ w_x + b.data, (rows, x, w, b))
+
+    def backward(g):
+        # sum onto the rows first, then one R-wide product per row
+        g_rows = _sum_rows_at(g, index, rows.shape[0])
+        rows.accumulate(g_rows @ w_rows.T)
+        x.accumulate(g @ w_x.T)
+        w.accumulate(np.concatenate([rows.data.T @ g_rows, x.data.T @ g]))
+        b.accumulate(g.sum(axis=0))
 
     out._backward = backward
     return out
@@ -520,37 +510,14 @@ def nonlinearity(t: Tensor, tag: str) -> Tensor:
     raise InvariantError(f"unknown nonlinearity {tag!r}")
 
 
-def cos(t: Tensor) -> Tensor:
-    t = as_tensor(t)
-    out = Tensor(np.cos(t.data), (t,))
-
-    def backward(g):
-        t.accumulate(-g * np.sin(t.data))
-
-    out._backward = backward
-    return out
-
-
-def sin(t: Tensor) -> Tensor:
-    t = as_tensor(t)
-    out = Tensor(np.sin(t.data), (t,))
-
-    def backward(g):
-        t.accumulate(g * np.cos(t.data))
-
-    out._backward = backward
-    return out
-
-
 def cos_sin(t: Tensor) -> Tensor:
     """[cos t ; sin t] along the last axis; the backward reuses both halves."""
     t = as_tensor(t)
     c, s = np.cos(t.data), np.sin(t.data)
     out = Tensor(np.concatenate([c, s], axis=-1), (t,))
-    width = t.shape[-1]
 
     def backward(g):
-        t.accumulate(-g[..., :width] * s + g[..., width:] * c)
+        t.accumulate(-g[..., : c.shape[-1]] * s + g[..., c.shape[-1] :] * c)
 
     out._backward = backward
     return out

@@ -127,12 +127,10 @@ def _check_knn_args(queries, targets, k):
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between broadcast rows of ``a`` and ``b`` (last axis = D).
+    """Squared distances between broadcast rows of ``a`` and ``b``, one axis at a time.
 
-    Accumulates one axis at a time, ``(d0 + d1) + d2``, the order in which
-    numpy reduces a length-D axis below 8 elements, so the bits equal
-    ``knn_brute``'s ``((a - b) ** 2).sum(axis=-1)`` without its (..., D)
-    temporary.
+    ``(d0 + d1) + d2`` is numpy's order for a sum over an axis of D < 8, so the
+    bits equal ``knn_brute``'s expression without its (..., D) temporary.
     """
     d2 = np.square(a[..., 0] - b[..., 0])
     for c in range(1, a.shape[-1]):

@@ -5,9 +5,12 @@ Each destination node i aggregates messages from its edge neighborhood:
     out_i = phi_upd( agg_{j -> i} phi_msg( [phi_node(x_j) ; phi_pos(c_i - c_j)] ) )
 
 Gridification runs this cloud->grid; de-gridification runs the mirror image
-grid->cloud over the inverted edge set.  Message aggregation follows a
-canonical order keyed on source coordinates and features (not indices), so
-re-ordering the input points reproduces the output bit-for-bit.
+grid->cloud over the inverted edge set.  phi_msg's first layer is split by
+linearity, [n ; p] @ W0 = n @ W0[:H] + p @ W0[H:], so the node half runs once
+per source point and is gathered per edge; no (E, 2H) concatenation exists.
+Message aggregation follows a canonical order keyed on source coordinates and
+features (not indices): one lexsort ranks the source points, and edges sort on
+(dst, rank), so re-ordering the input points reproduces the output bit-for-bit.
 """
 
 from __future__ import annotations
@@ -115,12 +118,10 @@ def _canonical_edge_order(
     """Aggregation order keyed on (dst, source coords, source features).
 
     Keying on source values instead of source indices makes the float
-    accumulation sequence — and therefore the output bits — independent of how
-    the input points happen to be numbered.  One lexsort over the N source
-    points (coords, then features) ranks them, so the E edges sort on a single
-    integer key ``dst * N + rank[src]``.  Points whose keys fully collide rank
-    by index, as the stored (dst, src) edge order would break their tie; they
-    carry bitwise-identical messages, so their mutual order cannot matter.
+    accumulation sequence, and so the output bits, independent of how the input
+    points are numbered.  One lexsort ranks the N source points (coords, then
+    features; full ties by index, as the stored (dst, src) order would break
+    them) and the edges sort on ``dst * N + rank[src]``.
     """
     n_src = src_coords.shape[0]
     by_value = np.lexsort((*src_feats.T[::-1], *src_coords.T[::-1]))
@@ -150,13 +151,15 @@ def _message_passing(
         src, dst = edges.src, edges.dst
     else:
         order = _canonical_edge_order(edges.src, edges.dst, src_coords, src_feats.data)
-        src = edges.src[order]
-        dst = edges.dst[order]
+        src, dst = edges.src[order], edges.dst[order]
 
     node = mlp_forward(params.phi_node, src_feats)
     rel = dst_coords[dst] - src_coords[src]
     pos = _pos_forward(params.phi_pos, Tensor(rel))
-    msg = mlp_forward(params.phi_msg, ad.concat_last_axis([ad.gather_rows(node, src), pos]))
+    w, b = params.phi_msg.weights, params.phi_msg.biases
+    msg = ad.gather_concat_affine(node, src, pos, w[0], b[0])
+    for i in range(1, len(w)):
+        msg = ad.affine(ad.nonlinearity(msg, params.phi_msg.nonlinearity), w[i], b[i])
     agg = ad.scatter_aggregate(msg, dst, n_dst, params.aggregation)
     return mlp_forward(params.phi_upd, agg)
 

@@ -138,8 +138,7 @@ def rff_embed(cfg: RffConfig, rel_pos: Tensor) -> Tensor:
         raise ShapeError(f"rff expects width {cfg.dim}, got input shape {rel_pos.shape}")
     # a frozen frequency matrix is detached so it never collects gradient
     freq = cfg.freq if cfg.trainable else Tensor(cfg.freq.data)
-    phase = ad.mul(ad.matmul(rel_pos, ad.transpose2d(freq)), TWO_PI)
-    return ad.cos_sin(phase)
+    return ad.cos_sin(ad.mul(ad.matmul(rel_pos, ad.transpose2d(freq)), TWO_PI))
 
 
 @dataclass

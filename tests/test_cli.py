@@ -311,3 +311,13 @@ def test_module_is_runnable():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gridify" in proc.stdout
+
+
+def test_suite_tests_the_checkout_source():
+    # pyproject puts src/ on pytest's path, so `python -m pytest` from a
+    # checkout tests this tree without an editable install
+    import gridifier
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert Path(gridifier.__file__).resolve().is_relative_to(src)

@@ -253,6 +253,25 @@ def test_rank_keyed_order_matches_edge_lexsort(coords, feats, res):
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("n_rows", [3, 17, 40, 125, 256, 729])
+@pytest.mark.parametrize("width", [2, 4, 16])
+def test_split_layer_row_bits_follow_the_row_not_its_position(n_rows, width):
+    # phi_msg's split first layer multiplies all N source rows before the
+    # gather, so permutation invariance (criterion 4) needs each row of
+    # node @ W_a to come out the same wherever the row sits in the matrix
+    rng = np.random.default_rng(n_rows * width)
+    node, pos = rng.normal(size=(n_rows, width)), rng.normal(size=(50, width))
+    w, b = rng.normal(size=(2 * width, width)), rng.normal(size=width)
+    src = rng.integers(0, n_rows, 50)
+    base = ad.gather_concat_affine(node, src, pos, w, b).data
+    for perm in (rng.permutation(n_rows), np.roll(np.arange(n_rows), 1), np.arange(n_rows)[::-1]):
+        slot = np.empty_like(perm)
+        slot[perm] = np.arange(n_rows)
+        moved = ad.gather_concat_affine(node[perm], slot[src], pos, w, b).data
+        np.testing.assert_array_equal(moved, base)
+        np.testing.assert_array_equal(node[perm] @ w[:width], (node @ w[:width])[perm])
+
+
 # ---------------------------------------------------------------------------
 # end-to-end gradients
 # ---------------------------------------------------------------------------
