@@ -6,6 +6,12 @@ topological order and accumulates ``grad`` on every tensor that contributed.
 Only the operations the gridification pipeline needs are implemented; each op
 defines its exact backward rule, and the whole set is validated against
 central finite differences in the test suite.
+
+Each forward op builds its full-size output in one buffer.  A tensor adopts
+the first gradient array it receives without copying it, and that array may
+be shared (``add`` hands one array to both parents, ``reshape`` and
+``transpose2d`` hand down views), so a stored ``grad`` is never written in
+place: later contributions replace it with a new sum.
 """
 
 from __future__ import annotations
@@ -43,13 +49,19 @@ class Tensor:
         return float(self.data)
 
     def accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` to ``grad``.
+
+        The first full-shape gradient is adopted as given, so it may be shared
+        with other tensors; a stored ``grad`` is therefore never written in
+        place, and each later contribution makes a new sum.
+        """
         if self.grad is None:
             if isinstance(g, np.ndarray) and g.shape == self.data.shape:
-                self.grad = g.astype(np.float64, copy=True)
+                self.grad = np.asarray(g, dtype=np.float64)
             else:
                 self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
         else:
-            self.grad += g
+            self.grad = self.grad + g
 
     def backward(self) -> None:
         """Accumulate d(self)/d(node) into every reachable node's ``grad``."""
@@ -171,7 +183,9 @@ def affine(x, w, b) -> Tensor:
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"affine shapes incompatible: {x.shape} @ {w.shape} + {b.shape}")
-    out = Tensor(x.data @ w.data + b.data, (x, w, b))
+    data = x.data @ w.data
+    data += b.data
+    out = Tensor(data, (x, w, b))
 
     def backward(g):
         x.accumulate(g @ w.data.T)
@@ -266,7 +280,10 @@ def gather_concat_affine(rows, index: np.ndarray, x, w, b) -> Tensor:
     if index.size and (index.min() < 0 or index.max() >= rows.shape[0]):
         raise InvariantError(f"gather_concat_affine index out of bounds [0, {rows.shape[0]})")
     w_rows, w_x = w.data[:split], w.data[split:]
-    out = Tensor((rows.data @ w_rows)[index] + x.data @ w_x + b.data, (rows, x, w, b))
+    data = (rows.data @ w_rows)[index]
+    data += x.data @ w_x
+    data += b.data
+    out = Tensor(data, (rows, x, w, b))
 
     def backward(g):
         # sum onto the rows first, then one R-wide product per row
@@ -511,13 +528,17 @@ def nonlinearity(t: Tensor, tag: str) -> Tensor:
 
 
 def cos_sin(t: Tensor) -> Tensor:
-    """[cos t ; sin t] along the last axis; the backward reuses both halves."""
+    """[cos t ; sin t] along the last axis; the backward reads both halves."""
     t = as_tensor(t)
-    c, s = np.cos(t.data), np.sin(t.data)
-    out = Tensor(np.concatenate([c, s], axis=-1), (t,))
+    width = t.shape[-1]
+    data = np.empty(t.shape[:-1] + (2 * width,))
+    c, s = data[..., :width], data[..., width:]
+    np.cos(t.data, out=c)
+    np.sin(t.data, out=s)
+    out = Tensor(data, (t,))
 
     def backward(g):
-        t.accumulate(-g[..., : c.shape[-1]] * s + g[..., c.shape[-1] :] * c)
+        t.accumulate(-g[..., :width] * s + g[..., width:] * c)
 
     out._backward = backward
     return out

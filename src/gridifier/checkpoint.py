@@ -121,11 +121,17 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], AdamWState
     if struct.unpack("<B", r.take(1))[0]:
         step = struct.unpack("<Q", r.take(8))[0]
         lr, wd, b1, b2, eps = struct.unpack("<5d", r.take(40))
-        optimizer = AdamWState(lr, wd, b1, b2, eps, step)
+        moments = {"m": {}, "v": {}}
         for _ in range(r.u32()):
             name, arr = r.blob()
-            kind, pname = name.split(":", 1)
-            (optimizer.m if kind == "m" else optimizer.v)[pname] = arr
+            kind, _, pname = name.partition(":")
+            if kind not in moments:
+                raise ParseError(f"{path}: unknown optimizer blob {name!r}")
+            moments[kind][pname] = arr
+        shapes = [{k: a.shape for k, a in moments[kind].items()} for kind in "mv"]
+        if shapes[0] != shapes[1]:
+            raise ParseError(f"{path}: optimizer moments m and v name different parameters or shapes")
+        optimizer = AdamWState(lr, wd, b1, b2, eps, step, m=moments["m"], v=moments["v"])
     if r.off != len(raw):
         raise ParseError(f"{path}: offset {r.off}: {len(raw) - r.off} trailing bytes")
     return params, optimizer

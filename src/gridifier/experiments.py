@@ -155,10 +155,7 @@ def _fit(cfg, params: dict[str, Tensor], loss_of, order_rng: np.random.Generator
                 loss = loss_of(i)
                 _check_finite_loss(loss, epoch)
                 loss.backward()
-            for p in params.values():
-                if p.grad is not None:
-                    p.grad *= 1.0 / batch.size
-            adamw_step(state, params, lr=lr)
+            adamw_step(state, params, lr=lr, scale=1.0 / batch.size)
             zero_grads(params)
     if cfg.checkpoint_path is not None:
         save_checkpoint(cfg.checkpoint_path, params, state)

@@ -4,6 +4,9 @@ The gradient checker evaluates the model function itself at perturbed inputs,
 so it stays valid no matter how the analytic backward rules are implemented.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 from scipy.special import erf
 
@@ -11,6 +14,16 @@ from gridifier.autodiff import Tensor
 from gridifier.nn import PositionalNet
 
 FD_STEP = 1e-5
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def checkout_env() -> dict:
+    """This process's environment with the checkout's ``src/`` first on
+    PYTHONPATH: pytest's ``pythonpath`` setting does not reach a subprocess,
+    and a checkout runs without an install."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def naive_mlp(params, row):

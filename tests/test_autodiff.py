@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import assert_grads_match, rand
@@ -289,3 +291,59 @@ class TestGradients:
             return ad.reduce_mean(ad.mul(pooled @ ts[3], pooled @ ts[3]))
 
         assert_grads_match(build, arrays)
+
+
+class TestBuffers:
+    """Each node allocates its full-size output once; gradients are adopted,
+    shared where a rule hands one array on, and never written in place."""
+
+    @staticmethod
+    def _peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_affine_peak_is_one_output(self):
+        rng = np.random.default_rng(30)
+        x, w, b = Tensor(rand(rng, 20000, 32)), Tensor(rand(rng, 32, 64)), Tensor(rand(rng, 64))
+        out, peak = self._peak_bytes(lambda: ad.affine(x, w, b))
+        np.testing.assert_array_equal(out.data, x.data @ w.data + b.data)
+        assert peak < 1.1 * out.data.nbytes
+
+    def test_cos_sin_peak_is_one_output(self):
+        t = Tensor(rand(np.random.default_rng(31), 20000, 8))
+        out, peak = self._peak_bytes(lambda: ad.cos_sin(t))
+        np.testing.assert_array_equal(out.data, np.concatenate([np.cos(t.data), np.sin(t.data)], 1))
+        assert peak < 1.1 * out.data.nbytes
+
+    def test_gather_concat_affine_keeps_the_sum_order(self):
+        rng = np.random.default_rng(32)
+        rows, x, w, b = rand(rng, 5, 3), rand(rng, 9, 2), rand(rng, 5, 4), rand(rng, 4)
+        index = rng.integers(0, 5, size=9)
+        out = ad.gather_concat_affine(Tensor(rows), index, Tensor(x), Tensor(w), Tensor(b))
+        np.testing.assert_array_equal(out.data, (rows @ w[:3])[index] + x @ w[3:] + b)
+
+    def test_first_gradient_is_adopted_without_copy(self):
+        leaf = Tensor(np.zeros(3))
+        fresh = np.arange(3.0)
+        Tensor(0.0, (leaf,), lambda g: leaf.accumulate(fresh)).backward()
+        assert leaf.grad is fresh
+
+    def test_shared_gradient_survives_a_later_backward(self):
+        # add hands one array to both parents; a second backward that reaches
+        # only ``a`` must leave ``b``'s copy of that array as it was
+        rng = np.random.default_rng(33)
+        a, b = Tensor(rand(rng, 4, 3)), Tensor(rand(rng, 4, 3))
+        ad.reduce_mean(ad.add(a, b)).backward()
+        first = b.grad.copy()
+        ad.reduce_mean(ad.mul(a, 3.0)).backward()
+        np.testing.assert_array_equal(b.grad, first)
+        np.testing.assert_array_equal(a.grad, first + np.full((4, 3), 3.0 / 12))
+
+    def test_add_of_a_tensor_with_itself_doubles_the_gradient(self):
+        x = Tensor(rand(np.random.default_rng(34), 2, 5))
+        ad.reduce_mean(ad.add(x, x)).backward()
+        np.testing.assert_array_equal(x.grad, np.full((2, 5), 2.0 / 10))

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from helpers import checkout_env
 
 from gridifier.cli import _build_parser, _resolve, run
 from gridifier.connectivity import bilateral_knn
@@ -308,7 +309,7 @@ class TestTrainingCommands:
 
 def test_module_is_runnable():
     proc = subprocess.run([sys.executable, "-m", "gridifier.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0
     assert "gridify" in proc.stdout
 

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from helpers import checkout_env
 
 from gridifier.connectivity import (
     EXHAUSTIVE_CUTOFF,
@@ -197,7 +198,8 @@ def test_searches_below_cutoff_never_import_scipy_spatial():
         "bilateral_knn(rng.uniform(-1, 1, (256, 3)), rng.uniform(-1, 1, (216, 3)), 3)\n"
         "print('scipy.spatial' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=checkout_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

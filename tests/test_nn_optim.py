@@ -224,11 +224,49 @@ class TestAdamW:
         assert p["layer.b0"].data[0] == 1.0
 
     def test_nonfinite_gradient_names_parameter(self):
-        p = {"phi_msg.w1": Tensor(np.array([0.0]))}
-        p["phi_msg.w1"].grad = np.array([np.nan])
+        # the first non-finite parameter is named, not a later one
+        p = {name: Tensor(np.zeros(2)) for name in ("phi_msg.w0", "phi_msg.w1", "phi_msg.w2")}
+        p["phi_msg.w0"].grad = np.ones(2)
+        p["phi_msg.w1"].grad = np.array([1.0, np.nan])
+        p["phi_msg.w2"].grad = np.array([np.inf, 1.0])
         state = adamw_init(p, lr=0.1)
         with pytest.raises(TrainingError, match="phi_msg.w1"):
             adamw_step(state, p)
+
+    def test_flat_step_bits_equal_a_per_parameter_step(self):
+        # the per-parameter update the flat step replaces, operation for
+        # operation: batch-mean scale, moments, decoupled decay, step
+        def per_parameter_step(params, grads, m, v, t, lr, wd, scale):
+            bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for name, p in params.items():
+                g = np.zeros_like(p) if grads[name] is None else grads[name] * scale
+                m[name] = m[name] * 0.9 + (1.0 - 0.9) * g
+                v[name] = v[name] * 0.999 + (1.0 - 0.999) * g * g
+                if decays_weight(name):
+                    p *= 1.0 - lr * wd
+                p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+
+        rng = np.random.default_rng(21)
+        shapes = {"mlp.w0": (3, 4), "mlp.b0": (4,), "conv.kernel": (2, 2, 3), "pos.rff.freq": (5, 3)}
+        init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params = {name: Tensor(a.copy()) for name, a in init.items()}
+        want = {name: a.copy() for name, a in init.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        state = adamw_init(params, lr=0.01, weight_decay=0.05)
+        for t in range(1, 5):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            grads["mlp.b0"] = None if t == 2 else grads["mlp.b0"]
+            for name, p in params.items():
+                p.grad = grads[name]
+            lr = 0.01 * t
+            adamw_step(state, params, lr=lr, scale=1.0 / 3)
+            per_parameter_step(want, grads, m, v, t, lr, 0.05, 1.0 / 3)
+        for name, p in params.items():
+            assert p.data.tobytes() == want[name].tobytes()
+            assert state.m[name].tobytes() == m[name].tobytes()
+            assert state.v[name].tobytes() == v[name].tobytes()
+            assert np.shares_memory(state.m[name], state.m_flat)
 
     def test_zero_grads(self):
         p = {"w0": Tensor(np.zeros(2))}
@@ -298,6 +336,44 @@ class TestCheckpoint:
         for name in params:
             np.testing.assert_array_equal(opt.m[name], state.m[name])
             np.testing.assert_array_equal(opt.v[name], state.v[name])
+
+    def test_resumed_training_bits_equal_an_uninterrupted_run(self, tmp_path):
+        # the loaded state lays names out in sorted order, not the model's
+        rng = np.random.default_rng(22)
+        grads = [{name: rng.normal(size=p.data.shape) for name, p in self._tree(0).items()}
+                 for _ in range(6)]
+        grads[1]["phi_node.b0"] = None
+
+        def train(params, state, steps):
+            for g in steps:
+                for name, p in params.items():
+                    p.grad = g[name]
+                adamw_step(state, params, lr=0.01, scale=0.5)
+
+        straight = self._tree(13)
+        straight_state = adamw_init(straight, lr=0.01, weight_decay=0.1)
+        train(straight, straight_state, grads)
+
+        first = self._tree(13)
+        first_state = adamw_init(first, lr=0.01, weight_decay=0.1)
+        train(first, first_state, grads[:3])
+        save_checkpoint(tmp_path / "half.ckpt", first, first_state)
+        resumed = self._tree(14)
+        loaded, state = load_checkpoint(tmp_path / "half.ckpt")
+        restore_params(resumed, loaded)
+        train(resumed, state, grads[3:])
+
+        save_checkpoint(tmp_path / "straight.ckpt", straight, straight_state)
+        save_checkpoint(tmp_path / "resumed.ckpt", resumed, state)
+        assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "straight.ckpt").read_bytes()
+
+    def test_moments_that_name_different_parameters(self, tmp_path):
+        params = self._tree(15)
+        state = adamw_init(params, lr=0.01)
+        del state.v["pos.rff.freq"]
+        save_checkpoint(tmp_path / "model.ckpt", params, state)
+        with pytest.raises(ParseError, match="moments"):
+            load_checkpoint(tmp_path / "model.ckpt")
 
     def test_identical_saves_are_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
