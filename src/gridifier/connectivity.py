@@ -2,15 +2,23 @@
 
 Every search returns, per query, the k targets ordered by the pair (squared
 distance, target index), with squared distances equal bit for bit to the
-``knn_brute`` expression.  Small target sets are scanned exhaustively: every
-distance is computed, ``np.argpartition`` selects k per row, and the rows
-where more than k targets lie at or below the k-th distance are answered by
-the fully sorting oracle ``knn_brute``.  Larger sets ask
-``scipy.spatial.cKDTree`` for a few more than k candidates, re-rank them
-exactly by (squared distance, index), and rescan exhaustively every row where
-a target outside the candidates could tie or beat the k-th.  Both searches
-therefore match the oracle index-for-index, including on inputs with
-duplicated coordinates or clouds that sit on the lattice.
+``knn_brute`` expression.  ``knn`` picks one of three strategies:
+
+- Targets that form a lattice in ``make_grid_coords`` order are searched in
+  a window of nodes around each query's cell.  A row is kept when its k-th
+  distance is provably below every node outside the window; the other rows
+  (points far outside the lattice, mostly) go to one of the two scans below.
+- Small target sets are scanned exhaustively: every distance is computed,
+  ``np.argpartition`` selects k per row, and the rows where more than k
+  targets lie at or below the k-th distance take a stable sort of the row.
+- Larger sets ask ``scipy.spatial.cKDTree`` for a few more than k
+  candidates, re-rank the rows the tree did not already return in exact
+  (squared distance, index) order, and rescan exhaustively every row where a
+  target outside the candidates could tie or beat the k-th.
+
+All three match the oracle index-for-index, including on inputs with
+duplicated coordinates or clouds that sit on the lattice.  Edge sets are then
+deduplicated and ordered with one sort of their (dst, src) keys.
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ EXHAUSTIVE_CUTOFF = 512
 # candidates the tree returns beyond k, so that a tie at the k-th distance
 # is usually settled without the exhaustive fallback
 _TIE_SLACK = 4
+
+# nodes per axis in the first window of the lattice search
+_WINDOW = 4
 
 
 class Direction(Enum):
@@ -92,10 +103,14 @@ class EdgeSet:
 
 
 def _dedup_sorted(src, dst, direction, n_src, n_dst) -> EdgeSet:
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    key = np.unique(dst * n_src + src)
-    return EdgeSet(key % n_src, key // n_src, direction, n_src, n_dst)
+    key = np.sort(np.asarray(dst, dtype=np.int64) * n_src + np.asarray(src, dtype=np.int64))
+    if key.size:
+        first = np.empty(key.size, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        key = key[first]
+    dst, src = np.divmod(key, n_src)
+    return EdgeSet(src, dst, direction, n_src, n_dst)
 
 
 def invert_edges(edges: EdgeSet) -> EdgeSet:
@@ -176,59 +191,160 @@ def knn_tree(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     idx = idx.reshape(m, n_cand)
 
     d2 = _squared_distances(targets[idx], queries[:, None, :])
-    by_index = np.argsort(idx, axis=1, kind="stable")
-    idx = np.take_along_axis(idx, by_index, axis=1)
-    d2 = np.take_along_axis(d2, by_index, axis=1)
-    by_dist = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    out = np.take_along_axis(idx, by_dist, axis=1)
+    # the tree's float order agrees with (exact d², index) on almost every
+    # row; the two stable sorts run only on the rows where it does not
+    d_prev, d_next = d2[:, :-1], d2[:, 1:]
+    in_order = (d_prev < d_next) | ((d_prev == d_next) & (idx[:, :-1] < idx[:, 1:]))
+    unordered = np.flatnonzero(~in_order.all(axis=1))
+    if unordered.size:
+        rows_idx, rows_d2 = idx[unordered], d2[unordered]
+        by_index = np.argsort(rows_idx, axis=1, kind="stable")
+        rows_idx = np.take_along_axis(rows_idx, by_index, axis=1)
+        rows_d2 = np.take_along_axis(rows_d2, by_index, axis=1)
+        by_dist = np.argsort(rows_d2, axis=1, kind="stable")
+        idx[unordered] = np.take_along_axis(rows_idx, by_dist, axis=1)
+        d2[unordered] = np.take_along_axis(rows_d2, by_dist, axis=1)
+    out = np.ascontiguousarray(idx[:, :k], dtype=np.int64)
 
     if n_cand < t:
-        kth_d2 = np.take_along_axis(d2, by_dist[:, -1:], axis=1)[:, 0]
-        unsure = np.flatnonzero(tree_dist[:, -1] ** 2 <= kth_d2 * (1.0 + 1e-9))
+        unsure = np.flatnonzero(tree_dist[:, -1] ** 2 <= d2[:, k - 1] * (1.0 + 1e-9))
         if unsure.size:
             out[unsure] = knn_brute(queries[unsure], targets, k)
     return out
+
+
+def _select_k(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the k smallest entries of each row of ``d2``, ordered by
+    (value, column), and each row's k-th value.
+
+    ``np.argpartition`` selects k columns per row.  It may keep a larger
+    column of a tie at the k-th value, so rows where more than k entries lie
+    at or below it take the first k of a stable sort of the whole row.
+    """
+    pos = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+    near = np.take_along_axis(d2, pos, axis=1)
+    order = np.argsort(near, axis=1, kind="stable")
+    pos = np.take_along_axis(pos, order, axis=1)
+    kth = np.take_along_axis(near, order[:, -1:], axis=1)
+    tied = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k)
+    if tied.size:
+        pos[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return pos, kth[:, 0]
 
 
 def _knn_partition(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     """Exhaustive k-NN through partial selection, equal to ``knn_brute`` index-for-index.
 
     Squared distances come from ``_squared_distances`` in ``knn_brute``'s
-    chunks.  ``np.argpartition`` selects k nearest targets per row, which are
-    then ordered by (squared distance, index).  The selection is exact unless
-    more than k targets lie at or below the k-th squared distance, where it
-    may have kept a larger index of a tie; those rows go to ``knn_brute``.
+    chunks, and ``_select_k`` picks and orders k targets per row.
     """
     m, t = queries.shape[0], targets.shape[0]
     out = np.empty((m, k), dtype=np.int64)
     chunk = max(1, (1 << 22) // max(t, 1))
     for lo in range(0, m, chunk):
         q = queries[lo : lo + chunk]
-        d2 = _squared_distances(targets[None, :, :], q[:, None, :])
-        idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        near = np.take_along_axis(d2, idx, axis=1)
-        order = np.lexsort((idx, near), axis=1)
-        out[lo : lo + chunk] = np.take_along_axis(idx, order, axis=1)
-        kth = near.max(axis=1, keepdims=True)
-        tied = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k)
-        if tied.size:
-            out[lo + tied] = knn_brute(q[tied], targets, k)
+        out[lo : lo + chunk] = _select_k(_squared_distances(targets[None, :, :], q[:, None, :]), k)[0]
     return out
+
+
+def _lattice_axes(targets: np.ndarray) -> list[np.ndarray] | None:
+    """Per-axis coordinates of ``targets`` if they form a rectilinear lattice
+    in ``make_grid_coords`` order (row-major, last axis fastest), else None.
+
+    Each axis holds the sorted distinct values of its column, and the targets
+    must equal the meshgrid of those axes exactly, row for row.
+    """
+    t, d = targets.shape
+    axes, size = [], 1
+    for c in range(d):
+        axes.append(np.unique(targets[:, c]))
+        size *= axes[-1].size
+        if size > t:
+            return None
+    if size != t:
+        return None
+    mesh = np.meshgrid(*axes, indexing="ij")
+    if all(np.array_equal(m.ravel(), targets[:, c]) for c, m in enumerate(mesh)):
+        return axes
+    return None
+
+
+def _knn_lattice(queries: np.ndarray, targets: np.ndarray, axes, k: int) -> np.ndarray:
+    """k-NN against a lattice through a window of nodes around each query's cell.
+
+    Per axis, the window holds ``width`` nodes starting ``width // 2 - 1``
+    below the query's cell, clamped into the lattice; ``width`` starts at
+    ``_WINDOW`` (cell - 1 to cell + 2) and widens by two until the window
+    holds more than k nodes or the whole lattice.  Per-axis squared offsets
+    over the window are summed as ``(d0 + d1) + d2``, the bits of
+    ``knn_brute``.  Window positions run in ascending lattice index, so
+    ``_select_k`` orders each row by (squared distance, index).  A row is exact
+    when its k-th squared distance lies strictly below the squared offset to
+    the nearest lattice coordinate outside the window on any axis: a sum of
+    non-negative floats is at least each of its terms, so every node outside
+    the window is farther.  Other rows go to ``_knn_scan``.
+    """
+    counts = np.array([a.size for a in axes])
+    strides = np.append(np.cumprod(counts[:0:-1])[::-1], 1)
+    width = _WINDOW
+    while np.prod(np.minimum(width, counts)) <= k and width < counts.max():
+        width += 2
+    win = np.minimum(width, counts)
+    rel = np.indices(win).reshape(len(axes), -1).T @ strides  # ascending
+    padded = [np.concatenate(([-np.inf], a, [np.inf])) for a in axes]
+    m = queries.shape[0]
+    out = np.empty((m, k), dtype=np.int64)
+    chunk = max(1, (1 << 22) // rel.size)
+    for lo_row in range(0, m, chunk):
+        q = queries[lo_row : lo_row + chunk]
+        n = q.shape[0]
+        base = np.zeros(n, dtype=np.int64)
+        bound = np.full(n, np.inf)
+        d2 = None
+        for c, (a, a_pad) in enumerate(zip(axes, padded)):
+            qc = q[:, c]
+            cell = np.searchsorted(a, qc, side="right") - 1
+            lo = np.clip(cell - (width // 2 - 1), 0, a.size - win[c])
+            # the window plus the nearest coordinate on each side of it,
+            # infinitely far where the window reaches the lattice edge
+            sq = np.square(a_pad[lo[:, None] + np.arange(win[c] + 2)] - qc[:, None])
+            bound = np.minimum(bound, np.minimum(sq[:, 0], sq[:, -1]))
+            sq = sq[:, 1:-1]
+            base += lo * strides[c]
+            d2 = sq if d2 is None else d2[..., None] + sq.reshape((n,) + (1,) * c + (win[c],))
+        pos, kth = _select_k(d2.reshape(n, rel.size), k)
+        exact = kth < bound
+        rows = out[lo_row : lo_row + n]
+        rows[exact] = base[exact, None] + rel[pos[exact]]
+        if not exact.all():
+            rows[~exact] = _knn_scan(q[~exact], targets, k)
+    return out
+
+
+def _knn_scan(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
+    if targets.shape[0] < EXHAUSTIVE_CUTOFF:
+        return _knn_partition(queries, targets, k)
+    return knn_tree(queries, targets, k)
 
 
 def knn(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     """k nearest targets per query, rows ordered by (squared distance, index).
 
-    Below ``EXHAUSTIVE_CUTOFF`` targets every distance is computed and the k
-    nearest are found by partial selection, with ``knn_brute`` answering rows
-    that tie at the k-th distance; at or above it, ``knn_tree``: cKDTree
-    candidates, an exact re-rank, and an exhaustive fallback for rows with a
-    tie at the candidate boundary.  Both return the indices ``knn_brute`` does.
+    Three strategies, each returning the indices ``knn_brute`` does:
+
+    - targets that form a lattice in ``make_grid_coords`` order: a window of
+      nodes around each query's cell (``_knn_lattice``), with the rows the
+      window cannot prove exact answered by one of the two scans below;
+    - fewer than ``EXHAUSTIVE_CUTOFF`` targets: every distance, partial
+      selection, and a stable sort of the rows that tie at the k-th distance;
+    - otherwise ``knn_tree``: cKDTree candidates, an exact re-rank, and an
+      exhaustive fallback for rows with a tie at the candidate boundary.
     """
     queries, targets = _check_knn_args(queries, targets, k)
-    if targets.shape[0] < EXHAUSTIVE_CUTOFF:
-        return _knn_partition(queries, targets, k)
-    return knn_tree(queries, targets, k)
+    axes = _lattice_axes(targets)
+    if axes is not None:
+        return _knn_lattice(queries, targets, axes, k)
+    return _knn_scan(queries, targets, k)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +384,6 @@ def self_knn(coords: np.ndarray, k: int) -> EdgeSet:
     neighbor, so neighborhoods include a self-loop for k >= 1)."""
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     n = coords.shape[0]
-    idx = knn(coords, coords, k)
-    src = idx.ravel()
-    dst = np.repeat(np.arange(n), k)
-    return _dedup_sorted(src, dst, Direction.CLOUD_TO_CLOUD, n, n)
+    # a row's k targets are distinct, so sorting each row gives (dst, src) order
+    src = np.sort(knn(coords, coords, k), axis=1)
+    return EdgeSet(src.ravel(), np.repeat(np.arange(n), k), Direction.CLOUD_TO_CLOUD, n, n)

@@ -14,6 +14,7 @@ kept as a baseline so the two cost profiles can be compared directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -99,17 +100,21 @@ class KernelCache:
 # offset lattice
 
 
+@cache
 def offset_lattice(kernel_size: int, dim: int) -> np.ndarray:
     """Integer offsets covering the kernel window, shape (K**dim, dim).
 
     Rows run in row-major order with the last axis fastest, from
     -(K-1)/2 to +(K-1)/2 along each axis; this ordering defines how flat
-    kernel rows map onto spatial taps everywhere in this module.
+    kernel rows map onto spatial taps everywhere in this module.  Built once
+    per (K, dim) and returned read-only.
     """
     half = (kernel_size - 1) // 2
     axes = [np.arange(-half, half + 1)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, dim).astype(np.int64)
+    offsets = np.stack(mesh, axis=-1).reshape(-1, dim).astype(np.int64)
+    offsets.setflags(write=False)
+    return offsets
 
 
 # --------------------------------------------------------------------------

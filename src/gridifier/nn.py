@@ -76,11 +76,6 @@ def init_mlp(widths: list[int], rng: np.random.Generator, nonlinearity: str = "g
     return MlpParams(weights, biases, nonlinearity)
 
 
-def identity_mlp(width: int) -> MlpParams:
-    """Single linear layer with W=I, b=0 — handy for pinning tests."""
-    return MlpParams([Tensor(np.eye(width))], [Tensor(np.zeros(width))], "identity")
-
-
 def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
     x = ad.as_tensor(x)
     if x.shape[-1] != params.in_width:

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import erf
 
 from gridifier.autodiff import Tensor
-from gridifier.nn import PositionalNet
+from gridifier.nn import MlpParams, PositionalNet
 
 FD_STEP = 1e-5
 
@@ -24,6 +24,11 @@ def checkout_env() -> dict:
     and a checkout runs without an install."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)
+
+
+def identity_mlp(width: int) -> MlpParams:
+    """Single linear layer with W=I, b=0, for pinning tests."""
+    return MlpParams([Tensor(np.eye(width))], [Tensor(np.zeros(width))], "identity")
 
 
 def naive_mlp(params, row):

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from helpers import checkout_env
 
+from gridifier import connectivity
 from gridifier.connectivity import (
     EXHAUSTIVE_CUTOFF,
     Direction,
     EdgeSet,
+    _dedup_sorted,
+    _lattice_axes,
     _squared_distances,
     bilateral_knn,
     invert_edges,
@@ -19,6 +22,7 @@ from gridifier.connectivity import (
 )
 from gridifier.errors import ConfigError, DataError, InvariantError
 from gridifier.pccore import GridSpec, make_grid_coords
+from scipy.spatial import cKDTree
 
 
 def bilateral_oracle(cloud, grid, k):
@@ -363,3 +367,192 @@ class TestSelfKnn:
         rng = np.random.default_rng(13)
         e = self_knn(rng.uniform(-1, 1, (25, 2)), k=3)
         assert e.n_edges == 25 * 3
+
+
+# ---------------------------------------------------------------------------
+# the lattice window search
+# ---------------------------------------------------------------------------
+
+
+def _lattice_cases():
+    """Queries, lattice targets and k for the window search."""
+    rng = np.random.default_rng(50)
+    cube = make_grid_coords(GridSpec(resolution=9, dim=3))
+    small = make_grid_coords(GridSpec(resolution=4, dim=3))
+    line = make_grid_coords(GridSpec(resolution=40, dim=1))
+    plane = make_grid_coords(GridSpec(resolution=13, dim=2))
+    base = rng.uniform(-1, 1, (150, 3))
+    # every cell centre is equidistant from its 8 corner nodes
+    centres = make_grid_coords(GridSpec(resolution=8, lo=-7 / 8, hi=7 / 8))
+    return {
+        "lattice_on_itself": (cube, cube, 9),
+        "cloud_on_nodes": (cube[rng.integers(0, cube.shape[0], 900)], cube, 9),
+        "outside_extent": (rng.uniform(-3, 3, (600, 3)), cube, 9),
+        "duplicated_points": (np.concatenate([base, base, cube[::5], cube[::5]]), cube, 9),
+        "k_one_cell_centres": (centres, cube, 1),
+        # the 28th nearest node of an interior node ties with the nearest
+        # node outside the window, and the outside one has the smaller index
+        "tie_at_window_edge": (cube, cube, 28),
+        "k_equals_targets": (rng.uniform(-1.5, 1.5, (40, 3)), small, small.shape[0]),
+        "one_dimensional": (
+            np.concatenate([rng.uniform(-1.2, 1.2, (300, 1)), line[::3]]), line, 9
+        ),
+        "one_dimensional_k_equals_targets": (rng.uniform(-2, 2, (30, 1)), line, line.shape[0]),
+        "two_dimensional": (
+            np.concatenate([rng.uniform(-1.2, 1.2, (400, 2)), plane[::2]]), plane, 6
+        ),
+        "dyadically_translated": (
+            np.concatenate([rng.uniform(-1, 1.5, (400, 3)), cube[::4] + 0.25]), cube + 0.25, 9
+        ),
+    }
+
+
+_LATTICE = _lattice_cases()
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(connectivity, name)
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(connectivity, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("queries, targets, k", list(_LATTICE.values()), ids=list(_LATTICE))
+def test_lattice_search_matches_brute_force(monkeypatch, queries, targets, k):
+    expected = knn_brute(queries, targets, k)
+    window_calls = _count_calls(monkeypatch, "_knn_lattice")
+    np.testing.assert_array_equal(knn(queries, targets, k), expected)
+    assert window_calls == [queries.shape[0]]
+
+
+def test_lattice_axes_are_the_sorted_coordinates():
+    lattice = make_grid_coords(GridSpec(resolution=5, lo=-0.5, hi=1.5, dim=3)) + 0.125
+    axes = _lattice_axes(lattice)
+    assert len(axes) == 3
+    for axis in axes:
+        np.testing.assert_array_equal(axis, np.linspace(-0.5, 1.5, 5) + 0.125)
+
+
+def _not_lattices():
+    rng = np.random.default_rng(51)
+    lattice = make_grid_coords(GridSpec(resolution=9, dim=3))
+    jittered = lattice.copy()
+    jittered[100, 1] += 1e-12
+    return {
+        "permuted": lattice[rng.permutation(lattice.shape[0])],
+        "reversed": lattice[::-1].copy(),
+        "jittered": jittered,
+        "repeated": np.concatenate([lattice, lattice]),
+        "random": rng.uniform(-1, 1, (729, 3)),
+    }
+
+
+_NOT_LATTICES = _not_lattices()
+
+
+@pytest.mark.parametrize("targets", list(_NOT_LATTICES.values()), ids=list(_NOT_LATTICES))
+def test_non_lattice_targets_take_the_scan(monkeypatch, targets):
+    assert _lattice_axes(targets) is None
+    queries = np.random.default_rng(52).uniform(-1.1, 1.1, (200, 3))
+    expected = knn_brute(queries, targets, 9)
+    window_calls = _count_calls(monkeypatch, "_knn_lattice")
+    np.testing.assert_array_equal(knn(queries, targets, 9), expected)
+    assert window_calls == []
+
+
+def test_cloud_on_lattice_nodes_needs_no_exhaustive_rescan(monkeypatch):
+    # every row ties at the k-th distance; the window settles the ties itself
+    lattice = make_grid_coords(GridSpec(resolution=9, dim=3))
+    cloud = lattice[np.random.default_rng(53).integers(0, lattice.shape[0], 8000)]
+    expected = knn_brute(cloud, lattice, 9)
+    brute_calls = _count_calls(monkeypatch, "knn_brute")
+    np.testing.assert_array_equal(knn(cloud, lattice, 9), expected)
+    assert brute_calls == []
+
+
+# ---------------------------------------------------------------------------
+# edge-set construction against the np.unique formulation
+# ---------------------------------------------------------------------------
+
+
+def _unique_edges(src, dst, n_src):
+    key = np.unique(np.asarray(dst, dtype=np.int64) * n_src + np.asarray(src, dtype=np.int64))
+    return key % n_src, key // n_src
+
+
+def _edge_lists():
+    rng = np.random.default_rng(60)
+    return {
+        "random": (rng.integers(0, 300, 2000), rng.integers(0, 200, 2000), 300, 200),
+        "duplicate_heavy": (rng.integers(0, 4, 3000), rng.integers(0, 3, 3000), 4, 3),
+        "single": (np.array([2]), np.array([1]), 3, 2),
+        "empty": (np.array([], dtype=np.int64), np.array([], dtype=np.int64), 5, 4),
+    }
+
+
+_EDGE_LISTS = _edge_lists()
+
+
+@pytest.mark.parametrize("src, dst, n_src, n_dst", list(_EDGE_LISTS.values()), ids=list(_EDGE_LISTS))
+def test_dedup_and_invert_equal_np_unique(src, dst, n_src, n_dst):
+    e = _dedup_sorted(src, dst, Direction.CLOUD_TO_GRID, n_src, n_dst)
+    want_src, want_dst = _unique_edges(src, dst, n_src)
+    assert e.src.tobytes() == want_src.tobytes() and e.dst.tobytes() == want_dst.tobytes()
+    inv = invert_edges(e)
+    want_src, want_dst = _unique_edges(e.dst, e.src, n_dst)
+    assert inv.src.tobytes() == want_src.tobytes() and inv.dst.tobytes() == want_dst.tobytes()
+    assert inv.direction is Direction.GRID_TO_CLOUD
+
+
+def _self_clouds():
+    rng = np.random.default_rng(61)
+    base = rng.uniform(-1, 1, (300, 3))
+    return {
+        "random_small": rng.uniform(-1, 1, (200, 3)),
+        "random_large": rng.uniform(-1, 1, (1500, 3)),
+        "duplicate_heavy": np.concatenate([base, base, base]),
+        "lattice": make_grid_coords(GridSpec(resolution=6, dim=3)),
+    }
+
+
+_SELF_CLOUDS = _self_clouds()
+
+
+@pytest.mark.parametrize("coords", list(_SELF_CLOUDS.values()), ids=list(_SELF_CLOUDS))
+def test_self_knn_equals_np_unique(coords):
+    k = 9
+    n = coords.shape[0]
+    want_src, want_dst = _unique_edges(knn_brute(coords, coords, k).ravel(), np.repeat(np.arange(n), k), n)
+    e = self_knn(coords, k)
+    assert e.src.tobytes() == want_src.tobytes() and e.dst.tobytes() == want_dst.tobytes()
+
+
+def _misordered_by_tree():
+    """Targets whose cKDTree candidate order is not the (d², index) order."""
+    rng = np.random.default_rng(62)
+    base = rng.uniform(-1, 1, (200, 3))
+    ring = np.linspace(0, 2 * np.pi, 600, endpoint=False)
+    circle = np.stack([np.cos(ring), np.sin(ring), np.zeros_like(ring)], axis=1)
+    return {
+        "duplicates": (np.concatenate([base[:50], rng.uniform(-1, 1, (50, 3))]),
+                       np.concatenate([base, base, base])),
+        "equidistant": (np.concatenate([np.zeros((3, 3)), circle[:40] * 0.5]), circle),
+    }
+
+
+_MISORDERED = _misordered_by_tree()
+
+
+@pytest.mark.parametrize("queries, targets", list(_MISORDERED.values()), ids=list(_MISORDERED))
+@pytest.mark.parametrize("k", [1, 5, 9])
+def test_tree_reranks_rows_the_tree_misorders(queries, targets, k):
+    _, idx = cKDTree(targets).query(queries, k + 4)
+    d2 = _squared_distances(targets[idx], queries[:, None, :])
+    exact_order = np.lexsort((idx, d2), axis=1)
+    assert np.any(exact_order != np.arange(k + 4))
+    np.testing.assert_array_equal(knn_tree(queries, targets, k), knn_brute(queries, targets, k))

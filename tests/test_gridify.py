@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import assert_grads_match, naive_mlp, naive_pos
+from helpers import assert_grads_match, identity_mlp, naive_mlp, naive_pos
 
 from gridifier import autodiff as ad
 from gridifier.autodiff import Tensor
@@ -17,7 +17,7 @@ from gridifier.gridify import (
     gridify_features,
     init_gridifier,
 )
-from gridifier.nn import MlpParams, PositionalNet, RffConfig, identity_mlp
+from gridifier.nn import MlpParams, PositionalNet, RffConfig
 from gridifier.pccore import Grid, GridSpec, PointCloud, make_grid_coords
 
 # ---------------------------------------------------------------------------

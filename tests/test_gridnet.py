@@ -115,6 +115,13 @@ class TestLatticeTables:
     def test_offset_lattice_k1_is_origin(self):
         np.testing.assert_array_equal(offset_lattice(1, 3), [[0, 0, 0]])
 
+    def test_offset_lattice_is_built_once_and_read_only(self):
+        first = offset_lattice(5, 3)
+        np.testing.assert_array_equal(offset_lattice(5, 3), first)
+        assert offset_lattice(5, 3) is first
+        with pytest.raises(ValueError):
+            first[0, 0] = 7
+
 
 # ---------------------------------------------------------------------------
 # convolution vs the nested-loop oracle

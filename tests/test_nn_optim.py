@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import assert_grads_match, rand
+from helpers import assert_grads_match, identity_mlp, rand
 
 from gridifier import autodiff as ad
 from gridifier.autodiff import Tensor
@@ -9,7 +9,6 @@ from gridifier.checkpoint import load_checkpoint, restore_params, save_checkpoin
 from gridifier.errors import ConfigError, ParseError, ShapeError, TrainingError
 from gridifier.nn import (
     decays_weight,
-    identity_mlp,
     init_mlp,
     init_positional_net,
     init_rff,
