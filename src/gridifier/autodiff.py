@@ -24,6 +24,10 @@ from .errors import InvariantError, ShapeError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# bytes of kernel rows ``render_apply`` renders at once: about the cache a
+# block's matmul and einsum share; 1 MiB gave the fastest forward in a sweep
+# from 32 KiB to 16 MiB at 72000 edges and C=16 (CHANGES.md)
+_RENDER_BLOCK_BYTES = 1 << 20
 
 
 class Tensor:
@@ -249,23 +253,6 @@ def _sum_rows_at(values: np.ndarray, indices: np.ndarray, n_dst: int) -> np.ndar
     return flat.reshape(n_dst, width)
 
 
-def gather_rows(t: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows of a 2-d tensor; gradients of repeated rows are summed."""
-    t = as_tensor(t)
-    if t.ndim != 2:
-        raise ShapeError(f"gather_rows expects a 2-d tensor, got {t.shape}")
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and (indices.min() < 0 or indices.max() >= t.shape[0]):
-        raise InvariantError(f"gather_rows index out of bounds [0, {t.shape[0]})")
-    out = Tensor(t.data[indices], (t,))
-
-    def backward(g):
-        t.accumulate(_sum_rows_at(g, indices, t.shape[0]))
-
-    out._backward = backward
-    return out
-
-
 def gather_concat_affine(rows, index: np.ndarray, x, w, b) -> Tensor:
     """[rows[index] ; x] @ w + b, computed as (rows @ w[:R])[index] + x @ w[R:] + b.
 
@@ -382,20 +369,74 @@ def scatter_aggregate(values: Tensor, indices: np.ndarray, n_dst: int, mode: str
     raise InvariantError(f"unknown scatter_aggregate mode {mode!r}")
 
 
-def pairwise_apply(weights: Tensor, x: Tensor) -> Tensor:
-    """Per-row vector-matrix product: (n, in, out) applied to (n, in) -> (n, out).
+def _render_blocks(n_rows: int, width: int) -> list[slice]:
+    """Row blocks of about ``_RENDER_BLOCK_BYTES`` for ``width`` float64 columns.
 
-    Row r of the result is x[r] @ weights[r]; used where every row carries its
-    own mixing matrix (per-edge kernels).
+    No block has one row unless ``n_rows`` is 1: numpy runs a one-row matrix
+    product as a vector-matrix product, whose sums can round differently from
+    the same row of a larger product.
     """
-    weights, x = as_tensor(weights), as_tensor(x)
-    if weights.ndim != 3 or x.ndim != 2 or weights.shape[:2] != x.shape:
-        raise ShapeError(f"pairwise_apply shapes incompatible: {weights.shape} vs {x.shape}")
-    out = Tensor(np.einsum("nio,ni->no", weights.data, x.data), (weights, x))
+    step = max(2, _RENDER_BLOCK_BYTES // (8 * width))
+    bounds = list(range(0, n_rows, step)) + [n_rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def render_apply(hidden, w, b, x, index: np.ndarray) -> Tensor:
+    """Per-row kernels rendered and applied: (E, H), (H, c_in*c_out) -> (E, c_out).
+
+    Row e of the result is x[index[e]] @ reshape(hidden[e] @ w + b, (c_in, c_out)),
+    the same bits as rendering every kernel row with one ``affine`` and applying
+    it with one einsum.  The rows are rendered and applied in blocks of about
+    ``_RENDER_BLOCK_BYTES``, and the backward renders each block again, so no
+    (E, c_in*c_out) array is formed in either pass.
+    """
+    hidden, w, b, x = as_tensor(hidden), as_tensor(w), as_tensor(b), as_tensor(x)
+    index = np.asarray(index, dtype=np.int64)
+    if (
+        (hidden.ndim, w.ndim, x.ndim, index.shape) != (2, 2, 2, hidden.shape[:1])
+        or w.shape[0] != hidden.shape[1]
+        or b.shape != w.shape[1:]
+        or w.shape[1] % x.shape[1]
+    ):
+        raise ShapeError(
+            f"render_apply shapes incompatible: hidden {hidden.shape}, w {w.shape}, "
+            f"b {b.shape}, x {x.shape}, index {index.shape}"
+        )
+    if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
+        raise InvariantError(f"render_apply index out of bounds [0, {x.shape[0]})")
+    n_rows, width = hidden.shape[0], w.shape[1]
+    c_in, c_out = x.shape[1], width // x.shape[1]
+    blocks = _render_blocks(n_rows, width)
+
+    def kernels(blk: slice) -> np.ndarray:
+        k = hidden.data[blk] @ w.data
+        k += b.data
+        return k.reshape(-1, c_in, c_out)
+
+    data = np.empty((n_rows, c_out))
+    for blk in blocks:
+        np.einsum("nio,ni->no", kernels(blk), x.data[index[blk]], out=data[blk])
+    out = Tensor(data, (hidden, w, b, x))
 
     def backward(g):
-        weights.accumulate(np.einsum("ni,no->nio", x.data, g))
-        x.accumulate(np.einsum("nio,no->ni", weights.data, g))
+        g_hidden = np.empty(hidden.shape)
+        g_w = np.zeros(w.shape)
+        g_b = np.zeros(width)
+        g_rows = np.empty((n_rows, c_in))
+        for blk in blocks:
+            g_blk, x_blk = g[blk], x.data[index[blk]]
+            # d(out)/d(kernel row) is the outer product of the source row and g
+            g_k = (x_blk[:, :, None] * g_blk[:, None, :]).reshape(-1, width)
+            g_hidden[blk] = g_k @ w.data.T
+            g_w += hidden.data[blk].T @ g_k
+            g_b += (x_blk.T @ g_blk).ravel()
+            np.einsum("nio,no->ni", kernels(blk), g_blk, out=g_rows[blk])
+        hidden.accumulate(g_hidden)
+        w.accumulate(g_w)
+        b.accumulate(g_b)
+        x.accumulate(_sum_rows_at(g_rows, index, x.shape[0]))
 
     out._backward = backward
     return out

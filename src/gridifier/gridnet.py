@@ -8,7 +8,9 @@ the rendered kernel is reused at every cell: ``autodiff.grid_correlate``
 applies it as K shifted matmuls along the first axis over one windowed copy of
 the trailing axes, with no per-cell window matrix.  ``conv_point_native`` is the
 irregular counterpart — the same positional network evaluated once per edge —
-kept as a baseline so the two cost profiles can be compared directly.
+kept as a baseline so the two cost profiles can be compared directly.  It
+still renders one kernel matrix per edge, now in blocks of edges that are
+applied as they are rendered, so no (|E|, c_in * c_out) array exists.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .connectivity import Direction, EdgeSet
 from .errors import ConfigError, InvariantError, ShapeError
-from .nn import PositionalNet, init_positional_net, positional_forward
+from .nn import PositionalNet, init_positional_net, positional_forward, positional_hidden
 from .pccore import GridSpec
 
 __all__ = [
@@ -269,26 +271,35 @@ def conv_point_native(
 
     Each edge evaluates the positional network at c_dst - c_src, reshapes the
     resulting row into a (c_in, c_out) mixing matrix, applies it to the source
-    features, and sums contributions per destination.  Costs |E| positional
-    evaluations per call — the quantity the grid path amortizes away.
+    features, and sums contributions per destination in edge order.  The
+    network's hidden layers run once over all edges; ``autodiff.render_apply``
+    renders the last layer's kernel rows and applies them in cache-sized
+    blocks of edges, so no (|E|, c_in * c_out) array is formed.  Costs |E|
+    positional evaluations per call — the quantity the grid path amortizes
+    away.
     """
     feats = ad.as_tensor(feats)
     coords = np.asarray(coords, dtype=np.float64)
     if edges.direction is not Direction.CLOUD_TO_CLOUD:
         raise ConfigError(f"native convolution needs cloud self-edges, got {edges.direction.name}")
-    if coords.shape[0] != feats.shape[0]:
-        raise ShapeError(f"{coords.shape[0]} coordinates vs {feats.shape[0]} feature rows")
+    n = coords.shape[0]
+    if n != feats.shape[0]:
+        raise ShapeError(f"{n} coordinates vs {feats.shape[0]} feature rows")
+    if (edges.n_src, edges.n_dst) != (n, n):
+        raise ShapeError(
+            f"edges join {edges.n_src} sources to {edges.n_dst} destinations, "
+            f"but the cloud has {n} points"
+        )
     c_in = feats.shape[1]
     if kernel_net.out_width % c_in != 0:
         raise ShapeError(
             f"kernel net emits {kernel_net.out_width} values per edge, not a multiple of c_in={c_in}"
         )
-    c_out = kernel_net.out_width // c_in
     rel = coords[edges.dst] - coords[edges.src]
-    rows = positional_forward(kernel_net, Tensor(rel))
-    per_edge = ad.reshape(rows, (edges.src.size, c_in, c_out))
-    msgs = ad.pairwise_apply(per_edge, ad.gather_rows(feats, edges.src))
-    out = ad.scatter_sum(msgs, edges.dst, coords.shape[0])
+    hidden = positional_hidden(kernel_net, Tensor(rel))
+    head = kernel_net.head
+    msgs = ad.render_apply(hidden, head.weights[-1], head.biases[-1], feats, edges.src)
+    out = ad.scatter_sum(msgs, edges.dst, n)
     if counter is not None:
         counter.bump(pos_evals=edges.src.size, applications=1)
     return out

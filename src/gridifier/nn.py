@@ -76,18 +76,21 @@ def init_mlp(widths: list[int], rng: np.random.Generator, nonlinearity: str = "g
     return MlpParams(weights, biases, nonlinearity)
 
 
-def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
+def mlp_hidden(params: MlpParams, x: Tensor) -> Tensor:
+    """The network up to its last affine layer: every hidden layer with its
+    nonlinearity, or ``x`` itself for a single-layer MLP."""
     x = ad.as_tensor(x)
     if x.shape[-1] != params.in_width:
         raise ShapeError(
             f"mlp expects last axis {params.in_width}, got input shape {x.shape}"
         )
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        x = ad.affine(x, w, b)
-        if i != last:
-            x = ad.nonlinearity(x, params.nonlinearity)
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        x = ad.nonlinearity(ad.affine(x, w, b), params.nonlinearity)
     return x
+
+
+def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
+    return ad.affine(mlp_hidden(params, x), params.weights[-1], params.biases[-1])
 
 
 @dataclass
@@ -177,6 +180,11 @@ def init_positional_net(
     rff = init_rff(omega, n_frequencies, dim, rng, trainable_freq)
     head = init_mlp([rff.out_width, *hidden, out_width], rng, nonlinearity)
     return PositionalNet(rff, head)
+
+
+def positional_hidden(net: PositionalNet, rel_pos: Tensor) -> Tensor:
+    """``positional_forward`` up to the head's last affine layer."""
+    return mlp_hidden(net.head, rff_embed(net.rff, rel_pos))
 
 
 def positional_forward(net: PositionalNet, rel_pos: Tensor) -> Tensor:

@@ -82,13 +82,33 @@ class TestForwardValues:
         out = ad.scatter_sum(Tensor(values), idx, 7)
         np.testing.assert_array_equal(out.data, expected)
 
-    def test_gather_rows_rejects_out_of_range_indices(self):
-        t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(ad.gather_rows(t, np.array([1, 0, 1])).data,
-                                      [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]])
-        for bad in ([1, -1, 0], [2]):
+    def test_render_apply_rejects_out_of_range_indices(self):
+        hidden, w, b = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 4))), Tensor(np.zeros(4))
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        for bad in ([1, -1, 0], [2, 0, 0]):
             with pytest.raises(InvariantError, match="out of bounds"):
-                ad.gather_rows(t, np.array(bad))
+                ad.render_apply(hidden, w, b, x, np.array(bad))
+
+    def test_render_apply_rejects_a_width_that_is_no_kernel(self):
+        # 4 kernel values per row do not fill (3, c_out) matrices
+        hidden, w, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 4))), Tensor(np.zeros(4))
+        with pytest.raises(ShapeError, match="render_apply"):
+            ad.render_apply(hidden, w, b, Tensor(np.ones((2, 3))), np.array([0, 1]))
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 9, 10, 11, 13])
+    def test_render_apply_matches_row_products(self, monkeypatch, n_rows):
+        # blocks of 3 rows: one block, several, and a one-row tail that is
+        # folded into the block before it
+        monkeypatch.setattr(ad, "_RENDER_BLOCK_BYTES", 3 * 8 * 6)
+        blocks = ad._render_blocks(n_rows, 6)
+        assert [i for blk in blocks for i in range(n_rows)[blk]] == list(range(n_rows))
+        assert n_rows == 1 or min(blk.stop - blk.start for blk in blocks) >= 2
+        rng = np.random.default_rng(21)
+        hidden, w, b, x = rand(rng, n_rows, 4), rand(rng, 4, 6), rand(rng, 6), rand(rng, 5, 2)
+        index = rng.integers(0, 5, size=n_rows)
+        out = ad.render_apply(Tensor(hidden), Tensor(w), Tensor(b), Tensor(x), index)
+        expected = np.stack([x[i] @ (h @ w + b).reshape(2, 3) for i, h in zip(index, hidden)])
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-13)
 
     def test_gelu_matches_definition(self):
         from scipy.special import erf
@@ -176,14 +196,6 @@ class TestGradients:
             arrays,
         )
 
-    def test_gather_rows_repeated_indices(self):
-        rng = np.random.default_rng(8)
-        arrays = [rand(rng, 6, 3)]
-        idx = np.array([0, 5, 2, 2, 4, 0, 2])
-        assert_grads_match(
-            lambda ts: ad.reduce_mean(ad.mul(ad.gather_rows(ts[0], idx), 1.5)), arrays
-        )
-
     def test_scatter_sum(self):
         rng = np.random.default_rng(9)
         arrays = [rand(rng, 8, 3)]
@@ -204,11 +216,16 @@ class TestGradients:
             arrays,
         )
 
-    def test_pairwise_apply(self):
+    def test_render_apply(self, monkeypatch):
+        # blocks of 3 edges, so block boundaries fall inside the edge range;
+        # source rows 1 and 3 are unused, rows 0 and 2 repeat
+        monkeypatch.setattr(ad, "_RENDER_BLOCK_BYTES", 3 * 8 * 6)
         rng = np.random.default_rng(11)
-        arrays = [rand(rng, 5, 2, 3), rand(rng, 5, 2)]
+        index = np.array([0, 5, 2, 2, 4, 0, 2, 5, 0, 2])
+        arrays = [rand(rng, 10, 4), rand(rng, 4, 6), rand(rng, 6), rand(rng, 6, 2)]
+        weight = rand(rng, 10, 3)
         assert_grads_match(
-            lambda ts: ad.reduce_mean(ad.pairwise_apply(ts[0], ts[1])), arrays
+            lambda ts: ad.reduce_mean(ad.mul(ad.render_apply(*ts, index), weight)), arrays
         )
 
     def test_affine(self):
@@ -223,13 +240,6 @@ class TestGradients:
         x, w, b = rand(rng, 5, 3), rand(rng, 3, 2), rand(rng, 2)
         fused = ad.affine(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
         np.testing.assert_array_equal(fused.data, x @ w + b)
-
-    def test_pairwise_apply_matches_row_products(self):
-        rng = np.random.default_rng(21)
-        w, x = rand(rng, 4, 3, 2), rand(rng, 4, 3)
-        out = ad.pairwise_apply(ad.Tensor(w), ad.Tensor(x))
-        expected = np.stack([x[r] @ w[r] for r in range(4)])
-        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("tag", ["gelu", "relu"])
     def test_nonlinearities(self, tag):

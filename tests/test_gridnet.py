@@ -26,7 +26,13 @@ from gridifier.gridnet import (
     init_conv_block,
     offset_lattice,
 )
-from gridifier.nn import MlpParams, PositionalNet, RffConfig, init_positional_net
+from gridifier.nn import (
+    MlpParams,
+    PositionalNet,
+    RffConfig,
+    init_positional_net,
+    positional_forward,
+)
 from gridifier.pccore import GridSpec, make_grid_coords
 
 
@@ -420,6 +426,62 @@ class TestNativePointConv:
         net = init_positional_net(1.0, 2, 2, [4], 1, rng)
         with pytest.raises(ConfigError, match="self-edges"):
             conv_point_native(np.zeros((1, 2)), Tensor(np.ones((1, 1))), edges, net)
+
+    @staticmethod
+    def unblocked_native(coords, feats, edges, net):
+        """Every kernel row rendered at once, applied with one einsum and
+        summed in edge order: the composition the blocked node replaces."""
+        rows = positional_forward(net, Tensor(coords[edges.dst] - coords[edges.src])).data
+        per_edge = rows.reshape(edges.n_edges, feats.shape[1], -1)
+        msgs = np.einsum("nio,ni->no", per_edge, feats[edges.src])
+        return ad._sum_rows_at(msgs, edges.dst, coords.shape[0])
+
+    @pytest.mark.parametrize("c_in", [1, 16])
+    @pytest.mark.parametrize(
+        "n_blocks,halves,extra",
+        [(1, 1, 0), (1, 2, 0), (3, 5, 0), (2, 4, 1)],
+        ids=["below-one-block", "one-block", "partial-last-block", "one-row-tail"],
+    )
+    def test_forward_bits_match_unblocked_composition(self, c_in, n_blocks, halves, extra):
+        c_out = 16
+        rows = ad._render_blocks(10**6, c_in * c_out)[0].stop
+        n_edges = halves * rows // 2 + extra
+        rng = np.random.default_rng(c_in + halves)
+        n = n_edges // 8 + 1
+        coords = rng.uniform(-1, 1, (n, 3))
+        # the first n_edges of a sorted edge set are a sorted edge set
+        full = self_knn(coords, 9)
+        edges = EdgeSet(full.src[:n_edges], full.dst[:n_edges], Direction.CLOUD_TO_CLOUD, n, n)
+        assert len(ad._render_blocks(n_edges, c_in * c_out)) == n_blocks
+        feats = rand(rng, n, c_in)
+        net = init_positional_net(1.0, 8, 3, [32], c_in * c_out, rng)
+        out = conv_point_native(coords, Tensor(feats), edges, net)
+        np.testing.assert_array_equal(out.data, self.unblocked_native(coords, feats, edges, net))
+
+    def test_forward_holds_no_kernel_rows(self):
+        # a two-frequency net with no hidden layer keeps the per-edge
+        # activations to a few columns, so what remains are the (E, C)
+        # messages; all (E, C*C) kernel rows would be four times the bound
+        rng = np.random.default_rng(26)
+        n, k, c = 2222, 9, 16
+        coords = rng.uniform(-1, 1, (n, 3))
+        edges = self_knn(coords, k)
+        feats = Tensor(rand(rng, n, c))
+        net = init_positional_net(1.0, 2, 3, [], c * c, rng)
+        tracemalloc.start()
+        try:
+            conv_point_native(coords, feats, edges, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < edges.n_edges * c * c * 8 / 4, f"traced peak {peak / 2**20:.1f} MiB"
+
+    def test_edges_of_another_cloud_rejected(self):
+        rng = np.random.default_rng(27)
+        edges = self_knn(rng.uniform(-1, 1, (10, 3)), 3)
+        net = init_positional_net(1.0, 2, 3, [4], 2, rng)
+        with pytest.raises(ShapeError, match=r"10 sources to 10 destinations.*12 points"):
+            conv_point_native(rng.uniform(-1, 1, (12, 3)), Tensor(np.ones((12, 2))), edges, net)
 
     def test_kernel_width_must_divide(self):
         rng = np.random.default_rng(22)
