@@ -533,39 +533,28 @@ def grid_correlate(x, kernel, resolution: int, dim: int, kernel_size: int) -> Te
     return out
 
 
-def nonlinearity(t: Tensor, tag: str) -> Tensor:
+def gelu(t: Tensor) -> Tensor:
+    """Exact GELU, x * Phi(x) with Phi the standard normal CDF."""
     t = as_tensor(t)
-    if tag == "identity":
-        return t
-    if tag == "relu":
-        out = Tensor(np.maximum(t.data, 0.0), (t,))
+    # cdf = 0.5 * (1 + erf(x / sqrt 2)), finished in the erf output
+    cdf = erf(t.data * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    out = Tensor(t.data * cdf, (t,))
 
-        def backward(g):
-            t.accumulate(g * (t.data > 0.0))
+    def backward(g):
+        # g * (cdf + x * pdf), pdf = exp(-x**2 / 2) / sqrt(2 pi), in one buffer
+        d = np.square(t.data)
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= t.data
+        d += cdf
+        d *= g
+        t.accumulate(d)
 
-        out._backward = backward
-        return out
-    if tag == "gelu":
-        # cdf = 0.5 * (1 + erf(x / sqrt 2)), finished in the erf output
-        cdf = erf(t.data * _INV_SQRT2)
-        cdf += 1.0
-        cdf *= 0.5
-        out = Tensor(t.data * cdf, (t,))
-
-        def backward(g):
-            # g * (cdf + x * pdf), pdf = exp(-x**2 / 2) / sqrt(2 pi), in one buffer
-            d = np.square(t.data)
-            d *= -0.5
-            np.exp(d, out=d)
-            d *= _INV_SQRT2PI
-            d *= t.data
-            d += cdf
-            d *= g
-            t.accumulate(d)
-
-        out._backward = backward
-        return out
-    raise InvariantError(f"unknown nonlinearity {tag!r}")
+    out._backward = backward
+    return out
 
 
 def cos_sin(t: Tensor) -> Tensor:

@@ -3,10 +3,11 @@
 Every flag has a config-file equivalent: ``--config FILE`` reads a flat
 ``key=value`` file whose keys use the long hyperparameter-table names
 (``nr_neighbors=9``, ``learning_rate=0.005``); the matching command-line flag
-always wins over the file.  The random seed falls back, in order, to
-``--seed``, a ``seed=`` file entry, the ``GRIDIFIER_SEED`` environment
-variable, and finally 0.  The effective configuration of every run is echoed
-to stderr, then a one-line summary of the result goes to stdout.
+always wins over the file.  Every command but ``inspect``, which draws no
+random numbers, takes a seed; it falls back, in order, to ``--seed``, a
+``seed=`` file entry, the ``GRIDIFIER_SEED`` environment variable, and finally
+0.  The effective configuration of every run is echoed to stderr, then a
+one-line summary of the result goes to stdout.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad config values,
 missing or malformed inputs), 2 runtime error (diverged training and other
@@ -154,7 +155,7 @@ _COMMANDS: dict[str, list[_Opt]] = {
         _Opt("in", "--in", str, help="point cloud to describe (csv or pcb)"),
         _RES, _K,
         _Opt("edges", "--edges", _bool, False, "print the bilateral edge list as src,dst lines"),
-        _SEED, _STRICT,
+        _STRICT,
     ],
 }
 
@@ -201,7 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(task: str, args: argparse.Namespace) -> dict:
-    """Merge defaults, config file, flags, and the seed fallback chain."""
+    """Merge defaults, config file, flags, and, where the command takes a seed,
+    the seed fallback chain."""
     opts = {o.key: o for o in _COMMANDS[task]}
     eff = {o.key: o.default for o in opts.values()}
 
@@ -227,7 +229,7 @@ def _resolve(task: str, args: argparse.Namespace) -> dict:
             except ValueError as exc:
                 raise ConfigError(f"flag {opt.flag}: {exc}") from None
 
-    if eff.get("seed") is None:
+    if "seed" in eff and eff["seed"] is None:
         env = os.environ.get("GRIDIFIER_SEED")
         if env is not None:
             try:

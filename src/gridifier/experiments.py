@@ -42,7 +42,6 @@ from .gridnet import (
     AffineHead,
     BlockSpec,
     ConvBlock,
-    KernelCache,
     KernelEvalCounter,
     block_forward,
     classify_head,
@@ -83,16 +82,17 @@ def gen_random_cloud(n: int, seed) -> PointCloud:
     return PointCloud(rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(-1.0, 1.0, (n, 1)))
 
 
-def gen_shape_cloud(n: int, shape: str, seed, noise: float = 0.02, extent: float = 0.7) -> PointCloud:
+def gen_shape_cloud(n: int, shape: str, seed, noise: float = 0.02) -> PointCloud:
     """Noisy samples from a sphere or cube surface of matched size.
 
-    Both shapes share the bounding extent so the classes differ in geometry
-    (corners and flat faces versus constant curvature), not in scale, and the
-    per-point scalar feature stays uninformative uniform noise.
+    Both shapes share the bounding half-width 0.7 so the classes differ in
+    geometry (corners and flat faces versus constant curvature), not in scale,
+    and the per-point scalar feature stays uninformative uniform noise.
     """
     if n < 1:
         raise ConfigError(f"cloud needs at least one point, got {n}")
     rng = np.random.default_rng(seed)
+    extent = 0.7
     if shape == "sphere":
         v = rng.normal(size=(n, 3))
         v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-12)
@@ -345,11 +345,10 @@ class _ClassifyModel:
         return params
 
 
-def _classify_logits(model, cloud, edges, rng=None, training=False, counter=None):
+def _classify_logits(model, cloud, edges, rng=None, training=False):
     h = gridify_features(Tensor(cloud.feats), cloud.coords, model.grid_coords, edges, model.enc)
-    cache = KernelCache()
     for block in model.blocks:
-        h = block_forward(h, model.spec, block, counter, cache, rng, training)
+        h = block_forward(h, model.spec, block, rng, training)
     return classify_head(h, model.head)
 
 
@@ -383,9 +382,7 @@ def train_classify_synth(cfg: ClassifyConfig) -> float:
 
     init_rng = np.random.default_rng(init_ss)
     enc = init_gridifier(1, cfg.channels, cfg.channels, 3, init_rng, omega=cfg.omega)
-    block_spec = BlockSpec(
-        cfg.channels, cfg.channels, cfg.kernel_size, residual=True, dropout=cfg.dropout
-    )
+    block_spec = BlockSpec(cfg.channels, cfg.kernel_size, dropout=cfg.dropout)
     blocks = [
         init_conv_block(block_spec, 3, init_rng, omega=1.0, n_frequencies=4, hidden=[16])
         for _ in range(cfg.n_blocks)
@@ -543,9 +540,8 @@ def bench_scaling(
                 h = gridify_features(
                     Tensor(cloud.feats), cloud.coords, grid_coords, edges, enc
                 )
-                cache = KernelCache()
                 for conv in grid_convs:
-                    h = conv_grid_features(h, spec, conv, counter, cache)
+                    h = conv_grid_features(h, spec, conv, counter)
                 return h
 
             def run_native(counter=None):

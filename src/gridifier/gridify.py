@@ -88,19 +88,15 @@ def init_gridifier(
     omega: float = 0.1,
     n_frequencies: int | None = None,
     aggregation: str = "mean",
-    trainable_freq: bool = True,
-    nonlinearity: str = "gelu",
 ) -> GridifierParams:
     """Default architecture: every phi is a two-layer MLP with hidden width H."""
     if n_frequencies is None:
         n_frequencies = max(4, hidden // 2)
     return GridifierParams(
-        phi_node=init_mlp([f_in, hidden, hidden], rng, nonlinearity),
-        phi_pos=init_positional_net(
-            omega, n_frequencies, dim, [hidden], hidden, rng, trainable_freq, nonlinearity
-        ),
-        phi_msg=init_mlp([2 * hidden, hidden, hidden], rng, nonlinearity),
-        phi_upd=init_mlp([hidden, hidden, f_out], rng, nonlinearity),
+        phi_node=init_mlp([f_in, hidden, hidden], rng),
+        phi_pos=init_positional_net(omega, n_frequencies, dim, [hidden], hidden, rng),
+        phi_msg=init_mlp([2 * hidden, hidden, hidden], rng),
+        phi_upd=init_mlp([hidden, hidden, f_out], rng),
         aggregation=aggregation,
         hidden=hidden,
     )
@@ -159,7 +155,7 @@ def _message_passing(
     w, b = params.phi_msg.weights, params.phi_msg.biases
     msg = ad.gather_concat_affine(node, src, pos, w[0], b[0])
     for i in range(1, len(w)):
-        msg = ad.affine(ad.nonlinearity(msg, params.phi_msg.nonlinearity), w[i], b[i])
+        msg = ad.affine(ad.gelu(msg), w[i], b[i])
     agg = ad.scatter_aggregate(msg, dst, n_dst, params.aggregation)
     return mlp_forward(params.phi_upd, agg)
 

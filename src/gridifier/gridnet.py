@@ -1,8 +1,8 @@
 """Networks that operate on grid features.
 
-The centerpiece is a dense D-dimensional cross-correlation whose kernel can
-either be an explicit weight tensor or a *neural field*: a positional network
-evaluated on the K^D lattice of integer offsets scaled to the grid spacing.
+The centerpiece is a dense D-dimensional cross-correlation whose kernel is a
+*neural field*: a positional network evaluated on the K^D lattice of integer
+offsets scaled to the grid spacing.
 Because the grid is regular, that evaluation happens once per forward pass and
 the rendered kernel is reused at every cell: ``autodiff.grid_correlate``
 applies it as K shifted matmuls along the first axis over one windowed copy of
@@ -36,7 +36,6 @@ __all__ = [
     "KernelEvalCounter",
     "block_forward",
     "classify_head",
-    "conv_from_weights",
     "conv_grid_features",
     "conv_point_native",
     "init_affine_head",
@@ -127,17 +126,15 @@ def offset_lattice(kernel_size: int, dim: int) -> np.ndarray:
 class ConvSpec:
     """A resolution-preserving convolution: K odd per axis, zero padding (K-1)/2.
 
-    Exactly one kernel source is set: ``weights`` holds an explicit
-    (K**dim, c_in, c_out) tensor, ``kernel_net`` a positional network with
-    output width c_in * c_out that is rendered on the scaled offset lattice.
+    The kernel comes from ``kernel_net``, a positional network with output
+    width c_in * c_out that is rendered on the scaled offset lattice.
     """
 
     kernel_size: int
     dim: int
     in_channels: int
     out_channels: int
-    weights: Tensor | None = None
-    kernel_net: PositionalNet | None = None
+    kernel_net: PositionalNet
 
     def __post_init__(self):
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
@@ -146,38 +143,22 @@ class ConvSpec:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if min(self.in_channels, self.out_channels) < 1:
             raise ConfigError("channel counts must be >= 1")
-        if (self.weights is None) == (self.kernel_net is None):
-            raise ConfigError("exactly one kernel source required: explicit weights or a kernel net")
-        expected = (self.n_taps, self.in_channels, self.out_channels)
-        if self.weights is not None and self.weights.shape != expected:
-            raise ShapeError(f"explicit kernel shape {self.weights.shape} != {expected}")
-        if self.kernel_net is not None:
-            if self.kernel_net.rff.freq.shape[1] != self.dim:
-                raise ConfigError(
-                    f"kernel net takes {self.kernel_net.rff.freq.shape[1]}-d offsets, conv is {self.dim}-d"
-                )
-            if self.kernel_net.out_width != self.in_channels * self.out_channels:
-                raise ConfigError(
-                    f"kernel net emits {self.kernel_net.out_width} values per offset, "
-                    f"need c_in*c_out = {self.in_channels * self.out_channels}"
-                )
+        if self.kernel_net.rff.dim != self.dim:
+            raise ConfigError(
+                f"kernel net takes {self.kernel_net.rff.dim}-d offsets, conv is {self.dim}-d"
+            )
+        if self.kernel_net.out_width != self.in_channels * self.out_channels:
+            raise ConfigError(
+                f"kernel net emits {self.kernel_net.out_width} values per offset, "
+                f"need c_in*c_out = {self.in_channels * self.out_channels}"
+            )
 
     @property
     def n_taps(self) -> int:
         return self.kernel_size**self.dim
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        if self.weights is not None:
-            return {f"{prefix}kernel": self.weights}
         return self.kernel_net.named_parameters(f"{prefix}pos.")
-
-
-def conv_from_weights(weights: np.ndarray | Tensor, kernel_size: int, dim: int) -> ConvSpec:
-    """Wrap an explicit (K**dim, c_in, c_out) weight tensor as a ConvSpec."""
-    weights = ad.as_tensor(weights)
-    if weights.ndim != 3:
-        raise ShapeError(f"explicit kernel must be (taps, c_in, c_out), got {weights.shape}")
-    return ConvSpec(kernel_size, dim, weights.shape[1], weights.shape[2], weights=weights)
 
 
 def init_conv(
@@ -189,18 +170,10 @@ def init_conv(
     omega: float = 1.0,
     n_frequencies: int = 8,
     hidden: list[int] | None = None,
-    trainable_freq: bool = True,
 ) -> ConvSpec:
     """Neural-field convolution: kernel values come from a positional network."""
-    net = init_positional_net(
-        omega,
-        n_frequencies,
-        dim,
-        [32] if hidden is None else hidden,
-        in_channels * out_channels,
-        rng,
-        trainable_freq=trainable_freq,
-    )
+    hidden = [32] if hidden is None else hidden
+    net = init_positional_net(omega, n_frequencies, dim, hidden, in_channels * out_channels, rng)
     return ConvSpec(kernel_size, dim, in_channels, out_channels, kernel_net=net)
 
 
@@ -216,8 +189,6 @@ def _render_kernel(
     source cell, c_target - c_source = -offset(t) * spacing, matching the
     convention used on irregular edges.
     """
-    if conv.weights is not None:
-        return conv.weights
     key = (id(conv), float(spacing))
     if cache is not None:
         hit = cache.get(key)
@@ -311,19 +282,14 @@ def conv_point_native(
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """Wiring of one residual unit: channel norm -> conv -> GELU -> dropout (+skip)."""
+    """Wiring of one residual unit: channel norm -> conv -> GELU -> dropout, plus
+    the input; the convolution keeps the channel count."""
 
-    in_channels: int
-    out_channels: int
+    channels: int
     kernel_size: int
-    residual: bool = True
     dropout: float = 0.0
 
     def __post_init__(self):
-        if self.residual and self.in_channels != self.out_channels:
-            raise ConfigError(
-                f"residual block needs equal channels, got {self.in_channels} -> {self.out_channels}"
-            )
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout}")
 
@@ -336,8 +302,8 @@ class ConvBlock:
     beta: Tensor
 
     def __post_init__(self):
-        c = self.spec.in_channels
-        if (self.conv.in_channels, self.conv.out_channels) != (c, self.spec.out_channels):
+        c = self.spec.channels
+        if (self.conv.in_channels, self.conv.out_channels) != (c, c):
             raise ConfigError("block and convolution channel counts disagree")
         if self.gamma.shape != (c,) or self.beta.shape != (c,):
             raise ShapeError(f"norm parameters must have shape ({c},)")
@@ -356,38 +322,31 @@ def init_conv_block(
     n_frequencies: int = 8,
     hidden: list[int] | None = None,
 ) -> ConvBlock:
-    conv = init_conv(
-        spec.kernel_size, dim, spec.in_channels, spec.out_channels, rng, omega, n_frequencies, hidden
-    )
-    return ConvBlock(
-        spec, conv, Tensor(np.ones(spec.in_channels)), Tensor(np.zeros(spec.in_channels))
-    )
+    c = spec.channels
+    conv = init_conv(spec.kernel_size, dim, c, c, rng, omega, n_frequencies, hidden)
+    return ConvBlock(spec, conv, Tensor(np.ones(c)), Tensor(np.zeros(c)))
 
 
 def block_forward(
     feats: Tensor,
     spec: GridSpec,
     block: ConvBlock,
-    counter: KernelEvalCounter | None = None,
-    cache: KernelCache | None = None,
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> Tensor:
-    """channel norm -> conv -> GELU -> dropout, plus the input when residual.
+    """channel norm -> conv -> GELU -> dropout, plus the input.
 
-    With a zero kernel the conv emits zeros, GELU maps 0 to 0, and a residual
-    block therefore returns its input bit-for-bit.
+    With a zero kernel the conv emits zeros, GELU maps 0 to 0, and the block
+    therefore returns its input bit-for-bit.
     """
     h = ad.channel_norm(feats, block.gamma, block.beta)
-    h = conv_grid_features(h, spec, block.conv, counter, cache)
-    h = ad.nonlinearity(h, "gelu")
+    h = conv_grid_features(h, spec, block.conv)
+    h = ad.gelu(h)
     if training and block.spec.dropout > 0.0:
         if rng is None:
             raise ConfigError("dropout during training needs an rng")
         h = ad.dropout(h, block.spec.dropout, rng)
-    if block.spec.residual:
-        h = ad.add(feats, h)
-    return h
+    return ad.add(feats, h)
 
 
 @dataclass

@@ -4,12 +4,12 @@ Naming convention for checkpoints and optimizers: every learnable array has a
 dotted path like ``phi_msg.w0`` or ``pos.head.b1``.  Weight matrices are
 ``w<i>``, biases ``b<i>``, normalization scales ``gamma``/``beta``, and the
 frequency matrix of a positional net ``freq``.  Weight decay applies only to
-``w<i>`` entries (and explicit convolution kernels); see ``decays_weight``.
+``w<i>`` entries (and the classification head's ``w``); see ``decays_weight``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +23,15 @@ TWO_PI = 2.0 * np.pi
 def decays_weight(name: str) -> bool:
     """Whether the named parameter participates in weight decay."""
     leaf = name.rsplit(".", 1)[-1]
-    return leaf.startswith("w") or leaf == "kernel"
+    return leaf.startswith("w")
 
 
 @dataclass
 class MlpParams:
-    """Affine layers with a shared hidden nonlinearity; the last layer is linear."""
+    """Affine layers with GELU between them; the last layer is linear."""
 
     weights: list[Tensor]
     biases: list[Tensor]
-    nonlinearity: str = "gelu"
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -64,7 +63,7 @@ class MlpParams:
         return out
 
 
-def init_mlp(widths: list[int], rng: np.random.Generator, nonlinearity: str = "gelu") -> MlpParams:
+def init_mlp(widths: list[int], rng: np.random.Generator) -> MlpParams:
     """Uniform fan-in initialization: each layer ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     if len(widths) < 2:
         raise ConfigError(f"mlp needs at least [in, out] widths, got {widths}")
@@ -73,19 +72,19 @@ def init_mlp(widths: list[int], rng: np.random.Generator, nonlinearity: str = "g
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(Tensor(rng.uniform(-bound, bound, (fan_in, fan_out))))
         biases.append(Tensor(rng.uniform(-bound, bound, fan_out)))
-    return MlpParams(weights, biases, nonlinearity)
+    return MlpParams(weights, biases)
 
 
 def mlp_hidden(params: MlpParams, x: Tensor) -> Tensor:
     """The network up to its last affine layer: every hidden layer with its
-    nonlinearity, or ``x`` itself for a single-layer MLP."""
+    GELU, or ``x`` itself for a single-layer MLP."""
     x = ad.as_tensor(x)
     if x.shape[-1] != params.in_width:
         raise ShapeError(
             f"mlp expects last axis {params.in_width}, got input shape {x.shape}"
         )
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        x = ad.nonlinearity(ad.affine(x, w, b), params.nonlinearity)
+        x = ad.gelu(ad.affine(x, w, b))
     return x
 
 
@@ -97,13 +96,12 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
 class RffConfig:
     """Sinusoidal input featurization with frequencies B ~ Normal(0, omega^2).
 
-    omega controls the frequency content the downstream head can express;
-    ``trainable`` decides whether B itself receives optimizer updates.
+    omega controls the frequency content the downstream head can express; B
+    itself is a learnable parameter.
     """
 
     omega: float
     freq: Tensor  # (n_frequencies, dim)
-    trainable: bool = True
 
     @property
     def n_frequencies(self) -> int:
@@ -118,15 +116,13 @@ class RffConfig:
         return 2 * self.n_frequencies
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {f"{prefix}freq": self.freq} if self.trainable else {}
+        return {f"{prefix}freq": self.freq}
 
 
-def init_rff(
-    omega: float, n_frequencies: int, dim: int, rng: np.random.Generator, trainable: bool = True
-) -> RffConfig:
+def init_rff(omega: float, n_frequencies: int, dim: int, rng: np.random.Generator) -> RffConfig:
     if omega <= 0 or n_frequencies < 1:
         raise ConfigError(f"rff needs omega > 0 and n_frequencies >= 1, got {omega}, {n_frequencies}")
-    return RffConfig(omega, Tensor(rng.normal(0.0, omega, (n_frequencies, dim))), trainable)
+    return RffConfig(omega, Tensor(rng.normal(0.0, omega, (n_frequencies, dim))))
 
 
 def rff_embed(cfg: RffConfig, rel_pos: Tensor) -> Tensor:
@@ -134,9 +130,7 @@ def rff_embed(cfg: RffConfig, rel_pos: Tensor) -> Tensor:
     rel_pos = ad.as_tensor(rel_pos)
     if rel_pos.shape[-1] != cfg.dim:
         raise ShapeError(f"rff expects width {cfg.dim}, got input shape {rel_pos.shape}")
-    # a frozen frequency matrix is detached so it never collects gradient
-    freq = cfg.freq if cfg.trainable else Tensor(cfg.freq.data)
-    return ad.cos_sin(ad.mul(ad.matmul(rel_pos, ad.transpose2d(freq)), TWO_PI))
+    return ad.cos_sin(ad.mul(ad.matmul(rel_pos, ad.transpose2d(cfg.freq)), TWO_PI))
 
 
 @dataclass
@@ -174,11 +168,9 @@ def init_positional_net(
     hidden: list[int],
     out_width: int,
     rng: np.random.Generator,
-    trainable_freq: bool = True,
-    nonlinearity: str = "gelu",
 ) -> PositionalNet:
-    rff = init_rff(omega, n_frequencies, dim, rng, trainable_freq)
-    head = init_mlp([rff.out_width, *hidden, out_width], rng, nonlinearity)
+    rff = init_rff(omega, n_frequencies, dim, rng)
+    head = init_mlp([rff.out_width, *hidden, out_width], rng)
     return PositionalNet(rff, head)
 
 

@@ -228,11 +228,18 @@ def _read_csv(path: Path) -> PointCloud:
 
 
 def _write_pcb(cloud: PointCloud, path: Path) -> None:
+    # a finite float64 beyond the float32 range casts to inf; refuse it
+    # before the file exists
+    with np.errstate(over="ignore"):
+        arrays = {"coords": cloud.coords.astype("<f4"), "feats": cloud.feats.astype("<f4")}
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"{path}: {name} exceed the float32 range of the pcb format")
     with open(path, "wb") as fh:
         fh.write(PCB_MAGIC)
         fh.write(struct.pack("<III", cloud.n_points, cloud.dim, cloud.n_feats))
-        fh.write(cloud.coords.astype("<f4").tobytes())
-        fh.write(cloud.feats.astype("<f4").tobytes())
+        fh.write(arrays["coords"].tobytes())
+        fh.write(arrays["feats"].tobytes())
 
 
 def _read_pcb(path: Path) -> PointCloud:

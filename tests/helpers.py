@@ -28,7 +28,7 @@ def checkout_env() -> dict:
 
 def identity_mlp(width: int) -> MlpParams:
     """Single linear layer with W=I, b=0, for pinning tests."""
-    return MlpParams([Tensor(np.eye(width))], [Tensor(np.zeros(width))], "identity")
+    return MlpParams([Tensor(np.eye(width))], [Tensor(np.zeros(width))])
 
 
 def naive_mlp(params, row):
@@ -38,10 +38,7 @@ def naive_mlp(params, row):
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = h @ w.data + b.data
         if i != last:
-            if params.nonlinearity == "gelu":
-                h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
-            elif params.nonlinearity == "relu":
-                h = np.maximum(h, 0.0)
+            h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
     return h
 
 

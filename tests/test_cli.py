@@ -147,6 +147,20 @@ class TestInspectCommand:
         out = capsys.readouterr().out
         assert "30 points" in out and "edges" in out
 
+    def test_seed_not_accepted(self, cloud_file, tmp_path, capsys):
+        # inspect draws no random numbers, so it takes no seed by any route
+        assert run(["inspect", "--in", cloud_file, "--seed", "3"]) == 1
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=3\n")
+        assert run(["inspect", "--in", cloud_file, "--config", str(cfg)]) == 1
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+
+    def test_bad_env_seed_ignored(self, cloud_file, monkeypatch, capsys):
+        monkeypatch.setenv("GRIDIFIER_SEED", "abc")
+        assert run(["inspect", "--in", cloud_file, "--resolution", "3", "--k", "2"]) == 0
+        assert "seed=" not in capsys.readouterr().err
+
 
 class TestConfigPrecedence:
     def test_config_file_supplies_values(self, cloud_file, tmp_path, capsys):

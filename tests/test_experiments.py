@@ -11,11 +11,15 @@ import math
 import numpy as np
 import pytest
 
+from gridifier import gridnet
 from gridifier.checkpoint import load_checkpoint
+from gridifier.connectivity import bilateral_knn
 from gridifier.errors import ConfigError, TrainingError
 from gridifier.experiments import (
     ClassifyConfig,
     ReconConfig,
+    _ClassifyModel,
+    _classify_logits,
     _timed_stats,
     bench_scaling,
     gen_random_cloud,
@@ -23,6 +27,9 @@ from gridifier.experiments import (
     train_classify_synth,
     train_reconstruction,
 )
+from gridifier.gridify import init_gridifier
+from gridifier.gridnet import BlockSpec, init_affine_head, init_conv_block
+from gridifier.pccore import GridSpec, make_grid_coords
 
 
 # --------------------------------------------------------------------------
@@ -64,10 +71,6 @@ class TestDataGen:
         # every point has one coordinate pinned to a face and none outside it
         far = np.max(np.abs(cloud.coords), axis=1)
         np.testing.assert_allclose(far, 0.7, atol=1e-12)
-
-    def test_shape_cloud_extent_override(self):
-        cloud = gen_shape_cloud(100, "sphere", seed=1, noise=0.0, extent=0.25)
-        np.testing.assert_allclose(np.linalg.norm(cloud.coords, axis=1), 0.25, atol=1e-9)
 
     def test_shape_cloud_seeded(self):
         a = gen_shape_cloud(64, "cube", seed=7)
@@ -256,6 +259,32 @@ class TestClassify:
                 train_classify_synth(cfg)
 
 
+def test_classify_forward_renders_each_kernel_once_per_block(monkeypatch):
+    # no kernel is shared between blocks, so one forward pass pushes exactly
+    # K^D offsets per block through the kernel nets
+    rows = []
+    render = gridnet.positional_forward
+
+    def counting(net, rel):
+        rows.append(rel.shape[0])
+        return render(net, rel)
+
+    monkeypatch.setattr(gridnet, "positional_forward", counting)
+    rng = np.random.default_rng(0)
+    spec = GridSpec(resolution=4, dim=3)
+    grid_coords = make_grid_coords(spec)
+    blocks = [
+        init_conv_block(BlockSpec(3, 3), 3, rng, n_frequencies=4, hidden=[8]) for _ in range(2)
+    ]
+    model = _ClassifyModel(
+        spec, grid_coords, init_gridifier(1, 3, 3, 3, rng), blocks, init_affine_head(3, 2, rng)
+    )
+    cloud = gen_shape_cloud(40, "sphere", seed=1)
+    logits = _classify_logits(model, cloud, bilateral_knn(cloud.coords, grid_coords, 3))
+    assert logits.shape == (1, 2)
+    assert rows == [3**3] * len(blocks)
+
+
 @pytest.mark.parametrize("study", ["recon", "classify"])
 def test_fit_steps_once_per_batch_including_the_partial_last(study, tmp_path):
     path = tmp_path / "fit.ckpt"
@@ -294,8 +323,10 @@ class TestBench:
         ]
 
     def test_grid_eval_count_ignores_cloud_size(self, tiny_report):
+        # K^D per layer at every size: each of the two layers renders its own
+        # kernel once, with no kernel shared between them
         grid_rows = [r for r in tiny_report.rows if r.path == "grid"]
-        assert [r.pos_evals for r in grid_rows] == [27, 27]
+        assert [r.pos_evals for r in grid_rows] == [3**3, 3**3]
 
     def test_native_eval_count_tracks_edges(self, tiny_report):
         native_rows = [r for r in tiny_report.rows if r.path == "native"]

@@ -51,13 +51,13 @@ def projection_params(width, take_first=True, aggregation="mean", dim=2):
     block = np.eye(width)
     proj[:width] = block if take_first else 0.0
     proj[width:] = 0.0 if take_first else block
-    pos = MlpParams([Tensor(np.zeros((dim, width)))], [Tensor(np.zeros(width))], "identity")
+    pos = MlpParams([Tensor(np.zeros((dim, width)))], [Tensor(np.zeros(width))])
     if not take_first:
         pos = identity_mlp(dim) if dim == width else pos
     return GridifierParams(
         phi_node=identity_mlp(width),
         phi_pos=pos,
-        phi_msg=MlpParams([Tensor(proj)], [Tensor(np.zeros(width))], "identity"),
+        phi_msg=MlpParams([Tensor(proj)], [Tensor(np.zeros(width))]),
         phi_upd=identity_mlp(width),
         aggregation=aggregation,
         hidden=width,
@@ -112,7 +112,6 @@ class TestTrivialConfigurations:
             phi_msg=MlpParams(
                 [Tensor(np.vstack([np.zeros((width, width)), np.eye(width)]))],
                 [Tensor(np.zeros(width))],
-                "identity",
             ),
             phi_upd=identity_mlp(width),
             aggregation="mean",
@@ -286,7 +285,7 @@ def rebuild_mlp(template: MlpParams, it) -> MlpParams:
     for _ in template.weights:
         ws.append(next(it))
         bs.append(next(it))
-    return MlpParams(ws, bs, template.nonlinearity)
+    return MlpParams(ws, bs)
 
 
 def rebuild_params(template: GridifierParams, tensors: list[Tensor]) -> GridifierParams:
@@ -294,8 +293,7 @@ def rebuild_params(template: GridifierParams, tensors: list[Tensor]) -> Gridifie
     phi_node = rebuild_mlp(template.phi_node, it)
     if isinstance(template.phi_pos, PositionalNet):
         rff = template.phi_pos.rff
-        freq = next(it) if rff.trainable else Tensor(rff.freq.data)
-        phi_pos = PositionalNet(RffConfig(rff.omega, freq, rff.trainable), rebuild_mlp(template.phi_pos.head, it))
+        phi_pos = PositionalNet(RffConfig(rff.omega, next(it)), rebuild_mlp(template.phi_pos.head, it))
     else:
         phi_pos = rebuild_mlp(template.phi_pos, it)
     phi_msg = rebuild_mlp(template.phi_msg, it)

@@ -18,7 +18,6 @@ from gridifier.gridnet import (
     KernelEvalCounter,
     block_forward,
     classify_head,
-    conv_from_weights,
     conv_grid_features,
     conv_point_native,
     init_affine_head,
@@ -92,10 +91,10 @@ def to_edge_set(pairs, n):
 
 def rebuild_kernel_net(template, tensors):
     """PositionalNet from a flat tensor list [freq, w0, b0, w1, b1, ...]."""
-    rff = RffConfig(template.rff.omega, tensors[0], template.rff.trainable)
+    rff = RffConfig(template.rff.omega, tensors[0])
     ws = tensors[1::2]
     bs = tensors[2::2]
-    return PositionalNet(rff, MlpParams(list(ws), list(bs), template.head.nonlinearity))
+    return PositionalNet(rff, MlpParams(list(ws), list(bs)))
 
 
 def kernel_net_arrays(net):
@@ -162,8 +161,7 @@ class TestConvAgainstOracle:
         spec = GridSpec(resolution=resolution, dim=dim)
         feats = rand(rng, spec.n_points, c_in)
         kernel = rand(rng, kernel_size**dim, c_in, c_out)
-        conv = conv_from_weights(kernel, kernel_size, dim)
-        out = conv_grid_features(Tensor(feats), spec, conv)
+        out = ad.grid_correlate(Tensor(feats), Tensor(kernel), resolution, dim, kernel_size)
         expected = conv_oracle(feats, resolution, dim, kernel_size, kernel)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
@@ -173,7 +171,7 @@ class TestConvAgainstOracle:
         spec = GridSpec(resolution=3, lo=0.0, hi=1.0, dim=1)
         kernel = np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1)
         signal = np.array([[0.0], [1.0], [0.0]])
-        out = conv_grid_features(Tensor(signal), spec, conv_from_weights(kernel, 3, 1))
+        out = ad.grid_correlate(Tensor(signal), Tensor(kernel), spec.resolution, 1, 3)
         expected = conv_oracle(signal, 3, 1, 3, kernel)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(out.data, [[3.0], [2.0], [1.0]])
@@ -182,8 +180,7 @@ class TestConvAgainstOracle:
         rng = np.random.default_rng(6)
         spec = GridSpec(resolution=4, dim=3)
         feats = rand(rng, spec.n_points, 5)
-        conv = conv_from_weights(np.eye(5).reshape(1, 5, 5), 1, 3)
-        out = conv_grid_features(Tensor(feats), spec, conv)
+        out = ad.grid_correlate(Tensor(feats), Tensor(np.eye(5).reshape(1, 5, 5)), 4, 3, 1)
         np.testing.assert_array_equal(out.data, feats)
 
     def test_neural_kernel_matches_oracle_with_counter(self):
@@ -229,18 +226,7 @@ class TestConvAgainstOracle:
 class TestConvValidation:
     def test_even_kernel_size_rejected(self):
         with pytest.raises(ConfigError, match="odd"):
-            conv_from_weights(np.zeros((4, 1, 1)), 4, 1)
-
-    def test_exactly_one_kernel_source(self):
-        with pytest.raises(ConfigError, match="exactly one"):
-            ConvSpec(3, 1, 1, 1)
-        net = init_positional_net(1.0, 2, 1, [4], 1, np.random.default_rng(0))
-        with pytest.raises(ConfigError, match="exactly one"):
-            ConvSpec(3, 1, 1, 1, weights=Tensor(np.zeros((3, 1, 1))), kernel_net=net)
-
-    def test_explicit_shape_checked(self):
-        with pytest.raises(ShapeError, match="kernel shape"):
-            ConvSpec(3, 2, 2, 2, weights=Tensor(np.zeros((9, 2, 3))))
+            init_conv(4, 1, 1, 1, np.random.default_rng(0), n_frequencies=2, hidden=[4])
 
     def test_kernel_net_dim_and_width_checked(self):
         rng = np.random.default_rng(0)
@@ -252,13 +238,13 @@ class TestConvValidation:
 
     def test_feature_shape_mismatch(self):
         spec = GridSpec(resolution=3, dim=2)
-        conv = conv_from_weights(np.zeros((9, 2, 2)), 3, 2)
+        conv = init_conv(3, 2, 2, 2, np.random.default_rng(0), n_frequencies=2, hidden=[4])
         with pytest.raises(ShapeError, match="conv expects"):
             conv_grid_features(Tensor(np.zeros((9, 3))), spec, conv)
 
     def test_grid_conv_dim_mismatch(self):
         spec = GridSpec(resolution=3, dim=3)
-        conv = conv_from_weights(np.zeros((9, 2, 2)), 3, 2)
+        conv = init_conv(3, 2, 2, 2, np.random.default_rng(0), n_frequencies=2, hidden=[4])
         with pytest.raises(ShapeError, match="-d"):
             conv_grid_features(Tensor(np.zeros((27, 2))), spec, conv)
 
@@ -504,7 +490,7 @@ class TestConvGradients:
         arrays = [rand(rng, 9, 2, 3), rand(rng, spec.n_points, 2)]
 
         def build(ts):
-            out = conv_grid_features(ts[1], spec, conv_from_weights(ts[0], 3, 2))
+            out = ad.grid_correlate(ts[1], ts[0], spec.resolution, 2, 3)
             return ad.reduce_mean(ad.mul(out, out))
 
         assert_grads_match(build, arrays)
@@ -528,7 +514,7 @@ class TestConvGradients:
         arrays = [rand(rng, kernel_size**dim, c_in, c_out), rand(rng, spec.n_points, c_in)]
 
         def build(ts):
-            out = conv_grid_features(ts[1], spec, conv_from_weights(ts[0], kernel_size, dim))
+            out = ad.grid_correlate(ts[1], ts[0], resolution, dim, kernel_size)
             return ad.reduce_mean(ad.mul(out, out))
 
         assert_grads_match(build, arrays)
@@ -567,31 +553,26 @@ class TestConvGradients:
 
 
 class TestBlocks:
-    def zero_block(self, channels, kernel_size, dim, residual, dropout=0.0):
-        spec = BlockSpec(channels, channels, kernel_size, residual=residual, dropout=dropout)
-        conv = conv_from_weights(np.zeros((kernel_size**dim, channels, channels)), kernel_size, dim)
-        return ConvBlock(spec, conv, Tensor(np.ones(channels)), Tensor(np.zeros(channels)))
+    def zero_block(self, channels, kernel_size, dim, dropout=0.0):
+        """A block whose kernel net has a zero last layer, so every rendered
+        kernel value is exactly 0."""
+        spec = BlockSpec(channels, kernel_size, dropout=dropout)
+        block = init_conv_block(spec, dim, np.random.default_rng(0), n_frequencies=2, hidden=[4])
+        head = block.conv.kernel_net.head
+        head.weights[-1].data[...] = 0.0
+        head.biases[-1].data[...] = 0.0
+        return block
 
     def test_zero_conv_residual_is_identity(self):
         rng = np.random.default_rng(26)
         spec = GridSpec(resolution=4, dim=2)
         x = rand(rng, spec.n_points, 3)
-        out = block_forward(Tensor(x), spec, self.zero_block(3, 3, 2, residual=True))
+        out = block_forward(Tensor(x), spec, self.zero_block(3, 3, 2))
         np.testing.assert_array_equal(out.data, x)
 
-    def test_zero_conv_without_residual_is_zero(self):
-        rng = np.random.default_rng(27)
-        spec = GridSpec(resolution=3, dim=2)
-        out = block_forward(Tensor(rand(rng, 9, 2)), spec, self.zero_block(2, 3, 2, residual=False))
-        np.testing.assert_array_equal(out.data, np.zeros((9, 2)))
-
-    def test_residual_requires_matching_channels(self):
-        with pytest.raises(ConfigError, match="equal channels"):
-            BlockSpec(2, 3, 3, residual=True)
-
     def test_block_conv_channel_agreement_checked(self):
-        spec = BlockSpec(2, 2, 3, residual=True)
-        conv = conv_from_weights(np.zeros((9, 2, 3)), 3, 2)
+        spec = BlockSpec(2, 3)
+        conv = init_conv(3, 2, 2, 3, np.random.default_rng(0), n_frequencies=2, hidden=[4])
         with pytest.raises(ConfigError, match="disagree"):
             ConvBlock(spec, conv, Tensor(np.ones(2)), Tensor(np.zeros(2)))
 
@@ -599,7 +580,7 @@ class TestBlocks:
         rng = np.random.default_rng(28)
         gspec = GridSpec(resolution=4, dim=2)
         block = init_conv_block(
-            BlockSpec(2, 2, 3, dropout=0.5), 2, np.random.default_rng(1), n_frequencies=4, hidden=[8]
+            BlockSpec(2, 3, dropout=0.5), 2, np.random.default_rng(1), n_frequencies=4, hidden=[8]
         )
         x = Tensor(rand(rng, gspec.n_points, 2))
         eval_a = block_forward(x, gspec, block)
@@ -610,7 +591,7 @@ class TestBlocks:
 
     def test_training_dropout_without_rng_rejected(self):
         gspec = GridSpec(resolution=3, dim=1)
-        block = self.zero_block(1, 3, 1, residual=False, dropout=0.3)
+        block = self.zero_block(1, 3, 1, dropout=0.3)
         with pytest.raises(ConfigError, match="rng"):
             block_forward(Tensor(np.ones((3, 1))), gspec, block, training=True)
 
@@ -618,37 +599,38 @@ class TestBlocks:
         rng = np.random.default_rng(29)
         gspec = GridSpec(resolution=4, dim=2)
         block = init_conv_block(
-            BlockSpec(3, 3, 3), 2, np.random.default_rng(3), n_frequencies=4, hidden=[8]
+            BlockSpec(3, 3), 2, np.random.default_rng(3), n_frequencies=4, hidden=[8]
         )
         x = Tensor(rand(rng, gspec.n_points, 3))
         out = block_forward(x, gspec, block)
         h = ad.channel_norm(x, block.gamma, block.beta)
         h = conv_grid_features(h, gspec, block.conv)
-        h = ad.nonlinearity(h, "gelu")
+        h = ad.gelu(h)
         expected = ad.add(x, h)
         np.testing.assert_array_equal(out.data, expected.data)
 
     def test_block_gradients(self):
         rng = np.random.default_rng(30)
         gspec = GridSpec(resolution=3, dim=2)
-        arrays = [rand(rng, 9, 2, 2), np.full(2, 1.1), np.full(2, -0.2), rand(rng, 9, 2)]
+        template = init_conv(3, 2, 2, 2, rng, n_frequencies=3, hidden=[6])
+        net_arrays = kernel_net_arrays(template.kernel_net)
+        arrays = [*net_arrays, np.full(2, 1.1), np.full(2, -0.2), rand(rng, 9, 2)]
 
         def build(ts):
-            spec = BlockSpec(2, 2, 3)
-            block = ConvBlock(spec, conv_from_weights(ts[0], 3, 2), ts[1], ts[2])
-            out = block_forward(ts[3], gspec, block)
+            net = rebuild_kernel_net(template.kernel_net, ts[: len(net_arrays)])
+            gamma, beta, x = ts[len(net_arrays) :]
+            block = ConvBlock(BlockSpec(2, 3), ConvSpec(3, 2, 2, 2, kernel_net=net), gamma, beta)
+            out = block_forward(x, gspec, block)
             return ad.reduce_mean(ad.mul(out, out))
 
         assert_grads_match(build, arrays, tol=2e-4)
 
     def test_block_parameter_names(self):
-        block = init_conv_block(BlockSpec(2, 2, 3), 2, np.random.default_rng(4))
+        block = init_conv_block(BlockSpec(2, 3), 2, np.random.default_rng(4))
         names = set(block.named_parameters("blocks.0.").keys())
         assert "blocks.0.gamma" in names
         assert "blocks.0.conv.pos.rff.freq" in names
         assert "blocks.0.conv.pos.head.w0" in names
-        explicit = self.zero_block(2, 3, 2, residual=True)
-        assert set(explicit.named_parameters()) == {"gamma", "beta", "conv.kernel"}
 
 
 class TestHeads:

@@ -62,7 +62,7 @@ class TestMlp:
         def build(ts):
             from gridifier.nn import MlpParams
 
-            params = MlpParams([ts[1], ts[3]], [ts[2], ts[4]], "gelu")
+            params = MlpParams([ts[1], ts[3]], [ts[2], ts[4]])
             return ad.reduce_mean(mlp_forward(params, ts[0]))
 
         assert_grads_match(build, arrays)
@@ -98,14 +98,6 @@ class TestRff:
         std = cfg.freq.data.std()
         assert abs(std - 0.7) / 0.7 < 0.05
 
-    def test_frozen_frequencies_get_no_gradient(self):
-        cfg = init_rff(1.0, 4, 2, np.random.default_rng(5), trainable=False)
-        assert cfg.named_parameters() == {}
-        x = Tensor(np.random.default_rng(6).normal(size=(3, 2)))
-        ad.reduce_mean(rff_embed(cfg, x)).backward()
-        assert cfg.freq.grad is None
-        assert x.grad is not None
-
     def test_gradient_through_embedding_and_frequencies(self):
         rng = np.random.default_rng(8)
         arrays = [rand(rng, 5, 3), rand(rng, 4, 3)]
@@ -113,7 +105,7 @@ class TestRff:
         def build(ts):
             from gridifier.nn import RffConfig
 
-            cfg = RffConfig(1.0, ts[1], trainable=True)
+            cfg = RffConfig(1.0, ts[1])
             return ad.reduce_mean(ad.mul(rff_embed(cfg, ts[0]), 2.0))
 
         assert_grads_match(build, arrays)
@@ -125,7 +117,7 @@ class TestRff:
         rng = np.random.default_rng(9)
         x, freq, weight = rand(rng, 7, 3), rand(rng, 5, 3), rand(rng, 7, 10)
         pos, b = Tensor(x), Tensor(freq)
-        out = rff_embed(RffConfig(1.0, b, trainable=True), pos)
+        out = rff_embed(RffConfig(1.0, b), pos)
         ad.reduce_mean(ad.mul(out, weight)).backward()
         # the separate cos, sin and concat nodes, with their backward rules, in numpy
         phase = (x @ freq.T) * (2.0 * np.pi)
@@ -167,7 +159,7 @@ class TestDecayRule:
             ("phi_node.w0", True),
             ("phi_node.b0", False),
             ("pos.rff.freq", False),
-            ("blocks.0.kernel", True),
+            ("head.w", True),
             ("blocks.0.gamma", False),
             ("blocks.0.beta", False),
         ],
@@ -246,7 +238,7 @@ class TestAdamW:
                 p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
 
         rng = np.random.default_rng(21)
-        shapes = {"mlp.w0": (3, 4), "mlp.b0": (4,), "conv.kernel": (2, 2, 3), "pos.rff.freq": (5, 3)}
+        shapes = {"mlp.w0": (3, 4), "mlp.b0": (4,), "head.w": (2, 3), "pos.rff.freq": (5, 3)}
         init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         params = {name: Tensor(a.copy()) for name, a in init.items()}
         want = {name: a.copy() for name, a in init.items()}

@@ -200,6 +200,16 @@ class TestFileIO:
         np.testing.assert_array_equal(back.coords, coords)
         np.testing.assert_array_equal(back.feats, feats)
 
+    @pytest.mark.parametrize("name", ["coords", "feats"])
+    def test_pcb_rejects_values_beyond_float32(self, tmp_path, name):
+        # 1e39 is finite in float64 but would be stored as inf
+        arrays = {"coords": np.zeros((2, 3)), "feats": np.zeros((2, 1))}
+        arrays[name][1, 0] = 1e39
+        path = tmp_path / "big.pcb"
+        with pytest.raises(DataError, match=name):
+            write_cloud(PointCloud(arrays["coords"], arrays["feats"]), path)
+        assert not path.exists()
+
     def test_pcb_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pcb"
         path.write_bytes(b"NOPE" + b"\x00" * 12)
