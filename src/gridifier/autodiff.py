@@ -24,10 +24,16 @@ from .errors import InvariantError, ShapeError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_TWO_PI = 2.0 * np.pi
 # bytes of kernel rows ``render_apply`` renders at once: about the cache a
 # block's matmul and einsum share; 1 MiB gave the fastest forward in a sweep
 # from 32 KiB to 16 MiB at 72000 edges and C=16 (CHANGES.md)
 _RENDER_BLOCK_BYTES = 1 << 20
+# bytes of one H-wide array of a ``message_aggregate`` edge block; 256 KiB
+# gave the fastest gridify + degridify forward in a sweep from 32 KiB to
+# 8 MiB at H=16 and N=1000 and 8000, and a training step at H=128 as fast as
+# 512 KiB (CHANGES.md)
+_MESSAGE_BLOCK_BYTES = 256 << 10
 
 
 class Tensor:
@@ -182,14 +188,18 @@ def matmul(a, b) -> Tensor:
     return out
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = x @ w
+    out += b
+    return out
+
+
 def affine(x, w, b) -> Tensor:
     """Fused x @ w + row-broadcast bias; one node instead of matmul-then-add."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"affine shapes incompatible: {x.shape} @ {w.shape} + {b.shape}")
-    data = x.data @ w.data
-    data += b.data
-    out = Tensor(data, (x, w, b))
+    out = Tensor(_affine(x.data, w.data, b.data), (x, w, b))
 
     def backward(g):
         x.accumulate(g @ w.data.T)
@@ -253,37 +263,6 @@ def _sum_rows_at(values: np.ndarray, indices: np.ndarray, n_dst: int) -> np.ndar
     return flat.reshape(n_dst, width)
 
 
-def gather_concat_affine(rows, index: np.ndarray, x, w, b) -> Tensor:
-    """[rows[index] ; x] @ w + b, computed as (rows @ w[:R])[index] + x @ w[R:] + b.
-
-    By linearity the R-wide product runs once per row of ``rows``, not once
-    per index, and neither the gathered copy nor the concatenation is formed.
-    """
-    rows, x, w, b = as_tensor(rows), as_tensor(x), as_tensor(w), as_tensor(b)
-    index = np.asarray(index, dtype=np.int64)
-    split = rows.shape[-1]
-    if (rows.ndim, x.ndim, index.shape, w.shape) != (2, 2, x.shape[:1], (split + x.shape[-1],) + b.shape):
-        raise ShapeError(f"gather_concat_affine shapes incompatible: {rows.shape}, {x.shape}, {w.shape}")
-    if index.size and (index.min() < 0 or index.max() >= rows.shape[0]):
-        raise InvariantError(f"gather_concat_affine index out of bounds [0, {rows.shape[0]})")
-    w_rows, w_x = w.data[:split], w.data[split:]
-    data = (rows.data @ w_rows)[index]
-    data += x.data @ w_x
-    data += b.data
-    out = Tensor(data, (rows, x, w, b))
-
-    def backward(g):
-        # sum onto the rows first, then one R-wide product per row
-        g_rows = _sum_rows_at(g, index, rows.shape[0])
-        rows.accumulate(g_rows @ w_rows.T)
-        x.accumulate(g @ w_x.T)
-        w.accumulate(np.concatenate([rows.data.T @ g_rows, x.data.T @ g]))
-        b.accumulate(g.sum(axis=0))
-
-    out._backward = backward
-    return out
-
-
 def _check_scatter(values: Tensor, indices: np.ndarray, n_dst: int):
     if values.ndim != 2:
         raise ShapeError(f"scatter expects 2-d values, got {values.shape}")
@@ -309,64 +288,223 @@ def scatter_sum(values: Tensor, indices: np.ndarray, n_dst: int) -> Tensor:
     return out
 
 
-def scatter_aggregate(values: Tensor, indices: np.ndarray, n_dst: int, mode: str) -> Tensor:
-    """Reduce value rows onto destination rows: per-destination mean or max.
+def _segment_blocks(starts: np.ndarray, width: int) -> list[tuple[int, int]]:
+    """Destination ranges [a, b) whose edges, rows starts[a]:starts[b], form
+    blocks of about ``_MESSAGE_BLOCK_BYTES`` for ``width`` float64 columns.
 
-    Every destination in [0, n_dst) must receive at least one row — an empty
-    neighborhood is treated as a wiring bug, not silently zero-filled.  Under
-    ``max`` the gradient flows to the first contributing row on ties.
+    ``starts`` holds each destination's first edge row, then the edge count.
+    Blocks end only between destinations; a destination with more edges than
+    the budget gets a block of its own.  No block has one row unless there is
+    one edge in all, for the reason ``_render_blocks`` gives.
     """
-    values = as_tensor(values)
-    indices = _check_scatter(values, indices, n_dst)
-    counts = np.bincount(indices, minlength=n_dst)
+    step = max(2, _MESSAGE_BLOCK_BYTES // (8 * width))
+    n_dst = starts.size - 1
+    cuts = [0]
+    while cuts[-1] < n_dst:
+        lo = starts[cuts[-1]]
+        # the last destination boundary within the budget, but two rows at least
+        fit = np.searchsorted(starts, lo + step, side="right") - 1
+        cuts.append(min(max(fit, np.searchsorted(starts, lo + 2)), n_dst))
+    if len(cuts) > 2 and starts[cuts[-1]] - starts[cuts[-2]] == 1:
+        del cuts[-2]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _chain_width(layers, width: int) -> int | None:
+    """Output width of the affine ``layers`` on ``width`` columns, None if they do not chain."""
+    for w, b in layers:
+        if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+            return None
+        width = w.shape[1]
+    return width
+
+
+def message_aggregate(
+    node, src_coords, dst_coords, src, dst, freq, pos_layers, msg_layers, mode: str
+) -> Tensor:
+    """Per-destination mean or max of edge messages, computed in blocks of edges.
+
+    Edge e from source s to destination d carries the message
+    msg([node[s] ; pos(dst_coords[d] - src_coords[s])]).  ``pos`` is an MLP
+    over [cos 2 pi B r ; sin 2 pi B r] with B = ``freq`` (F, D), or over the
+    offset r itself when ``freq`` is None; ``pos_layers`` and ``msg_layers``
+    are (w, b) affine layers with exact GELU between them.  msg's first layer
+    is split by linearity: node @ w0[:H] runs once per source row and is
+    gathered per edge, so no (E, 2H) concatenation exists.
+
+    Edges are stably sorted by destination and run through the chain in blocks
+    of about ``_MESSAGE_BLOCK_BYTES`` per H-wide array, cut only between
+    destinations: each mean or max is reduced in edge order inside one block,
+    so the bits equal those of the chain run over all edges at once.  Only the
+    last block's intermediates are kept; the backward walks the blocks from
+    last to first and recomputes the others.  Every destination must receive
+    an edge.  Under ``max`` the gradient goes to the first edge attaining the
+    maximum, and a NaN maximum has no winner.
+    """
+    node = as_tensor(node)
+    freq = None if freq is None else as_tensor(freq)
+    pos_layers = [(as_tensor(w), as_tensor(b)) for w, b in pos_layers]
+    msg_layers = [(as_tensor(w), as_tensor(b)) for w, b in msg_layers]
+    src_coords = np.asarray(src_coords, dtype=np.float64)
+    dst_coords = np.asarray(dst_coords, dtype=np.float64)
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    dim = src_coords.shape[-1]
+    pos_width = _chain_width(pos_layers, dim if freq is None else 2 * freq.shape[0])
+    width = node.shape[-1]
+    out_width = None if pos_width is None else _chain_width(msg_layers, width + pos_width)
+    if (
+        out_width is None
+        or (node.ndim, src_coords.ndim, dst_coords.ndim) != (2, 2, 2)
+        or node.shape[0] != src_coords.shape[0]
+        or dst_coords.shape[1] != dim
+        or src.shape != dst.shape
+        or src.ndim != 1
+        or (freq is not None and freq.shape[1:] != (dim,))
+    ):
+        raise ShapeError(
+            f"message_aggregate shapes incompatible: node {node.shape}, coords "
+            f"{src_coords.shape} -> {dst_coords.shape}, edges {src.shape} -> {dst.shape}, "
+            f"freq {None if freq is None else freq.shape}, "
+            f"pos {[w.shape for w, _ in pos_layers]}, msg {[w.shape for w, _ in msg_layers]}"
+        )
+    n_src, n_dst = node.shape[0], dst_coords.shape[0]
+    if src.size and (min(src.min(), dst.min()) < 0 or src.max() >= n_src or dst.max() >= n_dst):
+        raise InvariantError(
+            f"message_aggregate index out of bounds: sources [0, {n_src}), "
+            f"destinations [0, {n_dst})"
+        )
+    if mode not in ("mean", "max"):
+        raise InvariantError(f"unknown message_aggregate mode {mode!r}")
+    counts = np.bincount(dst, minlength=n_dst)
     if (counts == 0).any():
         empty = int(np.argmin(counts))
-        raise InvariantError(f"destination {empty} receives no values in scatter_aggregate")
+        raise InvariantError(f"destination {empty} receives no edges in message_aggregate")
+    if np.any(dst[1:] < dst[:-1]):
+        order = np.argsort(dst, kind="stable")
+        src, dst = src[order], dst[order]
+    starts = np.zeros(n_dst + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    blocks = _segment_blocks(starts, width)
 
-    if mode == "mean":
-        data = _sum_rows_at(values.data, indices, n_dst)
-        data /= counts[:, None]
-        out = Tensor(data, (values,))
+    (w0, b0), last = msg_layers[0], pos_layers[-1]
+    w0_node, w0_pos = w0.data[:width], w0.data[width:]
 
-        def backward(g):
-            values.accumulate((g / counts[:, None])[indices])
+    def messages(a: int, b: int, proj: np.ndarray):
+        """The chain over destinations [a, b): their edge rows, source rows
+        and offsets, the input of each pos layer, (pre-activation, cdf) of
+        each pos GELU, the pos output, (pre-activation, cdf, output) of each
+        msg GELU, and the messages.  ``proj`` is node @ w0[:H]."""
+        rows = slice(starts[a], starts[b])
+        s = src[rows]
+        rel = dst_coords[dst[rows]] - src_coords[s]
+        x = rel
+        if freq is not None:
+            z = rel @ freq.data.T
+            z *= _TWO_PI
+            x = np.empty((z.shape[0], 2 * z.shape[1]))
+            np.cos(z, out=x[:, : z.shape[1]])
+            np.sin(z, out=x[:, z.shape[1] :])
+        pos_in, pos_act = [x], []
+        for w, bias in pos_layers[:-1]:
+            pre = _affine(x, w.data, bias.data)
+            cdf = _gelu_cdf(pre)
+            x = pre * cdf
+            pos_in.append(x)
+            pos_act.append((pre, cdf))
+        pos = _affine(x, last[0].data, last[1].data)
+        m = proj[s]
+        m += pos @ w0_pos
+        m += b0.data
+        msg_act = []
+        for w, bias in msg_layers[1:]:
+            cdf = _gelu_cdf(m)
+            h = m * cdf
+            msg_act.append((m, cdf, h))
+            m = _affine(h, w.data, bias.data)
+        return rows, s, rel, pos_in, pos_act, pos, msg_act, m
 
-        out._backward = backward
-        return out
-
-    if mode == "max":
-        n_rows = values.shape[0]
-        # reduce over contiguous destination segments; message passing already
-        # passes indices sorted by destination, so the stable sort is rarely paid
-        if np.any(indices[1:] < indices[:-1]):
-            row_ids = np.argsort(indices, kind="stable")
-            seg_values = values.data[row_ids]
+    data = np.empty((n_dst, out_width))
+    proj = node.data @ w0_node
+    kept = None
+    for a, b in blocks:
+        kept = None  # free the previous block before computing this one
+        kept = messages(a, b, proj)
+        rows, m = kept[0], kept[-1]
+        if mode == "mean":
+            data[a:b] = _sum_rows_at(m, dst[rows] - a, b - a)
         else:
-            row_ids = np.arange(n_rows)
-            seg_values = values.data
-        starts = np.zeros(n_dst, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        data = np.maximum.reduceat(seg_values, starts, axis=0)
-        # first row index attaining the per-destination maximum, per column
-        candidates = np.where(
-            seg_values == np.repeat(data, counts, axis=0), row_ids[:, None], n_rows
-        )
-        winner = np.minimum.reduceat(candidates, starts, axis=0)
-        out = Tensor(data, (values,))
+            np.maximum.reduceat(m, starts[a:b] - starts[a], axis=0, out=data[a:b])
+    if mode == "mean":
+        data /= counts[:, None]
+    leaves = [] if freq is None else [freq]
+    leaves += [t for layer in pos_layers + msg_layers for t in layer]
+    out = Tensor(data, [node, *leaves])
 
-        def backward(g):
-            grad = np.zeros_like(values.data)
-            # a NaN maximum has no winner (n_rows).  Destinations own disjoint
-            # rows, so each (winner, column) pair occurs once; adding onto the
-            # zeros keeps the bits of a summed 0.0 + g, signed zeros included
-            hit = winner < n_rows
-            grad[winner[hit], np.nonzero(hit)[1]] += g[hit]
-            values.accumulate(grad)
+    def backward(g):
+        sums: dict[int, list] = {}  # id -> [tensor, gradient]
 
-        out._backward = backward
-        return out
+        def add(t: Tensor, part: np.ndarray) -> None:
+            # every part is a fresh array, so later blocks add onto the first
+            if id(t) in sums:
+                sums[id(t)][1] += part
+            else:
+                sums[id(t)] = [t, part]
 
-    raise InvariantError(f"unknown scatter_aggregate mode {mode!r}")
+        g_mean = g / counts[:, None] if mode == "mean" else None
+        # the forward keeps only the last block, and not the projected rows
+        proj = node.data @ w0_node if len(blocks) > 1 else None
+        g_rows = g_w0_pos = None
+        for i in reversed(range(len(blocks))):
+            a, b = blocks[i]
+            parts = kept if i == len(blocks) - 1 else messages(a, b, proj)
+            rows, s, rel, pos_in, pos_act, pos, msg_act, m = parts
+            if mode == "mean":
+                gm = g_mean[dst[rows]]
+            else:
+                # first row attaining each maximum; a NaN maximum has no
+                # winner (n).  Winners are distinct rows, so adding onto the
+                # zeros keeps the bits of g, signed zeros included
+                n = m.shape[0]
+                maxima = np.repeat(data[a:b], counts[a:b], axis=0)
+                hit_rows = np.where(m == maxima, np.arange(n)[:, None], n)
+                winner = np.minimum.reduceat(hit_rows, starts[a:b] - starts[a], axis=0)
+                gm = np.zeros_like(m)
+                hit = winner < n
+                gm[winner[hit], np.nonzero(hit)[1]] += g[a:b][hit]
+            for (w, bias), (pre, cdf, h) in zip(msg_layers[:0:-1], msg_act[::-1]):
+                add(w, h.T @ gm)
+                add(bias, gm.sum(axis=0))
+                gm = _gelu_grad(pre, cdf, gm @ w.data.T)
+            # the split first layer: the node half is summed onto source rows
+            if g_rows is None:
+                g_rows, g_w0_pos = _sum_rows_at(gm, s, n_src), pos.T @ gm
+            else:
+                g_rows += _sum_rows_at(gm, s, n_src)
+                g_w0_pos += pos.T @ gm
+            add(b0, gm.sum(axis=0))
+            gp = gm @ w0_pos.T
+            for j in reversed(range(len(pos_layers))):
+                w, bias = pos_layers[j]
+                add(w, pos_in[j].T @ gp)
+                add(bias, gp.sum(axis=0))
+                if j:
+                    gp = _gelu_grad(*pos_act[j - 1], gp @ w.data.T)
+                elif freq is not None:
+                    gp = gp @ w.data.T
+            if freq is not None:
+                f = freq.shape[0]
+                cs = pos_in[0]
+                gz = -gp[:, :f] * cs[:, f:] + gp[:, f:] * cs[:, :f]
+                gz *= _TWO_PI
+                add(freq, (rel.T @ gz).T)
+        if g_rows is not None:
+            node.accumulate(g_rows @ w0_node.T)
+            add(w0, np.concatenate([node.data.T @ g_rows, g_w0_pos]))
+        for t, part in sums.values():
+            t.accumulate(part)
+
+    out._backward = backward
+    return out
 
 
 def _render_blocks(n_rows: int, width: int) -> list[slice]:
@@ -533,25 +671,34 @@ def grid_correlate(x, kernel, resolution: int, dim: int, kernel_size: int) -> Te
     return out
 
 
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), finished in the erf output."""
+    cdf = erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * (cdf + x * pdf), pdf = exp(-x**2 / 2) / sqrt(2 pi), in one buffer."""
+    d = np.square(x)
+    d *= -0.5
+    np.exp(d, out=d)
+    d *= _INV_SQRT2PI
+    d *= x
+    d += cdf
+    d *= g
+    return d
+
+
 def gelu(t: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x) with Phi the standard normal CDF."""
     t = as_tensor(t)
-    # cdf = 0.5 * (1 + erf(x / sqrt 2)), finished in the erf output
-    cdf = erf(t.data * _INV_SQRT2)
-    cdf += 1.0
-    cdf *= 0.5
+    cdf = _gelu_cdf(t.data)
     out = Tensor(t.data * cdf, (t,))
 
     def backward(g):
-        # g * (cdf + x * pdf), pdf = exp(-x**2 / 2) / sqrt(2 pi), in one buffer
-        d = np.square(t.data)
-        d *= -0.5
-        np.exp(d, out=d)
-        d *= _INV_SQRT2PI
-        d *= t.data
-        d += cdf
-        d *= g
-        t.accumulate(d)
+        t.accumulate(_gelu_grad(t.data, cdf, g))
 
     out._backward = backward
     return out

@@ -232,13 +232,26 @@ def _resolve(task: str, args: argparse.Namespace) -> dict:
     if "seed" in eff and eff["seed"] is None:
         env = os.environ.get("GRIDIFIER_SEED")
         if env is not None:
-            try:
-                eff["seed"] = int(env)
-            except ValueError:
-                raise ConfigError(f"GRIDIFIER_SEED must be an integer, got {env!r}") from None
+            if not env.strip().isdecimal():
+                raise ConfigError(f"GRIDIFIER_SEED must be a non-negative integer, got {env!r}")
+            eff["seed"] = int(env)
         else:
             eff["seed"] = 0
+    _check_values(eff)
     return eff
+
+
+def _check_values(eff: dict) -> None:
+    """Reject values the command would only trip over after reading its input."""
+    seed = eff.get("seed")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    widths = eff.get("hidden_channels")
+    if widths is not None and min(np.atleast_1d(widths)) < 1:
+        raise ConfigError(f"hidden_channels (--channels) must be >= 1, got {_show(widths)}")
+    omega = eff.get("omega")
+    if omega is not None and not (np.isfinite(omega) and omega > 0):
+        raise ConfigError(f"omega must be finite and > 0, got {omega}")
 
 
 def _show(value) -> str:

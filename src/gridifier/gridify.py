@@ -5,9 +5,13 @@ Each destination node i aggregates messages from its edge neighborhood:
     out_i = phi_upd( agg_{j -> i} phi_msg( [phi_node(x_j) ; phi_pos(c_i - c_j)] ) )
 
 Gridification runs this cloud->grid; de-gridification runs the mirror image
-grid->cloud over the inverted edge set.  phi_msg's first layer is split by
-linearity, [n ; p] @ W0 = n @ W0[:H] + p @ W0[H:], so the node half runs once
-per source point and is gathered per edge; no (E, 2H) concatenation exists.
+grid->cloud over the inverted edge set.  phi_node and phi_upd run once per
+point; everything per edge (the offsets, phi_pos, phi_msg and the
+aggregation) is one ``autodiff.message_aggregate`` node.  It splits phi_msg's
+first layer by linearity, [n ; p] @ W0 = n @ W0[:H] + p @ W0[H:], so the node
+half runs once per source point and is gathered per edge, and it runs the
+edges in blocks cut between destinations, recomputing them in the backward:
+no (E, H) array outlives its block, and the bits equal the unblocked chain's.
 Message aggregation follows a canonical order keyed on source coordinates and
 features (not indices): one lexsort ranks the source points, and edges sort on
 (dst, rank), so re-ordering the input points reproduces the output bit-for-bit.
@@ -22,8 +26,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .connectivity import Direction, EdgeSet
-from .errors import ConfigError, InvariantError, ShapeError
-from .nn import MlpParams, PositionalNet, init_mlp, init_positional_net, mlp_forward, positional_forward
+from .errors import ConfigError, ShapeError
+from .nn import MlpParams, PositionalNet, init_mlp, init_positional_net, mlp_forward
 from .pccore import Grid, GridSpec, PointCloud, make_grid_coords
 
 AGGREGATIONS = ("mean", "max")
@@ -102,12 +106,6 @@ def init_gridifier(
     )
 
 
-def _pos_forward(net: PositionalNet | MlpParams, rel: Tensor) -> Tensor:
-    if isinstance(net, PositionalNet):
-        return positional_forward(net, rel)
-    return mlp_forward(net, rel)
-
-
 def _canonical_edge_order(
     src_idx: np.ndarray, dst_idx: np.ndarray, src_coords: np.ndarray, src_feats: np.ndarray
 ) -> np.ndarray:
@@ -132,15 +130,15 @@ def _message_passing(
     dst_coords: np.ndarray,
     edges: EdgeSet,
     params: GridifierParams,
-    n_dst: int,
 ) -> Tensor:
-    in_deg = np.bincount(edges.dst, minlength=n_dst)
-    if (in_deg == 0).any():
-        lonely = int(np.argmin(in_deg))
-        raise InvariantError(
-            f"destination point {lonely} has no incoming edges; such edge sets "
-            f"cannot arise from bilateral connectivity"
-        )
+    """phi_upd of the aggregated messages, one row per destination.
+
+    phi_node runs once per source point and phi_upd once per destination, as
+    taped MLPs.  The per-edge chain between them (offsets, phi_pos, phi_msg
+    and the aggregation) is the one ``autodiff.message_aggregate`` node,
+    which runs it in edge blocks and recomputes them in the backward, so no
+    (E, H) array outlives its block.  Edges reach it in canonical order.
+    """
     if edges.direction is Direction.GRID_TO_CLOUD:
         # lattice sources have intrinsic indices (a fixed bijection with their
         # coordinates), so the stored (dst, src) order is already value-keyed
@@ -150,13 +148,14 @@ def _message_passing(
         src, dst = edges.src[order], edges.dst[order]
 
     node = mlp_forward(params.phi_node, src_feats)
-    rel = dst_coords[dst] - src_coords[src]
-    pos = _pos_forward(params.phi_pos, Tensor(rel))
-    w, b = params.phi_msg.weights, params.phi_msg.biases
-    msg = ad.gather_concat_affine(node, src, pos, w[0], b[0])
-    for i in range(1, len(w)):
-        msg = ad.affine(ad.gelu(msg), w[i], b[i])
-    agg = ad.scatter_aggregate(msg, dst, n_dst, params.aggregation)
+    pos = params.phi_pos
+    freq, head = (pos.rff.freq, pos.head) if isinstance(pos, PositionalNet) else (None, pos)
+    msg = params.phi_msg
+    agg = ad.message_aggregate(
+        node, src_coords, dst_coords, src, dst, freq,
+        list(zip(head.weights, head.biases)), list(zip(msg.weights, msg.biases)),
+        params.aggregation,
+    )
     return mlp_forward(params.phi_upd, agg)
 
 
@@ -185,7 +184,7 @@ def gridify_features(
         edges, Direction.CLOUD_TO_GRID, cloud_coords.shape[0], grid_coords.shape[0],
         params, cloud_feats.shape[1],
     )
-    return _message_passing(cloud_coords, cloud_feats, grid_coords, edges, params, grid_coords.shape[0])
+    return _message_passing(cloud_coords, cloud_feats, grid_coords, edges, params)
 
 
 def degridify_features(
@@ -201,7 +200,7 @@ def degridify_features(
         edges, Direction.GRID_TO_CLOUD, grid_coords.shape[0], cloud_coords.shape[0],
         params, grid_feats.shape[1],
     )
-    return _message_passing(grid_coords, grid_feats, cloud_coords, edges, params, cloud_coords.shape[0])
+    return _message_passing(grid_coords, grid_feats, cloud_coords, edges, params)
 
 
 def gridify(cloud: PointCloud, spec: GridSpec, edges: EdgeSet, params: GridifierParams) -> Grid:

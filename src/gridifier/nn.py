@@ -120,8 +120,10 @@ class RffConfig:
 
 
 def init_rff(omega: float, n_frequencies: int, dim: int, rng: np.random.Generator) -> RffConfig:
-    if omega <= 0 or n_frequencies < 1:
-        raise ConfigError(f"rff needs omega > 0 and n_frequencies >= 1, got {omega}, {n_frequencies}")
+    if not (np.isfinite(omega) and omega > 0) or n_frequencies < 1:
+        raise ConfigError(
+            f"rff needs a finite omega > 0 and n_frequencies >= 1, got {omega}, {n_frequencies}"
+        )
     return RffConfig(omega, Tensor(rng.normal(0.0, omega, (n_frequencies, dim))))
 
 

@@ -9,23 +9,63 @@ from gridifier.autodiff import Tensor
 from gridifier.errors import InvariantError, ShapeError
 
 
+def aggregate_rows(values, dst, n_dst, mode):
+    """``message_aggregate`` whose message on edge e is row e of ``values``:
+    one source row per edge, a zero positional head, and a one-layer message
+    network that passes the node half through unchanged."""
+    values = ad.as_tensor(values)
+    n_rows, width = values.shape
+    pass_node = np.vstack([np.eye(width), np.zeros((1, width))])
+    return ad.message_aggregate(
+        values, np.zeros((n_rows, 1)), np.zeros((n_dst, 1)), np.arange(n_rows), dst, None,
+        [(np.zeros((1, 1)), np.zeros(1))], [(pass_node, np.zeros(width))], mode,
+    )
+
+
+def message_inputs(rng, n_src=5, n_dst=4, dim=2, width=3, freqs=2, hidden=4):
+    """Tensor inputs of ``message_aggregate`` in a fixed order: node rows,
+    frequencies, then (w, b) of a two-layer positional head and a two-layer
+    message network."""
+    shapes = [(n_src, width), (freqs, dim),
+              (2 * freqs, hidden), (hidden,), (hidden, width), (width,),
+              (2 * width, hidden), (hidden,), (hidden, width), (width,)]
+    return [rand(rng, *shape) for shape in shapes]
+
+
+def apply_message_aggregate(ts, coords, edges, mode):
+    (src_coords, dst_coords), (src, dst) = coords, edges
+    node, freq, *layers = ts
+    pos = [(layers[0], layers[1]), (layers[2], layers[3])]
+    msg = [(layers[4], layers[5]), (layers[6], layers[7])]
+    return ad.message_aggregate(node, src_coords, dst_coords, src, dst, freq, pos, msg, mode)
+
+
 class TestForwardValues:
     def test_scatter_mean_pair(self):
-        out = ad.scatter_aggregate(Tensor([[1.0], [3.0]]), np.array([0, 0]), 1, "mean")
+        out = aggregate_rows([[1.0], [3.0]], np.array([0, 0]), 1, "mean")
         np.testing.assert_array_equal(out.data, [[2.0]])
 
     def test_scatter_max_pair_and_subgradient(self):
         values = Tensor([[1.0], [3.0]])
-        out = ad.scatter_aggregate(values, np.array([0, 0]), 1, "max")
+        out = aggregate_rows(values, np.array([0, 0]), 1, "max")
         np.testing.assert_array_equal(out.data, [[3.0]])
         ad.reduce_mean(out).backward()
         np.testing.assert_array_equal(values.grad, [[0.0], [1.0]])
 
     def test_scatter_max_tie_goes_to_first_row(self):
-        values = Tensor([[5.0], [5.0]])
-        out = ad.scatter_aggregate(values, np.array([0, 0]), 1, "max")
+        # the first row in canonical (destination-sorted) order wins a tie
+        values = Tensor([[5.0], [5.0], [5.0]])
+        out = aggregate_rows(values, np.array([0, 1, 0]), 2, "max")
         ad.reduce_mean(out).backward()
-        np.testing.assert_array_equal(values.grad, [[1.0], [0.0]])
+        np.testing.assert_array_equal(values.grad, [[0.5], [0.5], [0.0]])
+
+    def test_scatter_max_nan_has_no_winner(self):
+        # destination 0's maximum is NaN, so neither of its rows gets a gradient
+        values = Tensor([[np.nan], [2.0], [3.0]])
+        out = aggregate_rows(values, np.array([0, 0, 1]), 2, "max")
+        np.testing.assert_array_equal(out.data, [[np.nan], [3.0]])
+        ad.reduce_mean(out).backward()
+        np.testing.assert_array_equal(values.grad, [[0.0], [0.0], [0.5]])
 
     @pytest.mark.parametrize("layout", ["sorted", "unsorted"])
     def test_scatter_max_bits_match_per_destination_loop(self, layout):
@@ -52,7 +92,7 @@ class TestForwardValues:
                 expected_grad[best, c] += g[d, c] / g.size
 
         t = Tensor(values)
-        out = ad.scatter_aggregate(t, idx, 8, "max")
+        out = aggregate_rows(t, idx, 8, "max")
         ad.reduce_mean(ad.mul(out, g)).backward()
         np.testing.assert_array_equal(out.data, expected)
         np.testing.assert_array_equal(t.grad, expected_grad)
@@ -63,12 +103,40 @@ class TestForwardValues:
         idx = rng.integers(0, 5, size=40)
         idx[:5] = np.arange(5)  # cover every destination
         values = Tensor(np.full((40, 3), 2.5))
-        out = ad.scatter_aggregate(values, idx, 5, "mean")
+        out = aggregate_rows(values, idx, 5, "mean")
         np.testing.assert_allclose(out.data, 2.5, rtol=0, atol=1e-15)
 
     def test_scatter_empty_destination_rejected(self):
         with pytest.raises(InvariantError, match="destination 1"):
-            ad.scatter_aggregate(Tensor([[1.0]]), np.array([0]), 2, "mean")
+            aggregate_rows(Tensor([[1.0]]), np.array([0]), 2, "mean")
+
+    def test_message_aggregate_rejects_bad_shapes_and_indices(self):
+        rng = np.random.default_rng(42)
+        ts = message_inputs(rng)
+        coords = (rand(rng, 5, 2), rand(rng, 4, 2))
+        edges = (np.array([0, 4, 2, 1]), np.array([0, 1, 2, 3]))
+        apply_message_aggregate(ts, coords, edges, "mean")
+        bad_shapes = {
+            "node rows != source coords": (ts, (coords[0][:4], coords[1]), edges),
+            "destination coords in 3-d": (ts, (coords[0], rand(rng, 4, 3)), edges),
+            "edge arrays of two lengths": (ts, coords, (edges[0], edges[1][:3])),
+            "frequencies in 3-d": ([ts[0], rand(rng, 2, 3), *ts[2:]], coords, edges),
+            "head width != node width": (
+                ts[:4] + [rand(rng, 4, 2), rand(rng, 2)] + ts[6:], coords, edges
+            ),
+            "msg layers that do not chain": (ts[:8] + [rand(rng, 3, 3)] + ts[9:], coords, edges),
+            "bias of the wrong width": (ts[:9] + [rand(rng, 2)], coords, edges),
+        }
+        for what, (inputs, cs, es) in bad_shapes.items():
+            with pytest.raises(ShapeError, match="message_aggregate"):
+                apply_message_aggregate(inputs, cs, es, "mean")
+                pytest.fail(what)
+        src, dst = edges
+        for bad in ((src + 1, dst), (src, dst - 1), (src, dst + 1)):
+            with pytest.raises(InvariantError, match="out of bounds"):
+                apply_message_aggregate(ts, coords, bad, "mean")
+        with pytest.raises(InvariantError, match="mode 'sum'"):
+            apply_message_aggregate(ts, coords, edges, "sum")
 
     def test_scatter_sum_bits_match_sequential_loop(self):
         # the vectorized row summation must reproduce a left-to-right
@@ -161,24 +229,28 @@ class TestGradients:
             lambda ts: ad.reduce_mean(2.5 * ts[0] - ts[0] * ts[0]), arrays
         )
 
-    def test_gather_concat_affine(self):
+    def test_message_aggregate_one_layer_message_and_plain_head(self):
+        # one affine message layer on [node ; r @ P + p], no sinusoid; rows 0
+        # and 3 are gathered twice, row 2 never, and each destination has one
+        # edge, so the mean is the message itself
         rng = np.random.default_rng(4)
-        # rows 0 and 3 are gathered twice, row 2 never
-        idx = np.array([3, 0, 1, 3, 0, 4])
-        arrays = [rand(rng, 5, 2), rand(rng, 6, 3), rand(rng, 5, 4), rand(rng, 4)]
+        src = np.array([3, 0, 1, 3, 0, 4])
+        src_coords, dst_coords = rand(rng, 5, 2), rand(rng, 6, 2)
+        arrays = [rand(rng, 5, 2), rand(rng, 2, 3), rand(rng, 3), rand(rng, 5, 4), rand(rng, 4)]
 
         def build(ts):
-            out = ad.gather_concat_affine(ts[0], idx, ts[1], ts[2], ts[3])
+            out = ad.message_aggregate(
+                ts[0], src_coords, dst_coords, src, np.arange(6), None,
+                [(ts[1], ts[2])], [(ts[3], ts[4])], "mean",
+            )
             return ad.reduce_mean(ad.mul(out, out))
 
         assert_grads_match(build, arrays)
-        out = ad.gather_concat_affine(arrays[0], idx, *arrays[1:])
-        joined = np.concatenate([arrays[0][idx], arrays[1]], axis=1)
-        np.testing.assert_allclose(out.data, joined @ arrays[2] + arrays[3], rtol=1e-14, atol=1e-14)
-        with pytest.raises(ShapeError, match="gather_concat_affine"):
-            ad.gather_concat_affine(arrays[0], idx, arrays[1], arrays[2][:4], arrays[3])
-        with pytest.raises(InvariantError, match="out of bounds"):
-            ad.gather_concat_affine(arrays[0], idx + 1, *arrays[1:])
+        out = build([Tensor(a) for a in arrays])
+        pos = (dst_coords - src_coords[src]) @ arrays[1] + arrays[2]
+        joined = np.concatenate([arrays[0][src], pos], axis=1)
+        want = joined @ arrays[3] + arrays[4]
+        np.testing.assert_allclose(out.data, np.mean(want * want), rtol=1e-14)
 
     def test_reshape(self):
         rng = np.random.default_rng(5)
@@ -205,16 +277,24 @@ class TestGradients:
         )
 
     @pytest.mark.parametrize("mode", ["mean", "max"])
-    def test_scatter_aggregate(self, mode):
+    def test_message_aggregate(self, monkeypatch, mode):
+        # blocks of 4 edges of width 3, so the backward recomputes blocks and
+        # sums the source-row and weight gradients across them; destination 2
+        # has more edges than a block
+        monkeypatch.setattr(ad, "_MESSAGE_BLOCK_BYTES", 4 * 8 * 3)
         rng = np.random.default_rng(10)
-        arrays = [rand(rng, 12, 3)]
-        idx = np.concatenate([np.arange(4), rng.integers(0, 4, size=8)])
-        assert_grads_match(
-            lambda ts: ad.reduce_mean(
-                ad.mul(ad.scatter_aggregate(ts[0], idx, 4, mode), 2.0)
-            ),
-            arrays,
-        )
+        dst = np.repeat(np.arange(6), [2, 1, 6, 3, 2, 3])
+        src = rng.integers(0, 5, size=dst.size)
+        starts = np.concatenate([[0], np.cumsum(np.bincount(dst))])
+        assert len(ad._segment_blocks(starts, 3)) >= 4
+        coords = (rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (6, 2)))
+        arrays = message_inputs(rng, n_dst=6)
+        weight = rand(rng, 6, 3)
+        def build(ts):
+            out = apply_message_aggregate(ts, coords, (src, dst), mode)
+            return ad.reduce_mean(ad.mul(out, weight))
+
+        assert_grads_match(build, arrays)
 
     def test_render_apply(self, monkeypatch):
         # blocks of 3 edges, so block boundaries fall inside the edge range;
@@ -294,7 +374,7 @@ class TestGradients:
 
         def build(ts):
             h = ad.gelu(ad.add(ts[0] @ ts[1], ts[2]))
-            pooled = ad.scatter_aggregate(h, idx, 3, "mean")
+            pooled = ad.scatter_sum(h, idx, 3)
             return ad.reduce_mean(ad.mul(pooled @ ts[3], pooled @ ts[3]))
 
         assert_grads_match(build, arrays)
@@ -326,12 +406,19 @@ class TestBuffers:
         np.testing.assert_array_equal(out.data, np.concatenate([np.cos(t.data), np.sin(t.data)], 1))
         assert peak < 1.1 * out.data.nbytes
 
-    def test_gather_concat_affine_keeps_the_sum_order(self):
+    def test_message_aggregate_keeps_the_sum_order(self):
+        # the split first layer: (node @ w[:H])[src] + pos @ w[H:] + b, in that
+        # order; one edge per destination makes the mean the message itself
         rng = np.random.default_rng(32)
-        rows, x, w, b = rand(rng, 5, 3), rand(rng, 9, 2), rand(rng, 5, 4), rand(rng, 4)
-        index = rng.integers(0, 5, size=9)
-        out = ad.gather_concat_affine(Tensor(rows), index, Tensor(x), Tensor(w), Tensor(b))
-        np.testing.assert_array_equal(out.data, (rows @ w[:3])[index] + x @ w[3:] + b)
+        node, p, pb = rand(rng, 5, 3), rand(rng, 2, 2), rand(rng, 2)
+        w, b = rand(rng, 5, 4), rand(rng, 4)
+        src = rng.integers(0, 5, size=9)
+        src_coords, dst_coords = rand(rng, 5, 2), rand(rng, 9, 2)
+        out = ad.message_aggregate(
+            node, src_coords, dst_coords, src, np.arange(9), None, [(p, pb)], [(w, b)], "mean"
+        )
+        pos = (dst_coords - src_coords[src]) @ p + pb
+        np.testing.assert_array_equal(out.data, (node @ w[:3])[src] + pos @ w[3:] + b)
 
     def test_first_gradient_is_adopted_without_copy(self):
         leaf = Tensor(np.zeros(3))

@@ -321,6 +321,49 @@ class TestTrainingCommands:
             "path,N,C,k,time_ms_median,allocs_bytes,pos_evals"
 
 
+SEEDED = ["gridify", "degridify", "train-recon", "train-classify", "bench"]
+# (task, flags, config file lines, GRIDIFIER_SEED, word the error names)
+BAD_VALUES = [
+    *[(task, ["--channels", "0"], [], None, "channels")
+      for task in ("gridify", "degridify", "bench")],
+    *[(task, ["--omega", value], [], None, "omega")
+      for task in ("gridify", "degridify", "bench") for value in ("nan", "inf")],
+    *[(task, ["--seed", "-1"], [], None, "seed") for task in SEEDED],
+    *[(task, [], ["seed=-1"], None, "seed") for task in SEEDED],
+    *[(task, [], [], "-3", "GRIDIFIER_SEED") for task in SEEDED],
+]
+
+
+@pytest.mark.parametrize(
+    "task, flags, lines, env_seed, field", BAD_VALUES,
+    ids=[f"{t}-{' '.join(f) or (c[0] if c else 'env')}" for t, f, c, _, _ in BAD_VALUES],
+)
+def test_bad_value_exits_1_before_input(
+    task, flags, lines, env_seed, field, cloud_file, tmp_path, monkeypatch, capsys
+):
+    def no_input(*args, **kwargs):
+        raise AssertionError("input read before the values were validated")
+
+    for name in ("gridifier.cli.read_cloud", "gridifier.experiments.gen_shape_cloud",
+                 "gridifier.experiments.gen_random_cloud"):
+        monkeypatch.setattr(name, no_input)
+    if env_seed is None:
+        monkeypatch.delenv("GRIDIFIER_SEED", raising=False)
+    else:
+        monkeypatch.setenv("GRIDIFIER_SEED", env_seed)
+    files = {
+        "gridify": ["--in", cloud_file, "--out", str(tmp_path / "g.pcb")],
+        "degridify": ["--in", cloud_file, "--cloud", cloud_file, "--out", str(tmp_path / "c.pcb")],
+    }.get(task, [])
+    if lines:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        files += ["--config", str(cfg)]
+    assert run([task, *files, *flags]) == 1
+    (error,) = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert field in error
+
+
 def test_module_is_runnable():
     proc = subprocess.run([sys.executable, "-m", "gridifier.cli", "--help"],
                           capture_output=True, text=True, env=checkout_env())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import assert_grads_match, identity_mlp, naive_mlp, naive_pos
@@ -17,7 +19,14 @@ from gridifier.gridify import (
     gridify_features,
     init_gridifier,
 )
-from gridifier.nn import MlpParams, PositionalNet, RffConfig
+from gridifier.nn import (
+    MlpParams,
+    PositionalNet,
+    RffConfig,
+    init_mlp,
+    mlp_forward,
+    positional_forward,
+)
 from gridifier.pccore import Grid, GridSpec, PointCloud, make_grid_coords
 
 # ---------------------------------------------------------------------------
@@ -259,16 +268,194 @@ def test_split_layer_row_bits_follow_the_row_not_its_position(n_rows, width):
     # gather, so permutation invariance (criterion 4) needs each row of
     # node @ W_a to come out the same wherever the row sits in the matrix
     rng = np.random.default_rng(n_rows * width)
-    node, pos = rng.normal(size=(n_rows, width)), rng.normal(size=(50, width))
-    w, b = rng.normal(size=(2 * width, width)), rng.normal(size=width)
-    src = rng.integers(0, n_rows, 50)
-    base = ad.gather_concat_affine(node, src, pos, w, b).data
+    node, coords = rng.normal(size=(n_rows, width)), rng.normal(size=(n_rows, 3))
+    dst_coords = rng.normal(size=(50, 3))
+    pos = [(rng.normal(size=(3, width)), rng.normal(size=width))]
+    msg = [(rng.normal(size=(2 * width, width)), rng.normal(size=width))]
+    src, dst = rng.integers(0, n_rows, 50), np.arange(50)
+    base = ad.message_aggregate(node, coords, dst_coords, src, dst, None, pos, msg, "mean").data
+    w = msg[0][0]
     for perm in (rng.permutation(n_rows), np.roll(np.arange(n_rows), 1), np.arange(n_rows)[::-1]):
         slot = np.empty_like(perm)
         slot[perm] = np.arange(n_rows)
-        moved = ad.gather_concat_affine(node[perm], slot[src], pos, w, b).data
+        moved = ad.message_aggregate(
+            node[perm], coords[perm], dst_coords, slot[src], dst, None, pos, msg, "mean"
+        ).data
         np.testing.assert_array_equal(moved, base)
         np.testing.assert_array_equal(node[perm] @ w[:width], (node @ w[:width])[perm])
+
+
+# ---------------------------------------------------------------------------
+# the fused, edge-blocked node against the unfused composition it replaced
+# ---------------------------------------------------------------------------
+
+
+def unfused_gather_concat_affine(rows, index, x, w, b):
+    """[rows[index] ; x] @ w + b with the rows' product taken once per row."""
+    split = rows.shape[1]
+    w_rows, w_x = w.data[:split], w.data[split:]
+    data = (rows.data @ w_rows)[index]
+    data += x.data @ w_x
+    data += b.data
+    out = Tensor(data, (rows, x, w, b))
+
+    def backward(g):
+        g_rows = ad._sum_rows_at(g, index, rows.shape[0])
+        rows.accumulate(g_rows @ w_rows.T)
+        x.accumulate(g @ w_x.T)
+        w.accumulate(np.concatenate([rows.data.T @ g_rows, x.data.T @ g]))
+        b.accumulate(g.sum(axis=0))
+
+    out._backward = backward
+    return out
+
+
+def unfused_aggregate(values, dst, n_dst, mode):
+    """Mean or max over destination-sorted rows; max gradients go to the first
+    row attaining the maximum."""
+    counts = np.bincount(dst, minlength=n_dst)
+    if mode == "mean":
+        data = ad._sum_rows_at(values.data, dst, n_dst)
+        data /= counts[:, None]
+        out = Tensor(data, (values,))
+        out._backward = lambda g: values.accumulate((g / counts[:, None])[dst])
+        return out
+    n = values.shape[0]
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    data = np.maximum.reduceat(values.data, starts, axis=0)
+    hits = np.where(values.data == np.repeat(data, counts, axis=0), np.arange(n)[:, None], n)
+    winner = np.minimum.reduceat(hits, starts, axis=0)
+    out = Tensor(data, (values,))
+
+    def backward(g):
+        grad = np.zeros_like(values.data)
+        hit = winner < n
+        grad[winner[hit], np.nonzero(hit)[1]] += g[hit]
+        values.accumulate(grad)
+
+    out._backward = backward
+    return out
+
+
+def unfused_pass(src_feats, src_coords, dst_coords, edges, params):
+    """The taped composition ``degridify_features`` ran before the fused node:
+    every per-edge array of the whole edge set exists at once."""
+    node = mlp_forward(params.phi_node, src_feats)
+    rel = Tensor(dst_coords[edges.dst] - src_coords[edges.src])
+    if isinstance(params.phi_pos, PositionalNet):
+        pos = positional_forward(params.phi_pos, rel)
+    else:
+        pos = mlp_forward(params.phi_pos, rel)
+    w, b = params.phi_msg.weights, params.phi_msg.biases
+    msg = unfused_gather_concat_affine(node, edges.src, pos, w[0], b[0])
+    for i in range(1, len(w)):
+        msg = ad.affine(ad.gelu(msg), w[i], b[i])
+    agg = unfused_aggregate(msg, edges.dst, edges.n_dst, params.aggregation)
+    return mlp_forward(params.phi_upd, agg)
+
+
+BLOCK_ROWS, HIDDEN = 8, 4
+# edges per destination; blocks hold BLOCK_ROWS edges
+BLOCK_CASES = {
+    "below-one-block": [2, 3, 2],
+    "exactly-one-block": [3, 3, 2],
+    "many-blocks": [1, 3, 2, 4, 1, 2, 3, 3, 1, 4, 2, 2, 1, 3, 4, 2, 1, 1, 3, 2],
+    "destination-over-budget": [2, 13, 3, 1, 2],
+    "one-edge-before-a-large-destination": [1, 12, 3],
+    "one-row-tail": [4, 4, 1],
+}
+EXPECTED_BLOCKS = {
+    "below-one-block": [(0, 3)],
+    "exactly-one-block": [(0, 3)],
+    "destination-over-budget": [(0, 1), (1, 2), (2, 5)],
+    "one-edge-before-a-large-destination": [(0, 2), (2, 3)],
+    # the one-edge tail joins the block before it
+    "one-row-tail": [(0, 3)],
+}
+
+
+def block_instance(counts, net, aggregation, seed=50):
+    rng = np.random.default_rng(seed)
+    n_src, n_dst = 16, len(counts)
+    src = np.concatenate([np.sort(rng.choice(n_src, c, replace=False)) for c in counts])
+    dst = np.repeat(np.arange(n_dst), counts)
+    edges = EdgeSet(src, dst, Direction.GRID_TO_CLOUD, n_src, n_dst)
+    h = HIDDEN
+    params = init_gridifier(2, 3, h, 3, rng, omega=0.8, aggregation=aggregation)
+    if net == "plain":
+        # no sinusoid on the offsets, and a one-layer message network
+        params = GridifierParams(
+            params.phi_node, init_mlp([3, h, h], rng), init_mlp([2 * h, h], rng),
+            params.phi_upd, aggregation, h,
+        )
+    coords = (rng.uniform(-1, 1, (n_src, 3)), rng.uniform(-1, 1, (n_dst, 3)))
+    return rng.normal(size=(n_src, 2)), coords, edges, params
+
+
+class TestFusedMessagePassing:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(ad, "_MESSAGE_BLOCK_BYTES", BLOCK_ROWS * 8 * HIDDEN)
+
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_blocks_are_cut_between_destinations(self, case):
+        counts = BLOCK_CASES[case]
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        blocks = ad._segment_blocks(starts, HIDDEN)
+        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+        assert blocks[-1][1] == len(counts)
+        assert min(starts[b] - starts[a] for a, b in blocks) >= 2
+        if case in EXPECTED_BLOCKS:
+            assert blocks == EXPECTED_BLOCKS[case]
+        else:
+            assert len(blocks) > 2
+            assert max(starts[b] - starts[a] for a, b in blocks) <= BLOCK_ROWS
+
+    @pytest.mark.parametrize("net", ["sinusoid", "plain"])
+    @pytest.mark.parametrize("aggregation", ["mean", "max"])
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_forward_bits_and_gradients_match_unfused(self, case, aggregation, net):
+        feats, (src_coords, dst_coords), edges, params = block_instance(
+            BLOCK_CASES[case], net, aggregation
+        )
+        weight = np.random.default_rng(51).normal(size=(edges.n_dst, params.f_out))
+        results = []
+        for run in (degridify_features, unfused_pass):
+            x = Tensor(feats)
+            tensors = [x, *params.named_parameters().values()]
+            for t in tensors:
+                t.grad = None
+            out = run(x, src_coords, dst_coords, edges, params)
+            ad.reduce_mean(ad.mul(out, weight)).backward()
+            results.append((out.data, [t.grad for t in tensors]))
+        (fused, fused_grads), (want, want_grads) = results
+        np.testing.assert_array_equal(fused, want)
+        for got, expected in zip(fused_grads, want_grads):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_gridify_forward_holds_less_than_one_edge_array():
+    # the parent composition held about a dozen (E, H) float64 arrays at once
+    # (110 MB here); the fused node holds a few blocks of them.  phi_node runs
+    # taped over the N source rows, so its own peak is measured and set aside
+    rng = np.random.default_rng(60)
+    n, h = 8000, 16
+    coords, feats = rng.uniform(-1, 1, (n, 3)), Tensor(rng.normal(size=(n, 1)))
+    grid_coords = make_grid_coords(GridSpec(resolution=9, dim=3))
+    edges = bilateral_knn(coords, grid_coords, 9)
+    params = init_gridifier(1, h, h, 3, rng, omega=1.0)
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    node_peak = traced_peak(lambda: mlp_forward(params.phi_node, feats))
+    peak = traced_peak(lambda: gridify_features(feats, coords, grid_coords, edges, params))
+    assert peak - node_peak < edges.n_edges * h * 8
 
 
 # ---------------------------------------------------------------------------
