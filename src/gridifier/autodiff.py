@@ -25,15 +25,15 @@ from .errors import InvariantError, ShapeError
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _TWO_PI = 2.0 * np.pi
-# bytes of kernel rows ``render_apply`` renders at once: about the cache a
-# block's matmul and einsum share; 1 MiB gave the fastest forward in a sweep
-# from 32 KiB to 16 MiB at 72000 edges and C=16 (CHANGES.md)
-_RENDER_BLOCK_BYTES = 1 << 20
 # bytes of one H-wide array of a ``message_aggregate`` edge block; 256 KiB
 # gave the fastest gridify + degridify forward in a sweep from 32 KiB to
 # 8 MiB at H=16 and N=1000 and 8000, and a training step at H=128 as fast as
 # 512 KiB (CHANGES.md)
 _MESSAGE_BLOCK_BYTES = 256 << 10
+# bytes of the kernel rows of an ``edge_conv`` edge block; 512 KiB ran the
+# per-edge baseline (C=16, k=9) as fast as 256 KiB at N=1000 and 4-5% faster
+# at N=2000 and 8000, and 1 MiB was 16% slower at N=1000 (CHANGES.md)
+_RENDER_BLOCK_BYTES = 512 << 10
 
 
 class Tensor:
@@ -255,7 +255,9 @@ def _sum_rows_at(values: np.ndarray, indices: np.ndarray, n_dst: int) -> np.ndar
     Implemented as one flattened bincount, which walks rows in ascending order
     exactly like a sequential loop would — so per-destination accumulation
     order (and hence the result bits) matches the naive formulation — but
-    without the per-element dispatch cost of ``np.add.at``.
+    without the per-element dispatch cost of ``np.add.at``.  ``np.add.reduceat``
+    over destination segments does not keep that order: its sums differ from
+    the loop's in the last bits.
     """
     width = values.shape[1]
     flat_idx = (indices[:, None] * width + np.arange(width)).ravel()
@@ -263,41 +265,38 @@ def _sum_rows_at(values: np.ndarray, indices: np.ndarray, n_dst: int) -> np.ndar
     return flat.reshape(n_dst, width)
 
 
-def _check_scatter(values: Tensor, indices: np.ndarray, n_dst: int):
-    if values.ndim != 2:
-        raise ShapeError(f"scatter expects 2-d values, got {values.shape}")
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.shape != (values.shape[0],):
-        raise ShapeError(
-            f"scatter indices shape {indices.shape} != values rows ({values.shape[0]},)"
+def _by_destination(op: str, src, dst, n_src: int, n_dst: int):
+    """Edges stably sorted by destination, after a bounds check naming ``op``.
+
+    Returns src, dst, each destination's edge count, and each destination's
+    first edge row followed by the edge count.
+    """
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    if src.size and (min(src.min(), dst.min()) < 0 or src.max() >= n_src or dst.max() >= n_dst):
+        raise InvariantError(
+            f"{op} index out of bounds: sources [0, {n_src}), destinations [0, {n_dst})"
         )
-    if indices.size and (indices.min() < 0 or indices.max() >= n_dst):
-        raise InvariantError(f"scatter index out of bounds [0, {n_dst})")
-    return indices
+    counts = np.bincount(dst, minlength=n_dst)
+    if np.any(dst[1:] < dst[:-1]):
+        order = np.argsort(dst, kind="stable")
+        src, dst = src[order], dst[order]
+    starts = np.zeros(n_dst + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    return src, dst, counts, starts
 
 
-def scatter_sum(values: Tensor, indices: np.ndarray, n_dst: int) -> Tensor:
-    values = as_tensor(values)
-    indices = _check_scatter(values, indices, n_dst)
-    out = Tensor(_sum_rows_at(values.data, indices, n_dst), (values,))
-
-    def backward(g):
-        values.accumulate(g[indices])
-
-    out._backward = backward
-    return out
-
-
-def _segment_blocks(starts: np.ndarray, width: int) -> list[tuple[int, int]]:
+def _segment_blocks(starts: np.ndarray, width: int, budget: int) -> list[tuple[int, int]]:
     """Destination ranges [a, b) whose edges, rows starts[a]:starts[b], form
-    blocks of about ``_MESSAGE_BLOCK_BYTES`` for ``width`` float64 columns.
+    blocks of about ``budget`` bytes for ``width`` float64 columns.
 
     ``starts`` holds each destination's first edge row, then the edge count.
     Blocks end only between destinations; a destination with more edges than
     the budget gets a block of its own.  No block has one row unless there is
-    one edge in all, for the reason ``_render_blocks`` gives.
+    one edge in all: numpy runs a one-row matrix product as a vector-matrix
+    product, whose sums can round differently from the same row of a larger
+    product.
     """
-    step = max(2, _MESSAGE_BLOCK_BYTES // (8 * width))
+    step = max(2, budget // (8 * width))
     n_dst = starts.size - 1
     cuts = [0]
     while cuts[-1] < n_dst:
@@ -317,6 +316,68 @@ def _chain_width(layers, width: int) -> int | None:
             return None
         width = w.shape[1]
     return width
+
+
+def _positional(rel: np.ndarray, freq, layers):
+    """The positional network on the offsets ``rel``, for one edge block.
+
+    Its input is [cos 2 pi B r ; sin 2 pi B r] with B = ``freq``, or r itself
+    when ``freq`` is None; ``layers`` are (w, b) affine layers with exact GELU
+    between them.  Returns the input of each layer, (pre-activation, cdf) of
+    each GELU, and the output.
+    """
+    x = rel
+    if freq is not None:
+        z = rel @ freq.data.T
+        z *= _TWO_PI
+        x = np.empty((z.shape[0], 2 * z.shape[1]))
+        np.cos(z, out=x[:, : z.shape[1]])
+        np.sin(z, out=x[:, z.shape[1] :])
+    ins, acts = [x], []
+    for w, b in layers[:-1]:
+        pre = _affine(x, w.data, b.data)
+        cdf = _gelu_cdf(pre)
+        x = pre * cdf
+        ins.append(x)
+        acts.append((pre, cdf))
+    w, b = layers[-1]
+    return ins, acts, _affine(x, w.data, b.data)
+
+
+def _positional_grad(rel: np.ndarray, freq, layers, ins, acts, g: np.ndarray, sums) -> None:
+    """Backward of ``_positional`` for the gradient ``g`` of its output: adds
+    the gradient of every layer and of ``freq`` to ``sums``."""
+    for j in reversed(range(len(layers))):
+        w, b = layers[j]
+        sums.add(w, ins[j].T @ g)
+        sums.add(b, g.sum(axis=0))
+        if j:
+            g = _gelu_grad(*acts[j - 1], g @ w.data.T)
+        elif freq is not None:
+            g = g @ w.data.T
+            f = freq.shape[0]
+            cs = ins[0]
+            gz = -g[:, :f] * cs[:, f:] + g[:, f:] * cs[:, :f]
+            gz *= _TWO_PI
+            sums.add(freq, (rel.T @ gz).T)
+
+
+class _GradSums:
+    """Gradient parts summed across edge blocks, handed to each tensor once."""
+
+    def __init__(self):
+        self.parts: dict[int, list] = {}  # id -> [tensor, gradient]
+
+    def add(self, t: Tensor, part: np.ndarray) -> None:
+        # every part is a fresh array, so later blocks add onto the first
+        if id(t) in self.parts:
+            self.parts[id(t)][1] += part
+        else:
+            self.parts[id(t)] = [t, part]
+
+    def accumulate(self) -> None:
+        for t, part in self.parts.values():
+            t.accumulate(part)
 
 
 def message_aggregate(
@@ -347,7 +408,6 @@ def message_aggregate(
     msg_layers = [(as_tensor(w), as_tensor(b)) for w, b in msg_layers]
     src_coords = np.asarray(src_coords, dtype=np.float64)
     dst_coords = np.asarray(dst_coords, dtype=np.float64)
-    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
     dim = src_coords.shape[-1]
     pos_width = _chain_width(pos_layers, dim if freq is None else 2 * freq.shape[0])
     width = node.shape[-1]
@@ -357,61 +417,37 @@ def message_aggregate(
         or (node.ndim, src_coords.ndim, dst_coords.ndim) != (2, 2, 2)
         or node.shape[0] != src_coords.shape[0]
         or dst_coords.shape[1] != dim
-        or src.shape != dst.shape
-        or src.ndim != 1
+        or np.shape(src) != np.shape(dst)
+        or np.ndim(src) != 1
         or (freq is not None and freq.shape[1:] != (dim,))
     ):
         raise ShapeError(
             f"message_aggregate shapes incompatible: node {node.shape}, coords "
-            f"{src_coords.shape} -> {dst_coords.shape}, edges {src.shape} -> {dst.shape}, "
-            f"freq {None if freq is None else freq.shape}, "
+            f"{src_coords.shape} -> {dst_coords.shape}, edges {np.shape(src)} -> "
+            f"{np.shape(dst)}, freq {None if freq is None else freq.shape}, "
             f"pos {[w.shape for w, _ in pos_layers]}, msg {[w.shape for w, _ in msg_layers]}"
         )
     n_src, n_dst = node.shape[0], dst_coords.shape[0]
-    if src.size and (min(src.min(), dst.min()) < 0 or src.max() >= n_src or dst.max() >= n_dst):
-        raise InvariantError(
-            f"message_aggregate index out of bounds: sources [0, {n_src}), "
-            f"destinations [0, {n_dst})"
-        )
+    src, dst, counts, starts = _by_destination("message_aggregate", src, dst, n_src, n_dst)
     if mode not in ("mean", "max"):
         raise InvariantError(f"unknown message_aggregate mode {mode!r}")
-    counts = np.bincount(dst, minlength=n_dst)
     if (counts == 0).any():
         empty = int(np.argmin(counts))
         raise InvariantError(f"destination {empty} receives no edges in message_aggregate")
-    if np.any(dst[1:] < dst[:-1]):
-        order = np.argsort(dst, kind="stable")
-        src, dst = src[order], dst[order]
-    starts = np.zeros(n_dst + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    blocks = _segment_blocks(starts, width)
+    blocks = _segment_blocks(starts, width, _MESSAGE_BLOCK_BYTES)
 
-    (w0, b0), last = msg_layers[0], pos_layers[-1]
+    w0, b0 = msg_layers[0]
     w0_node, w0_pos = w0.data[:width], w0.data[width:]
 
     def messages(a: int, b: int, proj: np.ndarray):
         """The chain over destinations [a, b): their edge rows, source rows
-        and offsets, the input of each pos layer, (pre-activation, cdf) of
-        each pos GELU, the pos output, (pre-activation, cdf, output) of each
-        msg GELU, and the messages.  ``proj`` is node @ w0[:H]."""
+        and offsets, the positional network's layer inputs, GELUs and
+        output, (pre-activation, cdf, output) of each msg GELU, and the
+        messages.  ``proj`` is node @ w0[:H]."""
         rows = slice(starts[a], starts[b])
         s = src[rows]
         rel = dst_coords[dst[rows]] - src_coords[s]
-        x = rel
-        if freq is not None:
-            z = rel @ freq.data.T
-            z *= _TWO_PI
-            x = np.empty((z.shape[0], 2 * z.shape[1]))
-            np.cos(z, out=x[:, : z.shape[1]])
-            np.sin(z, out=x[:, z.shape[1] :])
-        pos_in, pos_act = [x], []
-        for w, bias in pos_layers[:-1]:
-            pre = _affine(x, w.data, bias.data)
-            cdf = _gelu_cdf(pre)
-            x = pre * cdf
-            pos_in.append(x)
-            pos_act.append((pre, cdf))
-        pos = _affine(x, last[0].data, last[1].data)
+        pos_in, pos_act, pos = _positional(rel, freq, pos_layers)
         m = proj[s]
         m += pos @ w0_pos
         m += b0.data
@@ -441,15 +477,7 @@ def message_aggregate(
     out = Tensor(data, [node, *leaves])
 
     def backward(g):
-        sums: dict[int, list] = {}  # id -> [tensor, gradient]
-
-        def add(t: Tensor, part: np.ndarray) -> None:
-            # every part is a fresh array, so later blocks add onto the first
-            if id(t) in sums:
-                sums[id(t)][1] += part
-            else:
-                sums[id(t)] = [t, part]
-
+        sums = _GradSums()
         g_mean = g / counts[:, None] if mode == "mean" else None
         # the forward keeps only the last block, and not the projected rows
         proj = node.data @ w0_node if len(blocks) > 1 else None
@@ -472,8 +500,8 @@ def message_aggregate(
                 hit = winner < n
                 gm[winner[hit], np.nonzero(hit)[1]] += g[a:b][hit]
             for (w, bias), (pre, cdf, h) in zip(msg_layers[:0:-1], msg_act[::-1]):
-                add(w, h.T @ gm)
-                add(bias, gm.sum(axis=0))
+                sums.add(w, h.T @ gm)
+                sums.add(bias, gm.sum(axis=0))
                 gm = _gelu_grad(pre, cdf, gm @ w.data.T)
             # the split first layer: the node half is summed onto source rows
             if g_rows is None:
@@ -481,100 +509,96 @@ def message_aggregate(
             else:
                 g_rows += _sum_rows_at(gm, s, n_src)
                 g_w0_pos += pos.T @ gm
-            add(b0, gm.sum(axis=0))
-            gp = gm @ w0_pos.T
-            for j in reversed(range(len(pos_layers))):
-                w, bias = pos_layers[j]
-                add(w, pos_in[j].T @ gp)
-                add(bias, gp.sum(axis=0))
-                if j:
-                    gp = _gelu_grad(*pos_act[j - 1], gp @ w.data.T)
-                elif freq is not None:
-                    gp = gp @ w.data.T
-            if freq is not None:
-                f = freq.shape[0]
-                cs = pos_in[0]
-                gz = -gp[:, :f] * cs[:, f:] + gp[:, f:] * cs[:, :f]
-                gz *= _TWO_PI
-                add(freq, (rel.T @ gz).T)
+            sums.add(b0, gm.sum(axis=0))
+            _positional_grad(rel, freq, pos_layers, pos_in, pos_act, gm @ w0_pos.T, sums)
         if g_rows is not None:
             node.accumulate(g_rows @ w0_node.T)
-            add(w0, np.concatenate([node.data.T @ g_rows, g_w0_pos]))
-        for t, part in sums.values():
-            t.accumulate(part)
+            sums.add(w0, np.concatenate([node.data.T @ g_rows, g_w0_pos]))
+        sums.accumulate()
 
     out._backward = backward
     return out
 
 
-def _render_blocks(n_rows: int, width: int) -> list[slice]:
-    """Row blocks of about ``_RENDER_BLOCK_BYTES`` for ``width`` float64 columns.
+def edge_conv(coords, x, src, dst, freq, layers) -> Tensor:
+    """Per-destination sums of source rows mixed by per-edge kernels, in blocks of edges.
 
-    No block has one row unless ``n_rows`` is 1: numpy runs a one-row matrix
-    product as a vector-matrix product, whose sums can round differently from
-    the same row of a larger product.
+    Edge e from source s to destination d renders the kernel row
+    pos(coords[d] - coords[s]), reshaped to a (c_in, c_out) matrix, and
+    carries x[s] @ that matrix; row d of the result sums the messages of the
+    edges into d in edge order, and a point without edges gets zeros.
+    ``pos`` is ``message_aggregate``'s positional network: the sinusoid of
+    ``freq`` (or the offset itself when ``freq`` is None), then the (w, b)
+    ``layers`` with exact GELU between them, the last one rendering c_in*c_out
+    kernel values per edge.
+
+    Edges are stably sorted by destination and run in blocks of about
+    ``_RENDER_BLOCK_BYTES`` of kernel rows, cut only between destinations,
+    so the bits equal those of rendering every kernel row at once and no
+    (E, c_in*c_out) array is formed.  Only the last block's intermediates are
+    kept; the backward walks the blocks from last to first and recomputes the
+    others.
     """
-    step = max(2, _RENDER_BLOCK_BYTES // (8 * width))
-    bounds = list(range(0, n_rows, step)) + [n_rows]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def render_apply(hidden, w, b, x, index: np.ndarray) -> Tensor:
-    """Per-row kernels rendered and applied: (E, H), (H, c_in*c_out) -> (E, c_out).
-
-    Row e of the result is x[index[e]] @ reshape(hidden[e] @ w + b, (c_in, c_out)),
-    the same bits as rendering every kernel row with one ``affine`` and applying
-    it with one einsum.  The rows are rendered and applied in blocks of about
-    ``_RENDER_BLOCK_BYTES``, and the backward renders each block again, so no
-    (E, c_in*c_out) array is formed in either pass.
-    """
-    hidden, w, b, x = as_tensor(hidden), as_tensor(w), as_tensor(b), as_tensor(x)
-    index = np.asarray(index, dtype=np.int64)
+    x = as_tensor(x)
+    freq = None if freq is None else as_tensor(freq)
+    layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
+    coords = np.asarray(coords, dtype=np.float64)
+    dim = coords.shape[-1]
+    width = _chain_width(layers, dim if freq is None else 2 * freq.shape[0])
     if (
-        (hidden.ndim, w.ndim, x.ndim, index.shape) != (2, 2, 2, hidden.shape[:1])
-        or w.shape[0] != hidden.shape[1]
-        or b.shape != w.shape[1:]
-        or w.shape[1] % x.shape[1]
+        width is None
+        or (coords.ndim, x.ndim) != (2, 2)
+        or x.shape[0] != coords.shape[0]
+        or width % x.shape[1]
+        or np.shape(src) != np.shape(dst)
+        or np.ndim(src) != 1
+        or (freq is not None and freq.shape[1:] != (dim,))
     ):
         raise ShapeError(
-            f"render_apply shapes incompatible: hidden {hidden.shape}, w {w.shape}, "
-            f"b {b.shape}, x {x.shape}, index {index.shape}"
+            f"edge_conv shapes incompatible: coords {coords.shape}, x {x.shape}, edges "
+            f"{np.shape(src)} -> {np.shape(dst)}, freq {None if freq is None else freq.shape}, "
+            f"layers {[w.shape for w, _ in layers]}"
         )
-    if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
-        raise InvariantError(f"render_apply index out of bounds [0, {x.shape[0]})")
-    n_rows, width = hidden.shape[0], w.shape[1]
-    c_in, c_out = x.shape[1], width // x.shape[1]
-    blocks = _render_blocks(n_rows, width)
+    n, c_in = x.shape
+    c_out = width // c_in
+    src, dst, _, starts = _by_destination("edge_conv", src, dst, n, n)
+    blocks = _segment_blocks(starts, width, _RENDER_BLOCK_BYTES)
 
-    def kernels(blk: slice) -> np.ndarray:
-        k = hidden.data[blk] @ w.data
-        k += b.data
-        return k.reshape(-1, c_in, c_out)
+    def kernels(a: int, b: int):
+        """Edge rows, source rows and offsets of destinations [a, b), the
+        positional network's layer inputs and GELUs, and the kernel rows
+        as (rows, c_in, c_out) matrices."""
+        rows = slice(starts[a], starts[b])
+        s = src[rows]
+        rel = coords[dst[rows]] - coords[s]
+        ins, acts, k = _positional(rel, freq, layers)
+        return rows, s, rel, ins, acts, k.reshape(-1, c_in, c_out)
 
-    data = np.empty((n_rows, c_out))
-    for blk in blocks:
-        np.einsum("nio,ni->no", kernels(blk), x.data[index[blk]], out=data[blk])
-    out = Tensor(data, (hidden, w, b, x))
+    data = np.empty((n, c_out))
+    kept = None
+    for a, b in blocks:
+        kept = None  # free the previous block before computing this one
+        kept = kernels(a, b)
+        rows, s, k = kept[0], kept[1], kept[-1]
+        msgs = np.einsum("nio,ni->no", k, x.data[s])
+        data[a:b] = _sum_rows_at(msgs, dst[rows] - a, b - a)
+    leaves = [] if freq is None else [freq]
+    out = Tensor(data, [x, *leaves, *(t for layer in layers for t in layer)])
 
     def backward(g):
-        g_hidden = np.empty(hidden.shape)
-        g_w = np.zeros(w.shape)
-        g_b = np.zeros(width)
-        g_rows = np.empty((n_rows, c_in))
-        for blk in blocks:
-            g_blk, x_blk = g[blk], x.data[index[blk]]
-            # d(out)/d(kernel row) is the outer product of the source row and g
-            g_k = (x_blk[:, :, None] * g_blk[:, None, :]).reshape(-1, width)
-            g_hidden[blk] = g_k @ w.data.T
-            g_w += hidden.data[blk].T @ g_k
-            g_b += (x_blk.T @ g_blk).ravel()
-            np.einsum("nio,no->ni", kernels(blk), g_blk, out=g_rows[blk])
-        hidden.accumulate(g_hidden)
-        w.accumulate(g_w)
-        b.accumulate(g_b)
-        x.accumulate(_sum_rows_at(g_rows, index, x.shape[0]))
+        sums = _GradSums()
+        g_x = np.zeros(x.shape)
+        for i in reversed(range(len(blocks))):
+            a, b = blocks[i]
+            parts = kept if i == len(blocks) - 1 else kernels(a, b)
+            rows, s, rel, ins, acts, k = parts
+            gm = g[dst[rows]]
+            g_x += _sum_rows_at(np.einsum("nio,no->ni", k, gm), s, n)
+            # d(message)/d(kernel row) is the outer product of the source row and g
+            g_k = (x.data[s][:, :, None] * gm[:, None, :]).reshape(-1, width)
+            _positional_grad(rel, freq, layers, ins, acts, g_k, sums)
+        x.accumulate(g_x)
+        sums.accumulate()
 
     out._backward = backward
     return out

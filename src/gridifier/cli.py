@@ -246,6 +246,11 @@ def _check_values(eff: dict) -> None:
     seed = eff.get("seed")
     if seed is not None and seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    resolutions = eff.get("grid_resolution")
+    if resolutions is not None and min(np.atleast_1d(resolutions)) < 1:
+        raise ConfigError(
+            f"grid_resolution (--resolution) must be >= 1, got {_show(resolutions)}"
+        )
     widths = eff.get("hidden_channels")
     if widths is not None and min(np.atleast_1d(widths)) < 1:
         raise ConfigError(f"hidden_channels (--channels) must be >= 1, got {_show(widths)}")
@@ -319,7 +324,9 @@ def _cmd_degridify(eff: dict) -> None:
         raise ShapeError(
             f"grid is {grid_file.dim}-d but target cloud is {target.dim}-d"
         )
-    resolution = eff["grid_resolution"] or _infer_resolution(grid_file.n_points, grid_file.dim)
+    resolution = eff["grid_resolution"]
+    if resolution is None:
+        resolution = _infer_resolution(grid_file.n_points, grid_file.dim)
     spec = GridSpec(resolution=resolution, dim=grid_file.dim)
     lattice = make_grid_coords(spec)
     if grid_file.coords.shape != lattice.shape or not np.allclose(

@@ -126,8 +126,8 @@ def _check_common(cfg, n_cells: int) -> None:
             raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     if not 0 <= cfg.warmup < cfg.epochs:
         raise ConfigError(f"warmup must be in [0, epochs={cfg.epochs}), got {cfg.warmup}")
-    if not cfg.omega > 0:
-        raise ConfigError(f"omega must be > 0, got {cfg.omega}")
+    if not (np.isfinite(cfg.omega) and cfg.omega > 0):
+        raise ConfigError(f"omega must be finite and > 0, got {cfg.omega}")
     if not (np.isfinite(cfg.lr) and cfg.lr > 0):
         raise ConfigError(f"lr must be finite and > 0, got {cfg.lr}")
     if not (np.isfinite(cfg.weight_decay) and cfg.weight_decay >= 0):
@@ -321,8 +321,8 @@ class ClassifyConfig:
             raise ConfigError(f"kernel_size must be odd and positive, got {self.kernel_size}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not self.noise >= 0.0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if not (np.isfinite(self.noise) and self.noise >= 0.0):
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
         _check_common(self, self.resolution**3)
 
 

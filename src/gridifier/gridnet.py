@@ -9,8 +9,9 @@ applies it as K shifted matmuls along the first axis over one windowed copy of
 the trailing axes, with no per-cell window matrix.  ``conv_point_native`` is the
 irregular counterpart — the same positional network evaluated once per edge —
 kept as a baseline so the two cost profiles can be compared directly.  It
-still renders one kernel matrix per edge, now in blocks of edges that are
-applied as they are rendered, so no (|E|, c_in * c_out) array exists.
+renders one kernel matrix per edge, in ``autodiff.edge_conv``'s blocks of
+edges that are applied and summed as they are rendered, so no
+(|E|, c_in * c_out) array exists.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .connectivity import Direction, EdgeSet
 from .errors import ConfigError, InvariantError, ShapeError
-from .nn import PositionalNet, init_positional_net, positional_forward, positional_hidden
+from .nn import PositionalNet, init_positional_net, positional_forward
 from .pccore import GridSpec
 
 __all__ = [
@@ -242,10 +243,9 @@ def conv_point_native(
 
     Each edge evaluates the positional network at c_dst - c_src, reshapes the
     resulting row into a (c_in, c_out) mixing matrix, applies it to the source
-    features, and sums contributions per destination in edge order.  The
-    network's hidden layers run once over all edges; ``autodiff.render_apply``
-    renders the last layer's kernel rows and applies them in cache-sized
-    blocks of edges, so no (|E|, c_in * c_out) array is formed.  Costs |E|
+    features, and sums contributions per destination in edge order.  The whole
+    chain is one ``autodiff.edge_conv`` node that runs in cache-sized blocks
+    of edges, so no (|E|, c_in * c_out) array is formed.  Costs |E|
     positional evaluations per call — the quantity the grid path amortizes
     away.
     """
@@ -266,11 +266,10 @@ def conv_point_native(
         raise ShapeError(
             f"kernel net emits {kernel_net.out_width} values per edge, not a multiple of c_in={c_in}"
         )
-    rel = coords[edges.dst] - coords[edges.src]
-    hidden = positional_hidden(kernel_net, Tensor(rel))
     head = kernel_net.head
-    msgs = ad.render_apply(hidden, head.weights[-1], head.biases[-1], feats, edges.src)
-    out = ad.scatter_sum(msgs, edges.dst, n)
+    out = ad.edge_conv(
+        coords, feats, edges.src, edges.dst, kernel_net.rff.freq, zip(head.weights, head.biases)
+    )
     if counter is not None:
         counter.bump(pos_evals=edges.src.size, applications=1)
     return out

@@ -75,9 +75,7 @@ def init_mlp(widths: list[int], rng: np.random.Generator) -> MlpParams:
     return MlpParams(weights, biases)
 
 
-def mlp_hidden(params: MlpParams, x: Tensor) -> Tensor:
-    """The network up to its last affine layer: every hidden layer with its
-    GELU, or ``x`` itself for a single-layer MLP."""
+def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
     x = ad.as_tensor(x)
     if x.shape[-1] != params.in_width:
         raise ShapeError(
@@ -85,11 +83,7 @@ def mlp_hidden(params: MlpParams, x: Tensor) -> Tensor:
         )
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         x = ad.gelu(ad.affine(x, w, b))
-    return x
-
-
-def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
-    return ad.affine(mlp_hidden(params, x), params.weights[-1], params.biases[-1])
+    return ad.affine(x, params.weights[-1], params.biases[-1])
 
 
 @dataclass
@@ -174,11 +168,6 @@ def init_positional_net(
     rff = init_rff(omega, n_frequencies, dim, rng)
     head = init_mlp([rff.out_width, *hidden, out_width], rng)
     return PositionalNet(rff, head)
-
-
-def positional_hidden(net: PositionalNet, rel_pos: Tensor) -> Tensor:
-    """``positional_forward`` up to the head's last affine layer."""
-    return mlp_hidden(net.head, rff_embed(net.rff, rel_pos))
 
 
 def positional_forward(net: PositionalNet, rel_pos: Tensor) -> Tensor:

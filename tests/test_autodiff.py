@@ -22,6 +22,31 @@ def aggregate_rows(values, dst, n_dst, mode):
     )
 
 
+def sum_rows(values, dst):
+    """``edge_conv`` whose message on edge e is row e of ``values``: one
+    source row per edge and an identity kernel on every edge."""
+    values = ad.as_tensor(values)
+    n_rows, width = values.shape
+    identity = np.eye(width).ravel()
+    return ad.edge_conv(
+        np.zeros((n_rows, 1)), values, np.arange(n_rows), dst, None,
+        [(np.zeros((1, width * width)), identity)],
+    )
+
+
+def edge_conv_inputs(rng, n=6, c_in=2, c_out=3, freqs=2, hidden=4):
+    """Tensor inputs of ``edge_conv`` in a fixed order: source rows,
+    frequencies, then (w, b) of a hidden layer and of the kernel layer."""
+    shapes = [(n, c_in), (freqs, 2), (2 * freqs, hidden), (hidden,),
+              (hidden, c_in * c_out), (c_in * c_out,)]
+    return [rand(rng, *shape) for shape in shapes]
+
+
+def apply_edge_conv(ts, coords, edges):
+    x, freq, *layers = ts
+    return ad.edge_conv(coords, x, *edges, freq, [layers[:2], layers[2:]])
+
+
 def message_inputs(rng, n_src=5, n_dst=4, dim=2, width=3, freqs=2, hidden=4):
     """Tensor inputs of ``message_aggregate`` in a fixed order: node rows,
     frequencies, then (w, b) of a two-layer positional head and a two-layer
@@ -138,44 +163,66 @@ class TestForwardValues:
         with pytest.raises(InvariantError, match="mode 'sum'"):
             apply_message_aggregate(ts, coords, edges, "sum")
 
-    def test_scatter_sum_bits_match_sequential_loop(self):
-        # the vectorized row summation must reproduce a left-to-right
-        # accumulation exactly, bit for bit, not merely to rounding error
+    def test_edge_conv_sums_bits_match_sequential_loop(self, monkeypatch):
+        # the per-destination sums must reproduce a left-to-right
+        # accumulation exactly, bit for bit, not merely to rounding error,
+        # also with a budget of 8 rows, so each destination is a block of
+        # its own (np.add.reduceat over the destination segments does not:
+        # its sums differ in the last bits)
         rng = np.random.default_rng(40)
         values = rand(rng, 200, 4)
         idx = rng.integers(0, 7, size=200)
-        expected = np.zeros((7, 4))
+        expected = np.zeros((200, 4))
         for i in range(200):
             expected[idx[i]] += values[i]
-        out = ad.scatter_sum(Tensor(values), idx, 7)
-        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(sum_rows(values, idx).data, expected)
+        monkeypatch.setattr(ad, "_RENDER_BLOCK_BYTES", 8 * 8 * 16)
+        np.testing.assert_array_equal(sum_rows(values, idx).data, expected)
 
-    def test_render_apply_rejects_out_of_range_indices(self):
-        hidden, w, b = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 4))), Tensor(np.zeros(4))
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        for bad in ([1, -1, 0], [2, 0, 0]):
-            with pytest.raises(InvariantError, match="out of bounds"):
-                ad.render_apply(hidden, w, b, x, np.array(bad))
+    def test_edge_conv_rejects_out_of_range_indices(self):
+        ts = edge_conv_inputs(np.random.default_rng(43), n=2)
+        coords = np.zeros((2, 2))
+        for bad in (([1, -1, 0], [0, 1, 1]), ([0, 0, 1], [0, 2, 1])):
+            with pytest.raises(InvariantError, match="edge_conv index out of bounds"):
+                apply_edge_conv(ts, coords, [np.array(e) for e in bad])
 
-    def test_render_apply_rejects_a_width_that_is_no_kernel(self):
-        # 4 kernel values per row do not fill (3, c_out) matrices
-        hidden, w, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 4))), Tensor(np.zeros(4))
-        with pytest.raises(ShapeError, match="render_apply"):
-            ad.render_apply(hidden, w, b, Tensor(np.ones((2, 3))), np.array([0, 1]))
+    def test_edge_conv_rejects_bad_shapes(self):
+        rng = np.random.default_rng(44)
+        ts = edge_conv_inputs(rng, n=4)
+        coords = rand(rng, 4, 2)
+        edges = (np.array([0, 1, 3]), np.array([1, 1, 2]))
+        apply_edge_conv(ts, coords, edges)
+        bad_shapes = {
+            # 6 kernel values per row do not fill (4, c_out) matrices
+            "a width that is no kernel": ([rand(rng, 4, 4), *ts[1:]], coords, edges),
+            "source rows != points": ([rand(rng, 3, 2), *ts[1:]], coords, edges),
+            "coords in 3-d": (ts, rand(rng, 4, 3), edges),
+            "edge arrays of two lengths": (ts, coords, (edges[0], edges[1][:2])),
+            "layers that do not chain": (ts[:4] + [rand(rng, 3, 6)] + ts[5:], coords, edges),
+            "bias of the wrong width": (ts[:5] + [rand(rng, 5)], coords, edges),
+        }
+        for what, (inputs, cs, es) in bad_shapes.items():
+            with pytest.raises(ShapeError, match="edge_conv"):
+                apply_edge_conv(inputs, cs, es)
+                pytest.fail(what)
 
     @pytest.mark.parametrize("n_rows", [1, 2, 9, 10, 11, 13])
-    def test_render_apply_matches_row_products(self, monkeypatch, n_rows):
-        # blocks of 3 rows: one block, several, and a one-row tail that is
-        # folded into the block before it
+    def test_edge_conv_matches_row_products(self, monkeypatch, n_rows):
+        # one edge per destination and blocks of 3 rows: one block, several,
+        # and a one-row tail that is folded into the block before it
         monkeypatch.setattr(ad, "_RENDER_BLOCK_BYTES", 3 * 8 * 6)
-        blocks = ad._render_blocks(n_rows, 6)
-        assert [i for blk in blocks for i in range(n_rows)[blk]] == list(range(n_rows))
-        assert n_rows == 1 or min(blk.stop - blk.start for blk in blocks) >= 2
+        starts = np.arange(n_rows + 1)
+        blocks = ad._segment_blocks(starts, 6, ad._RENDER_BLOCK_BYTES)
+        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+        assert blocks[-1][1] == n_rows
+        assert n_rows == 1 or min(b - a for a, b in blocks) >= 2
         rng = np.random.default_rng(21)
-        hidden, w, b, x = rand(rng, n_rows, 4), rand(rng, 4, 6), rand(rng, 6), rand(rng, 5, 2)
-        index = rng.integers(0, 5, size=n_rows)
-        out = ad.render_apply(Tensor(hidden), Tensor(w), Tensor(b), Tensor(x), index)
-        expected = np.stack([x[i] @ (h @ w + b).reshape(2, 3) for i, h in zip(index, hidden)])
+        coords, w, b, x = rand(rng, n_rows, 2), rand(rng, 2, 6), rand(rng, 6), rand(rng, n_rows, 2)
+        src = rng.integers(0, n_rows, size=n_rows)
+        out = ad.edge_conv(coords, Tensor(x), src, np.arange(n_rows), None, [(w, b)])
+        expected = np.stack([
+            x[s] @ ((coords[d] - coords[s]) @ w + b).reshape(2, 3) for d, s in enumerate(src)
+        ])
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-13)
 
     def test_gelu_matches_definition(self):
@@ -268,14 +315,6 @@ class TestGradients:
             arrays,
         )
 
-    def test_scatter_sum(self):
-        rng = np.random.default_rng(9)
-        arrays = [rand(rng, 8, 3)]
-        idx = rng.integers(0, 4, size=8)
-        assert_grads_match(
-            lambda ts: ad.reduce_mean(ad.scatter_sum(ts[0], idx, 4)), arrays
-        )
-
     @pytest.mark.parametrize("mode", ["mean", "max"])
     def test_message_aggregate(self, monkeypatch, mode):
         # blocks of 4 edges of width 3, so the backward recomputes blocks and
@@ -286,7 +325,7 @@ class TestGradients:
         dst = np.repeat(np.arange(6), [2, 1, 6, 3, 2, 3])
         src = rng.integers(0, 5, size=dst.size)
         starts = np.concatenate([[0], np.cumsum(np.bincount(dst))])
-        assert len(ad._segment_blocks(starts, 3)) >= 4
+        assert len(ad._segment_blocks(starts, 3, ad._MESSAGE_BLOCK_BYTES)) >= 4
         coords = (rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (6, 2)))
         arrays = message_inputs(rng, n_dst=6)
         weight = rand(rng, 6, 3)
@@ -296,16 +335,26 @@ class TestGradients:
 
         assert_grads_match(build, arrays)
 
-    def test_render_apply(self, monkeypatch):
-        # blocks of 3 edges, so block boundaries fall inside the edge range;
-        # source rows 1 and 3 are unused, rows 0 and 2 repeat
+    def test_edge_conv(self, monkeypatch):
+        # blocks of 3 edges of 6 kernel values, so the backward recomputes
+        # blocks and sums every gradient across them; destination 2 has more
+        # edges than a block, point 5 receives none, source rows 1 and 3 are
+        # unused, and the edges arrive unsorted
         monkeypatch.setattr(ad, "_RENDER_BLOCK_BYTES", 3 * 8 * 6)
         rng = np.random.default_rng(11)
-        index = np.array([0, 5, 2, 2, 4, 0, 2, 5, 0, 2])
-        arrays = [rand(rng, 10, 4), rand(rng, 4, 6), rand(rng, 6), rand(rng, 6, 2)]
-        weight = rand(rng, 10, 3)
+        dst = np.repeat(np.arange(5), [2, 1, 4, 3, 2])
+        src = np.array([0, 5, 2, 2, 4, 0, 2, 5, 0, 2, 4, 5])
+        order = rng.permutation(dst.size)
+        starts = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=6))])
+        assert len(ad._segment_blocks(starts, 6, ad._RENDER_BLOCK_BYTES)) >= 4
+        coords = rng.uniform(-1, 1, (6, 2))
+        arrays = edge_conv_inputs(rng)
+        weight = rand(rng, 6, 3)
         assert_grads_match(
-            lambda ts: ad.reduce_mean(ad.mul(ad.render_apply(*ts, index), weight)), arrays
+            lambda ts: ad.reduce_mean(
+                ad.mul(apply_edge_conv(ts, coords, (src[order], dst[order])), weight)
+            ),
+            arrays,
         )
 
     def test_affine(self):
@@ -374,7 +423,7 @@ class TestGradients:
 
         def build(ts):
             h = ad.gelu(ad.add(ts[0] @ ts[1], ts[2]))
-            pooled = ad.scatter_sum(h, idx, 3)
+            pooled = aggregate_rows(h, idx, 3, "mean")
             return ad.reduce_mean(ad.mul(pooled @ ts[3], pooled @ ts[3]))
 
         assert_grads_match(build, arrays)

@@ -261,6 +261,7 @@ class TestTrainingCommands:
         ("train-classify", ["--epochs", "5"], "warmup"),
         ("train-classify", ["--channels", "0"], "channels"),
         ("train-classify", ["--noise", "-1"], "noise"),
+        ("train-classify", ["--noise", "inf"], "noise"),
         ("train-classify", ["--k", "0"], "k"),
         ("train-classify", ["--kernel-size", "4"], "kernel_size"),
         ("train-classify", ["--dropout", "1.5"], "dropout"),
@@ -328,6 +329,10 @@ BAD_VALUES = [
       for task in ("gridify", "degridify", "bench")],
     *[(task, ["--omega", value], [], None, "omega")
       for task in ("gridify", "degridify", "bench") for value in ("nan", "inf")],
+    *[(task, ["--resolution", "0"], [], None, "resolution")
+      for task in ("gridify", "degridify", "train-classify", "bench", "inspect")],
+    *[("train-recon", ["--resolution", value], [], None, "resolution") for value in ("0", "4,0")],
+    ("degridify", [], ["grid_resolution=-2"], None, "resolution"),
     *[(task, ["--seed", "-1"], [], None, "seed") for task in SEEDED],
     *[(task, [], ["seed=-1"], None, "seed") for task in SEEDED],
     *[(task, [], [], "-3", "GRIDIFIER_SEED") for task in SEEDED],

@@ -137,6 +137,11 @@ class TestReconConfig:
         with pytest.raises(ConfigError, match="n_points"):
             ReconConfig(**{**TINY_RECON, "n_points": 3, "k": 4})
 
+    @pytest.mark.parametrize("omega", [np.inf, np.nan])
+    def test_rejects_non_finite_omega(self, omega):
+        with pytest.raises(ConfigError, match="omega must be finite"):
+            ReconConfig(**{**TINY_RECON, "omega": omega})
+
     def test_rejects_one_checkpoint_for_a_sweep(self):
         # every setting would overwrite the same file, keeping only the last
         with pytest.raises(ConfigError, match="checkpoint"):
@@ -177,6 +182,12 @@ class TestReconTraining:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match="epoch"):
                 train_reconstruction(cfg)
+
+    @pytest.mark.parametrize("field", ["omega", "noise"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_omega_and_noise(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            ClassifyConfig(**{**TINY_CLASSIFY, field: value})
 
     def test_checkpoint_written(self, tmp_path):
         path = tmp_path / "recon.ckpt"
@@ -243,6 +254,12 @@ class TestClassify:
     def test_rejects_k_above_n_points(self):
         with pytest.raises(ConfigError, match="n_points"):
             ClassifyConfig(**{**TINY_CLASSIFY, "n_points": 5, "k": 6})
+
+    @pytest.mark.parametrize("field", ["omega", "noise"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_omega_and_noise(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            ClassifyConfig(**{**TINY_CLASSIFY, field: value})
 
     def test_checkpoint_written(self, tmp_path):
         path = tmp_path / "cls.ckpt"

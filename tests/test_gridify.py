@@ -401,7 +401,7 @@ class TestFusedMessagePassing:
     def test_blocks_are_cut_between_destinations(self, case):
         counts = BLOCK_CASES[case]
         starts = np.concatenate([[0], np.cumsum(counts)])
-        blocks = ad._segment_blocks(starts, HIDDEN)
+        blocks = ad._segment_blocks(starts, HIDDEN, ad._MESSAGE_BLOCK_BYTES)
         assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
         assert blocks[-1][1] == len(counts)
         assert min(starts[b] - starts[a] for a, b in blocks) >= 2

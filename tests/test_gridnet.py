@@ -429,20 +429,40 @@ class TestNativePointConv:
         ids=["below-one-block", "one-block", "partial-last-block", "one-row-tail"],
     )
     def test_forward_bits_match_unblocked_composition(self, c_in, n_blocks, halves, extra):
-        c_out = 16
-        rows = ad._render_blocks(10**6, c_in * c_out)[0].stop
+        c_out, k = 16, 8
+        rows = ad._RENDER_BLOCK_BYTES // (8 * c_in * c_out)
+        assert rows % (2 * k) == 0  # blocks end where a destination's edges do
         n_edges = halves * rows // 2 + extra
         rng = np.random.default_rng(c_in + halves)
-        n = n_edges // 8 + 1
+        n = n_edges // k + 1
         coords = rng.uniform(-1, 1, (n, 3))
         # the first n_edges of a sorted edge set are a sorted edge set
-        full = self_knn(coords, 9)
+        full = self_knn(coords, k)
         edges = EdgeSet(full.src[:n_edges], full.dst[:n_edges], Direction.CLOUD_TO_CLOUD, n, n)
-        assert len(ad._render_blocks(n_edges, c_in * c_out)) == n_blocks
+        starts = np.concatenate([[0], np.cumsum(np.bincount(edges.dst, minlength=n))])
+        blocks = ad._segment_blocks(starts, c_in * c_out, ad._RENDER_BLOCK_BYTES)
+        assert len(blocks) == n_blocks
         feats = rand(rng, n, c_in)
         net = init_positional_net(1.0, 8, 3, [32], c_in * c_out, rng)
         out = conv_point_native(coords, Tensor(feats), edges, net)
         np.testing.assert_array_equal(out.data, self.unblocked_native(coords, feats, edges, net))
+
+    def test_forward_holds_no_hidden_layer(self):
+        # the positional network runs on one block of edges at a time, so
+        # not even one (E, 32) array of its hidden layer exists at once
+        rng = np.random.default_rng(28)
+        n, k, c = 2222, 9, 16
+        coords = rng.uniform(-1, 1, (n, 3))
+        edges = self_knn(coords, k)
+        feats = Tensor(rand(rng, n, c))
+        net = init_positional_net(1.0, 8, 3, [32], c * c, rng)
+        tracemalloc.start()
+        try:
+            conv_point_native(coords, feats, edges, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < edges.n_edges * 32 * 8, f"traced peak {peak / 2**20:.1f} MiB"
 
     def test_forward_holds_no_kernel_rows(self):
         # a two-frequency net with no hidden layer keeps the per-edge
