@@ -9,9 +9,9 @@ central finite differences in the test suite.
 
 Each forward op builds its full-size output in one buffer.  A tensor adopts
 the first gradient array it receives without copying it, and that array may
-be shared (``add`` hands one array to both parents, ``reshape`` and
-``transpose2d`` hand down views), so a stored ``grad`` is never written in
-place: later contributions replace it with a new sum.
+be shared (``add`` hands one array to both parents, ``reshape`` hands down a
+view), so a stored ``grad`` is never written in place: later contributions
+replace it with a new sum.
 """
 
 from __future__ import annotations
@@ -117,9 +117,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -174,20 +171,6 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, (a, b))
-
-    def backward(g):
-        a.accumulate(g @ b.data.T)
-        b.accumulate(a.data.T @ g)
-
-    out._backward = backward
-    return out
-
-
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = x @ w
     out += b
@@ -195,7 +178,7 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def affine(x, w, b) -> Tensor:
-    """Fused x @ w + row-broadcast bias; one node instead of matmul-then-add."""
+    """x @ w plus a row-broadcast bias, as one node."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"affine shapes incompatible: {x.shape} @ {w.shape} + {b.shape}")
@@ -205,19 +188,6 @@ def affine(x, w, b) -> Tensor:
         x.accumulate(g @ w.data.T)
         w.accumulate(x.data.T @ g)
         b.accumulate(g.sum(axis=0))
-
-    out._backward = backward
-    return out
-
-
-def transpose2d(t: Tensor) -> Tensor:
-    t = as_tensor(t)
-    if t.ndim != 2:
-        raise ShapeError(f"transpose2d expects a 2-d tensor, got {t.shape}")
-    out = Tensor(t.data.T, (t,))
-
-    def backward(g):
-        t.accumulate(g.T)
 
     out._backward = backward
     return out
@@ -378,6 +348,37 @@ class _GradSums:
     def accumulate(self) -> None:
         for t, part in self.parts.values():
             t.accumulate(part)
+
+
+def positional(rel, freq, layers) -> Tensor:
+    """The positional network on the offsets ``rel`` (m, D), as one node.
+
+    It is ``message_aggregate``'s and ``edge_conv``'s positional network: the
+    sinusoid of ``freq`` (F, D), or the offset itself when ``freq`` is None,
+    then the (w, b) ``layers`` with exact GELU between them.  ``rel`` is a
+    constant: gradients reach ``freq`` and the layers only.
+    """
+    freq = None if freq is None else as_tensor(freq)
+    layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
+    rel = np.asarray(rel, dtype=np.float64)
+    dim = rel.shape[-1]
+    width = _chain_width(layers, dim if freq is None else 2 * freq.shape[0])
+    if width is None or rel.ndim != 2 or (freq is not None and freq.shape[1:] != (dim,)):
+        raise ShapeError(
+            f"positional shapes incompatible: offsets {rel.shape}, "
+            f"freq {None if freq is None else freq.shape}, layers {[w.shape for w, _ in layers]}"
+        )
+    ins, acts, data = _positional(rel, freq, layers)
+    leaves = [] if freq is None else [freq]
+    out = Tensor(data, [*leaves, *(t for layer in layers for t in layer)])
+
+    def backward(g):
+        sums = _GradSums()
+        _positional_grad(rel, freq, layers, ins, acts, g, sums)
+        sums.accumulate()
+
+    out._backward = backward
+    return out
 
 
 def message_aggregate(
@@ -723,23 +724,6 @@ def gelu(t: Tensor) -> Tensor:
 
     def backward(g):
         t.accumulate(_gelu_grad(t.data, cdf, g))
-
-    out._backward = backward
-    return out
-
-
-def cos_sin(t: Tensor) -> Tensor:
-    """[cos t ; sin t] along the last axis; the backward reads both halves."""
-    t = as_tensor(t)
-    width = t.shape[-1]
-    data = np.empty(t.shape[:-1] + (2 * width,))
-    c, s = data[..., :width], data[..., width:]
-    np.cos(t.data, out=c)
-    np.sin(t.data, out=s)
-    out = Tensor(data, (t,))
-
-    def backward(g):
-        t.accumulate(-g[..., :width] * s + g[..., width:] * c)
 
     out._backward = backward
     return out

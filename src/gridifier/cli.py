@@ -251,6 +251,10 @@ def _check_values(eff: dict) -> None:
         raise ConfigError(
             f"grid_resolution (--resolution) must be >= 1, got {_show(resolutions)}"
         )
+    for key, flag in (("nr_neighbors", "--k"), ("nr_conv_blocks", "--blocks")):
+        value = eff.get(key)
+        if value is not None and value < 1:
+            raise ConfigError(f"{key} ({flag}) must be >= 1, got {value}")
     widths = eff.get("hidden_channels")
     if widths is not None and min(np.atleast_1d(widths)) < 1:
         raise ConfigError(f"hidden_channels (--channels) must be >= 1, got {_show(widths)}")

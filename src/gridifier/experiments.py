@@ -515,6 +515,8 @@ def bench_scaling(
         raise ConfigError(f"need >= 5 repetitions for stable medians, got {repetitions}")
     if len(n_list) < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError(f"cloud sizes must be strictly increasing, got {n_list}")
+    if n_layers < 1:
+        raise ConfigError(f"need at least one convolution layer, got n_layers={n_layers}")
 
     spec = GridSpec(resolution=resolution, dim=3)
     grid_coords = make_grid_coords(spec)

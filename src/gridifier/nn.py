@@ -17,8 +17,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
-TWO_PI = 2.0 * np.pi
-
 
 def decays_weight(name: str) -> bool:
     """Whether the named parameter participates in weight decay."""
@@ -121,14 +119,6 @@ def init_rff(omega: float, n_frequencies: int, dim: int, rng: np.random.Generato
     return RffConfig(omega, Tensor(rng.normal(0.0, omega, (n_frequencies, dim))))
 
 
-def rff_embed(cfg: RffConfig, rel_pos: Tensor) -> Tensor:
-    """[cos(2 pi B p) ; sin(2 pi B p)] per row; bounded in [-1, 1] elementwise."""
-    rel_pos = ad.as_tensor(rel_pos)
-    if rel_pos.shape[-1] != cfg.dim:
-        raise ShapeError(f"rff expects width {cfg.dim}, got input shape {rel_pos.shape}")
-    return ad.cos_sin(ad.mul(ad.matmul(rel_pos, ad.transpose2d(cfg.freq)), TWO_PI))
-
-
 @dataclass
 class PositionalNet:
     """Relative-coordinate network: sinusoidal features followed by an MLP head.
@@ -170,5 +160,9 @@ def init_positional_net(
     return PositionalNet(rff, head)
 
 
-def positional_forward(net: PositionalNet, rel_pos: Tensor) -> Tensor:
-    return mlp_forward(net.head, rff_embed(net.rff, rel_pos))
+def positional_forward(net: PositionalNet, rel_pos: np.ndarray) -> Tensor:
+    """The network on the constant (m, dim) offsets ``rel_pos``, as one
+    ``autodiff.positional`` node: [cos 2 pi B p ; sin 2 pi B p] per row, then
+    the head."""
+    head = net.head
+    return ad.positional(rel_pos, net.rff.freq, zip(head.weights, head.biases))

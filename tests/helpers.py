@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
+from gridifier import autodiff as ad
 from gridifier.autodiff import Tensor
 from gridifier.nn import MlpParams, PositionalNet
 
@@ -48,6 +49,38 @@ def naive_pos(net, rel_row):
         z = 2.0 * np.pi * (net.rff.freq.data @ rel_row)
         return naive_mlp(net.head, np.concatenate([np.cos(z), np.sin(z)]))
     return naive_mlp(net, rel_row)
+
+
+def _phase(rel, freq):
+    """rel @ B^T with B = ``freq``; the offsets are constants."""
+    out = Tensor(rel @ freq.data.T, (freq,))
+    out._backward = lambda g: freq.accumulate((rel.T @ g).T)
+    return out
+
+
+def _cos_sin(t):
+    """[cos t ; sin t] along the last axis; the backward reads both halves."""
+    width = t.shape[1]
+    c, s = np.cos(t.data), np.sin(t.data)
+    out = Tensor(np.concatenate([c, s], axis=1), (t,))
+    out._backward = lambda g: t.accumulate(-g[:, :width] * s + g[:, width:] * c)
+    return out
+
+
+def taped_positional(net, rel):
+    """The positional network on the offsets ``rel`` as a chain of small taped
+    nodes: [cos ; sin] of (rel @ B^T) * 2 pi, then ``ad.affine`` layers with
+    ``ad.gelu`` between them.  It is the composition ``ad.positional`` fuses,
+    in the same operation order, so both give the same bits.  A plain MLP
+    runs on the offsets themselves."""
+    if isinstance(net, PositionalNet):
+        x = _cos_sin(ad.mul(_phase(rel, net.rff.freq), 2.0 * np.pi))
+        net = net.head
+    else:
+        x = Tensor(rel)
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        x = ad.affine(ad.gelu(x) if i else x, w, b)
+    return x
 
 
 def numeric_grad(f, arrays, which, h=FD_STEP):

@@ -249,19 +249,14 @@ class TestForwardValues:
         with pytest.raises(ShapeError, match="r=4"):
             ad.grid_correlate(x, Tensor(np.zeros((9, 2, 1))), 4, 2, 3)
 
-    def test_matmul_shape_error_names_both(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+    def test_positional_shape_error_names_offsets_and_layers(self):
+        with pytest.raises(ShapeError, match=r"offsets \(4, 3\).*\(6, 2\)"):
+            ad.positional(np.zeros((4, 3)), np.zeros((2, 3)), [(np.zeros((6, 2)), np.zeros(2))])
+        with pytest.raises(ShapeError, match=r"offsets \(4,\)"):
+            ad.positional(np.zeros(4), None, [(np.zeros((4, 2)), np.zeros(2))])
 
 
 class TestGradients:
-    def test_matmul_tight_tolerance(self):
-        rng = np.random.default_rng(1)
-        arrays = [rand(rng, 4, 5), rand(rng, 5, 3)]
-        assert_grads_match(
-            lambda ts: ad.reduce_mean(ts[0] @ ts[1]), arrays, tol=1e-6
-        )
-
     def test_add_mul_with_bias_broadcast(self):
         rng = np.random.default_rng(2)
         arrays = [rand(rng, 6, 4), rand(rng, 4), rand(rng, 6, 4)]
@@ -376,16 +371,6 @@ class TestGradients:
         arrays = [rand(rng, 5, 4)]
         assert_grads_match(lambda ts: ad.reduce_mean(op(ts[0])), arrays)
 
-    def test_cos_sin(self):
-        rng = np.random.default_rng(13)
-        arrays = [rand(rng, 4, 3), rand(rng, 4, 6)]
-        # a weight per output column, so the cos and sin halves get distinct gradients
-        assert_grads_match(
-            lambda ts: ad.reduce_mean(ad.mul(ad.cos_sin(ts[0]), ts[1])), arrays, skip=(1,)
-        )
-        out = ad.cos_sin(Tensor(arrays[0]))
-        np.testing.assert_array_equal(out.data, np.concatenate([np.cos(arrays[0]), np.sin(arrays[0])], axis=1))
-
     def test_channel_norm(self):
         rng = np.random.default_rng(14)
         arrays = [rand(rng, 6, 5), rand(rng, 5), rand(rng, 5)]
@@ -422,9 +407,10 @@ class TestGradients:
         idx = np.concatenate([np.arange(3), rng.integers(0, 3, size=4)])
 
         def build(ts):
-            h = ad.gelu(ad.add(ts[0] @ ts[1], ts[2]))
+            h = ad.gelu(ad.affine(ts[0], ts[1], ts[2]))
             pooled = aggregate_rows(h, idx, 3, "mean")
-            return ad.reduce_mean(ad.mul(pooled @ ts[3], pooled @ ts[3]))
+            out = ad.affine(pooled, ts[3], np.zeros(2))
+            return ad.reduce_mean(ad.mul(out, out))
 
         assert_grads_match(build, arrays)
 
@@ -447,12 +433,6 @@ class TestBuffers:
         x, w, b = Tensor(rand(rng, 20000, 32)), Tensor(rand(rng, 32, 64)), Tensor(rand(rng, 64))
         out, peak = self._peak_bytes(lambda: ad.affine(x, w, b))
         np.testing.assert_array_equal(out.data, x.data @ w.data + b.data)
-        assert peak < 1.1 * out.data.nbytes
-
-    def test_cos_sin_peak_is_one_output(self):
-        t = Tensor(rand(np.random.default_rng(31), 20000, 8))
-        out, peak = self._peak_bytes(lambda: ad.cos_sin(t))
-        np.testing.assert_array_equal(out.data, np.concatenate([np.cos(t.data), np.sin(t.data)], 1))
         assert peak < 1.1 * out.data.nbytes
 
     def test_message_aggregate_keeps_the_sum_order(self):

@@ -333,6 +333,11 @@ BAD_VALUES = [
       for task in ("gridify", "degridify", "train-classify", "bench", "inspect")],
     *[("train-recon", ["--resolution", value], [], None, "resolution") for value in ("0", "4,0")],
     ("degridify", [], ["grid_resolution=-2"], None, "resolution"),
+    *[(task, ["--k", "0"], [], None, "nr_neighbors (--k)")
+      for task in ("gridify", "degridify", "train-recon", "train-classify", "bench", "inspect")],
+    ("inspect", [], ["nr_neighbors=-1"], None, "nr_neighbors (--k)"),
+    *[(task, ["--blocks", value], [], None, "nr_conv_blocks (--blocks)")
+      for task in ("train-classify", "bench") for value in ("0", "-1")],
     *[(task, ["--seed", "-1"], [], None, "seed") for task in SEEDED],
     *[(task, [], ["seed=-1"], None, "seed") for task in SEEDED],
     *[(task, [], [], "-3", "GRIDIFIER_SEED") for task in SEEDED],

@@ -380,6 +380,15 @@ class TestBench:
         with pytest.raises(ConfigError, match="increasing"):
             bench_scaling(n_list=(40, 20), c_list=(2,))
 
+    @pytest.mark.parametrize("n_layers", [0, -1])
+    def test_rejects_no_layers_before_any_cloud(self, n_layers, monkeypatch):
+        def no_cloud(*args, **kwargs):
+            raise AssertionError("a cloud was generated before n_layers was checked")
+
+        monkeypatch.setattr("gridifier.experiments.gen_random_cloud", no_cloud)
+        with pytest.raises(ConfigError, match="n_layers"):
+            bench_scaling(n_list=(20, 40), c_list=(2,), n_layers=n_layers)
+
     def test_timer_batches_fast_functions(self):
         med, mean, std, inner = _timed_stats(lambda: None, repetitions=5, warmups=0)
         assert inner > 1

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import assert_grads_match, identity_mlp, naive_mlp, naive_pos
+from helpers import assert_grads_match, identity_mlp, naive_mlp, naive_pos, taped_positional
 
 from gridifier import autodiff as ad
 from gridifier.autodiff import Tensor
@@ -25,7 +25,6 @@ from gridifier.nn import (
     RffConfig,
     init_mlp,
     mlp_forward,
-    positional_forward,
 )
 from gridifier.pccore import Grid, GridSpec, PointCloud, make_grid_coords
 
@@ -341,11 +340,7 @@ def unfused_pass(src_feats, src_coords, dst_coords, edges, params):
     """The taped composition ``degridify_features`` ran before the fused node:
     every per-edge array of the whole edge set exists at once."""
     node = mlp_forward(params.phi_node, src_feats)
-    rel = Tensor(dst_coords[edges.dst] - src_coords[edges.src])
-    if isinstance(params.phi_pos, PositionalNet):
-        pos = positional_forward(params.phi_pos, rel)
-    else:
-        pos = mlp_forward(params.phi_pos, rel)
+    pos = taped_positional(params.phi_pos, dst_coords[edges.dst] - src_coords[edges.src])
     w, b = params.phi_msg.weights, params.phi_msg.biases
     msg = unfused_gather_concat_affine(node, edges.src, pos, w[0], b[0])
     for i in range(1, len(w)):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import assert_grads_match, naive_pos, rand
+from helpers import assert_grads_match, naive_pos, rand, taped_positional
 
 from gridifier import autodiff as ad
 from gridifier.autodiff import Tensor
@@ -30,7 +30,6 @@ from gridifier.nn import (
     PositionalNet,
     RffConfig,
     init_positional_net,
-    positional_forward,
 )
 from gridifier.pccore import GridSpec, make_grid_coords
 
@@ -417,7 +416,7 @@ class TestNativePointConv:
     def unblocked_native(coords, feats, edges, net):
         """Every kernel row rendered at once, applied with one einsum and
         summed in edge order: the composition the blocked node replaces."""
-        rows = positional_forward(net, Tensor(coords[edges.dst] - coords[edges.src])).data
+        rows = taped_positional(net, coords[edges.dst] - coords[edges.src]).data
         per_edge = rows.reshape(edges.n_edges, feats.shape[1], -1)
         msgs = np.einsum("nio,ni->no", per_edge, feats[edges.src])
         return ad._sum_rows_at(msgs, edges.dst, coords.shape[0])
@@ -551,6 +550,38 @@ class TestConvGradients:
             return ad.reduce_mean(ad.mul(out, out))
 
         assert_grads_match(build, [*kernel_net_arrays(template.kernel_net), x], tol=2e-4)
+
+    def test_neural_kernel_bits_match_taped_composition(self):
+        # one kernel net applied at two spacings: the outputs, the input
+        # gradients and every kernel-net gradient carry the bits of the taped
+        # chain that the positional node fuses
+        rng = np.random.default_rng(26)
+        template = init_conv(3, 3, 2, 3, rng, omega=0.8, n_frequencies=4, hidden=[8])
+        specs = [GridSpec(resolution=4, dim=3), GridSpec(resolution=5, dim=3)]
+        assert specs[0].spacing != specs[1].spacing
+        feats = [rand(rng, s.n_points, 2) for s in specs]
+        weights = [rand(rng, s.n_points, 3) for s in specs]
+
+        def fused(net, x, spec):
+            return conv_grid_features(x, spec, ConvSpec(3, 3, 2, 3, kernel_net=net))
+
+        def taped(net, x, spec):
+            rel = -offset_lattice(3, 3).astype(np.float64) * spec.spacing
+            kernel = ad.reshape(taped_positional(net, rel), (27, 2, 3))
+            return ad.grid_correlate(x, kernel, spec.resolution, 3, 3)
+
+        def run(conv):
+            arrays = kernel_net_arrays(template.kernel_net)
+            net = rebuild_kernel_net(template.kernel_net, [Tensor(a) for a in arrays])
+            xs = [Tensor(f) for f in feats]
+            outs = [conv(net, x, spec) for x, spec in zip(xs, specs)]
+            losses = [ad.reduce_mean(ad.mul(o, w)) for o, w in zip(outs, weights)]
+            ad.add(*losses).backward()
+            params = net.named_parameters().values()
+            return [o.data for o in outs] + [x.grad for x in xs] + [p.grad for p in params]
+
+        for got, want in zip(run(fused), run(taped), strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_native_kernel_parameters(self):
         rng = np.random.default_rng(25)

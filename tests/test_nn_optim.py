@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 from helpers import assert_grads_match, identity_mlp, rand
 
 from gridifier import autodiff as ad
@@ -14,7 +15,6 @@ from gridifier.nn import (
     init_rff,
     mlp_forward,
     positional_forward,
-    rff_embed,
 )
 from gridifier.optim import AdamWState, adamw_init, adamw_step, lr_at, zero_grads
 
@@ -74,22 +74,57 @@ class TestMlp:
             np.testing.assert_array_equal(pa.data, pb.data)
 
 
+def sinusoid(cfg, rel):
+    """[cos 2 pi B r ; sin 2 pi B r] per row: the positional node with one
+    identity layer, which passes its input through exactly."""
+    width = cfg.out_width
+    return ad.positional(rel, cfg.freq, [(np.eye(width), np.zeros(width))])
+
+
+_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def taped_chain_bits(x, freq, w0, b0, w1, b1, g):
+    """The taped chain the positional node replaced, restated in numpy in its
+    operation order: the phase, [cos ; sin] (or the offsets themselves when
+    ``freq`` is None), affine, exact GELU, affine; then each node's backward
+    for the output gradient ``g``.  Returns the output and the gradients of
+    freq, w0, b0, w1 and b1."""
+    if freq is None:
+        emb = x
+    else:
+        phase = (x @ freq.T) * (2.0 * np.pi)
+        emb = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+    pre = emb @ w0 + b0
+    cdf = (erf(pre * (1.0 / np.sqrt(2.0))) + 1.0) * 0.5
+    hidden = pre * cdf
+    out = hidden @ w1 + b1
+    g_pre = (np.exp(np.square(pre) * -0.5) * _INV_SQRT2PI * pre + cdf) * (g @ w1.T)
+    grads = [None, emb.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0)]
+    if freq is not None:
+        g_emb = g_pre @ w0.T
+        f = freq.shape[0]
+        g_phase = (-g_emb[:, :f] * np.sin(phase) + g_emb[:, f:] * np.cos(phase)) * (2.0 * np.pi)
+        grads[0] = (x.T @ g_phase).T
+    return out, grads
+
+
 class TestRff:
     def test_zero_offset(self):
         cfg = init_rff(0.5, 6, 3, np.random.default_rng(0))
-        out = rff_embed(cfg, Tensor(np.zeros((4, 3))))
+        out = sinusoid(cfg, np.zeros((4, 3)))
         np.testing.assert_array_equal(out.data[:, :6], 1.0)
         np.testing.assert_array_equal(out.data[:, 6:], 0.0)
 
     def test_deterministic_per_seed(self):
         x = np.random.default_rng(3).normal(size=(5, 2))
-        a = rff_embed(init_rff(1.0, 8, 2, np.random.default_rng(7)), Tensor(x))
-        b = rff_embed(init_rff(1.0, 8, 2, np.random.default_rng(7)), Tensor(x))
+        a = sinusoid(init_rff(1.0, 8, 2, np.random.default_rng(7)), x)
+        b = sinusoid(init_rff(1.0, 8, 2, np.random.default_rng(7)), x)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_bounded(self):
         cfg = init_rff(2.0, 16, 3, np.random.default_rng(1))
-        out = rff_embed(cfg, Tensor(np.random.default_rng(2).normal(size=(50, 3))))
+        out = sinusoid(cfg, np.random.default_rng(2).normal(size=(50, 3)))
         assert out.data.min() >= -1.0 and out.data.max() <= 1.0
 
     def test_frequency_scale(self):
@@ -99,34 +134,41 @@ class TestRff:
         assert abs(std - 0.7) / 0.7 < 0.05
 
     def test_gradient_through_embedding_and_frequencies(self):
+        # the offsets are constants: the node differentiates the frequencies
+        # and every layer
         rng = np.random.default_rng(8)
-        arrays = [rand(rng, 5, 3), rand(rng, 4, 3)]
+        rel, weight = rand(rng, 5, 3), rand(rng, 5, 2)
+        arrays = [rand(rng, 4, 3), rand(rng, 8, 6), rand(rng, 6), rand(rng, 6, 2), rand(rng, 2)]
 
         def build(ts):
-            from gridifier.nn import RffConfig
-
-            cfg = RffConfig(1.0, ts[1])
-            return ad.reduce_mean(ad.mul(rff_embed(cfg, ts[0]), 2.0))
+            freq, w0, b0, w1, b1 = ts
+            out = ad.positional(rel, freq, [(w0, b0), (w1, b1)])
+            return ad.reduce_mean(ad.mul(out, weight))
 
         assert_grads_match(build, arrays)
 
-
     def test_bits_equal_cos_sin_concat_composition(self):
-        from gridifier.nn import RffConfig
+        self._check_bits(with_freq=True)
 
+    def test_bits_equal_plain_composition_without_frequencies(self):
+        self._check_bits(with_freq=False)
+
+    @staticmethod
+    def _check_bits(with_freq):
         rng = np.random.default_rng(9)
-        x, freq, weight = rand(rng, 7, 3), rand(rng, 5, 3), rand(rng, 7, 10)
-        pos, b = Tensor(x), Tensor(freq)
-        out = rff_embed(RffConfig(1.0, b), pos)
+        x, freq = rand(rng, 7, 3), rand(rng, 5, 3)
+        width = 10 if with_freq else 3
+        arrays = [rand(rng, width, 6), rand(rng, 6), rand(rng, 6, 4), rand(rng, 4)]
+        weight = rand(rng, 7, 4)
+        params = [Tensor(freq) if with_freq else None, *(Tensor(a) for a in arrays)]
+        out = ad.positional(x, params[0], [params[1:3], params[3:]])
         ad.reduce_mean(ad.mul(out, weight)).backward()
-        # the separate cos, sin and concat nodes, with their backward rules, in numpy
-        phase = (x @ freq.T) * (2.0 * np.pi)
-        np.testing.assert_array_equal(out.data, np.concatenate([np.cos(phase), np.sin(phase)], axis=1))
         g = np.full(out.shape, 1.0 / out.data.size) * weight
-        g_phase = (-g[:, :5] * np.sin(phase)) + g[:, 5:] * np.cos(phase)
-        g_phase = g_phase * (2.0 * np.pi)
-        np.testing.assert_array_equal(pos.grad, g_phase @ freq)
-        np.testing.assert_array_equal(b.grad, (x.T @ g_phase).T)
+        want, grads = taped_chain_bits(x, freq if with_freq else None, *arrays, g)
+        np.testing.assert_array_equal(out.data, want)
+        for p, grad in zip(params, grads, strict=True):
+            if p is not None:
+                np.testing.assert_array_equal(p.grad, grad)
 
 
 class TestPositionalNet:
@@ -136,11 +178,11 @@ class TestPositionalNet:
             omega=1.0, n_frequencies=4, dim=3, hidden=[8], out_width=5, rng=rng
         )
         x = np.random.default_rng(10).normal(size=(7, 3))
-        out = positional_forward(net, Tensor(x))
+        out = positional_forward(net, x)
         assert out.shape == (7, 5)
 
         params = list(net.named_parameters().values())
-        loss = ad.reduce_mean(positional_forward(net, Tensor(x)))
+        loss = ad.reduce_mean(positional_forward(net, x))
         loss.backward()
         assert all(p.grad is not None for p in params)
 
