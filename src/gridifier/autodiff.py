@@ -99,27 +99,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -288,21 +267,27 @@ def _chain_width(layers, width: int) -> int | None:
     return width
 
 
+def _positional_width(freq: Tensor, dim: int, layers) -> int | None:
+    """Output width of the positional network on ``dim``-d offsets: the
+    sinusoid of ``freq`` (F, dim) feeds 2F columns to ``layers``.  None if
+    the shapes do not fit."""
+    if freq.ndim != 2 or freq.shape[1] != dim:
+        return None
+    return _chain_width(layers, 2 * freq.shape[0])
+
+
 def _positional(rel: np.ndarray, freq, layers):
     """The positional network on the offsets ``rel``, for one edge block.
 
-    Its input is [cos 2 pi B r ; sin 2 pi B r] with B = ``freq``, or r itself
-    when ``freq`` is None; ``layers`` are (w, b) affine layers with exact GELU
-    between them.  Returns the input of each layer, (pre-activation, cdf) of
-    each GELU, and the output.
+    Its input is [cos 2 pi B r ; sin 2 pi B r] with B = ``freq``; ``layers``
+    are (w, b) affine layers with exact GELU between them.  Returns the input
+    of each layer, (pre-activation, cdf) of each GELU, and the output.
     """
-    x = rel
-    if freq is not None:
-        z = rel @ freq.data.T
-        z *= _TWO_PI
-        x = np.empty((z.shape[0], 2 * z.shape[1]))
-        np.cos(z, out=x[:, : z.shape[1]])
-        np.sin(z, out=x[:, z.shape[1] :])
+    z = rel @ freq.data.T
+    z *= _TWO_PI
+    x = np.empty((z.shape[0], 2 * z.shape[1]))
+    np.cos(z, out=x[:, : z.shape[1]])
+    np.sin(z, out=x[:, z.shape[1] :])
     ins, acts = [x], []
     for w, b in layers[:-1]:
         pre = _affine(x, w.data, b.data)
@@ -321,15 +306,14 @@ def _positional_grad(rel: np.ndarray, freq, layers, ins, acts, g: np.ndarray, su
         w, b = layers[j]
         sums.add(w, ins[j].T @ g)
         sums.add(b, g.sum(axis=0))
+        g = g @ w.data.T
         if j:
-            g = _gelu_grad(*acts[j - 1], g @ w.data.T)
-        elif freq is not None:
-            g = g @ w.data.T
-            f = freq.shape[0]
-            cs = ins[0]
-            gz = -g[:, :f] * cs[:, f:] + g[:, f:] * cs[:, :f]
-            gz *= _TWO_PI
-            sums.add(freq, (rel.T @ gz).T)
+            g = _gelu_grad(*acts[j - 1], g)
+    f = freq.shape[0]
+    cs = ins[0]
+    gz = -g[:, :f] * cs[:, f:] + g[:, f:] * cs[:, :f]
+    gz *= _TWO_PI
+    sums.add(freq, (rel.T @ gz).T)
 
 
 class _GradSums:
@@ -354,23 +338,21 @@ def positional(rel, freq, layers) -> Tensor:
     """The positional network on the offsets ``rel`` (m, D), as one node.
 
     It is ``message_aggregate``'s and ``edge_conv``'s positional network: the
-    sinusoid of ``freq`` (F, D), or the offset itself when ``freq`` is None,
-    then the (w, b) ``layers`` with exact GELU between them.  ``rel`` is a
-    constant: gradients reach ``freq`` and the layers only.
+    sinusoid of ``freq`` (F, D), then the (w, b) ``layers`` with exact GELU
+    between them.  ``rel`` is a constant: gradients reach ``freq`` and the
+    layers only.
     """
-    freq = None if freq is None else as_tensor(freq)
+    freq = as_tensor(freq)
     layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
     rel = np.asarray(rel, dtype=np.float64)
-    dim = rel.shape[-1]
-    width = _chain_width(layers, dim if freq is None else 2 * freq.shape[0])
-    if width is None or rel.ndim != 2 or (freq is not None and freq.shape[1:] != (dim,)):
+    width = _positional_width(freq, rel.shape[-1], layers)
+    if width is None or rel.ndim != 2:
         raise ShapeError(
             f"positional shapes incompatible: offsets {rel.shape}, "
-            f"freq {None if freq is None else freq.shape}, layers {[w.shape for w, _ in layers]}"
+            f"freq {freq.shape}, layers {[w.shape for w, _ in layers]}"
         )
     ins, acts, data = _positional(rel, freq, layers)
-    leaves = [] if freq is None else [freq]
-    out = Tensor(data, [*leaves, *(t for layer in layers for t in layer)])
+    out = Tensor(data, [freq, *(t for layer in layers for t in layer)])
 
     def backward(g):
         sums = _GradSums()
@@ -388,11 +370,11 @@ def message_aggregate(
 
     Edge e from source s to destination d carries the message
     msg([node[s] ; pos(dst_coords[d] - src_coords[s])]).  ``pos`` is an MLP
-    over [cos 2 pi B r ; sin 2 pi B r] with B = ``freq`` (F, D), or over the
-    offset r itself when ``freq`` is None; ``pos_layers`` and ``msg_layers``
-    are (w, b) affine layers with exact GELU between them.  msg's first layer
-    is split by linearity: node @ w0[:H] runs once per source row and is
-    gathered per edge, so no (E, 2H) concatenation exists.
+    over [cos 2 pi B r ; sin 2 pi B r] with B = ``freq`` (F, D);
+    ``pos_layers`` and ``msg_layers`` are (w, b) affine layers with exact GELU
+    between them.  msg's first layer is split by linearity: node @ w0[:H]
+    runs once per source row and is gathered per edge, so no (E, 2H)
+    concatenation exists.
 
     Edges are stably sorted by destination and run through the chain in blocks
     of about ``_MESSAGE_BLOCK_BYTES`` per H-wide array, cut only between
@@ -404,13 +386,13 @@ def message_aggregate(
     maximum, and a NaN maximum has no winner.
     """
     node = as_tensor(node)
-    freq = None if freq is None else as_tensor(freq)
+    freq = as_tensor(freq)
     pos_layers = [(as_tensor(w), as_tensor(b)) for w, b in pos_layers]
     msg_layers = [(as_tensor(w), as_tensor(b)) for w, b in msg_layers]
     src_coords = np.asarray(src_coords, dtype=np.float64)
     dst_coords = np.asarray(dst_coords, dtype=np.float64)
     dim = src_coords.shape[-1]
-    pos_width = _chain_width(pos_layers, dim if freq is None else 2 * freq.shape[0])
+    pos_width = _positional_width(freq, dim, pos_layers)
     width = node.shape[-1]
     out_width = None if pos_width is None else _chain_width(msg_layers, width + pos_width)
     if (
@@ -420,12 +402,11 @@ def message_aggregate(
         or dst_coords.shape[1] != dim
         or np.shape(src) != np.shape(dst)
         or np.ndim(src) != 1
-        or (freq is not None and freq.shape[1:] != (dim,))
     ):
         raise ShapeError(
             f"message_aggregate shapes incompatible: node {node.shape}, coords "
             f"{src_coords.shape} -> {dst_coords.shape}, edges {np.shape(src)} -> "
-            f"{np.shape(dst)}, freq {None if freq is None else freq.shape}, "
+            f"{np.shape(dst)}, freq {freq.shape}, "
             f"pos {[w.shape for w, _ in pos_layers]}, msg {[w.shape for w, _ in msg_layers]}"
         )
     n_src, n_dst = node.shape[0], dst_coords.shape[0]
@@ -473,9 +454,7 @@ def message_aggregate(
             np.maximum.reduceat(m, starts[a:b] - starts[a], axis=0, out=data[a:b])
     if mode == "mean":
         data /= counts[:, None]
-    leaves = [] if freq is None else [freq]
-    leaves += [t for layer in pos_layers + msg_layers for t in layer]
-    out = Tensor(data, [node, *leaves])
+    out = Tensor(data, [node, freq, *(t for layer in pos_layers + msg_layers for t in layer)])
 
     def backward(g):
         sums = _GradSums()
@@ -529,9 +508,8 @@ def edge_conv(coords, x, src, dst, freq, layers) -> Tensor:
     carries x[s] @ that matrix; row d of the result sums the messages of the
     edges into d in edge order, and a point without edges gets zeros.
     ``pos`` is ``message_aggregate``'s positional network: the sinusoid of
-    ``freq`` (or the offset itself when ``freq`` is None), then the (w, b)
-    ``layers`` with exact GELU between them, the last one rendering c_in*c_out
-    kernel values per edge.
+    ``freq``, then the (w, b) ``layers`` with exact GELU between them, the
+    last one rendering c_in*c_out kernel values per edge.
 
     Edges are stably sorted by destination and run in blocks of about
     ``_RENDER_BLOCK_BYTES`` of kernel rows, cut only between destinations,
@@ -541,11 +519,10 @@ def edge_conv(coords, x, src, dst, freq, layers) -> Tensor:
     others.
     """
     x = as_tensor(x)
-    freq = None if freq is None else as_tensor(freq)
+    freq = as_tensor(freq)
     layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
     coords = np.asarray(coords, dtype=np.float64)
-    dim = coords.shape[-1]
-    width = _chain_width(layers, dim if freq is None else 2 * freq.shape[0])
+    width = _positional_width(freq, coords.shape[-1], layers)
     if (
         width is None
         or (coords.ndim, x.ndim) != (2, 2)
@@ -553,11 +530,10 @@ def edge_conv(coords, x, src, dst, freq, layers) -> Tensor:
         or width % x.shape[1]
         or np.shape(src) != np.shape(dst)
         or np.ndim(src) != 1
-        or (freq is not None and freq.shape[1:] != (dim,))
     ):
         raise ShapeError(
             f"edge_conv shapes incompatible: coords {coords.shape}, x {x.shape}, edges "
-            f"{np.shape(src)} -> {np.shape(dst)}, freq {None if freq is None else freq.shape}, "
+            f"{np.shape(src)} -> {np.shape(dst)}, freq {freq.shape}, "
             f"layers {[w.shape for w, _ in layers]}"
         )
     n, c_in = x.shape
@@ -583,8 +559,7 @@ def edge_conv(coords, x, src, dst, freq, layers) -> Tensor:
         rows, s, k = kept[0], kept[1], kept[-1]
         msgs = np.einsum("nio,ni->no", k, x.data[s])
         data[a:b] = _sum_rows_at(msgs, dst[rows] - a, b - a)
-    leaves = [] if freq is None else [freq]
-    out = Tensor(data, [x, *leaves, *(t for layer in layers for t in layer)])
+    out = Tensor(data, [x, freq, *(t for layer in layers for t in layer)])
 
     def backward(g):
         sums = _GradSums()
@@ -746,7 +721,6 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> T
         gamma.accumulate((g * xhat).sum(axis=0))
         beta.accumulate(g.sum(axis=0))
         gy = g * gamma.data
-        n = x.shape[1]
         x.accumulate(
             inv_std
             * (gy - gy.mean(axis=1, keepdims=True) - xhat * (gy * xhat).mean(axis=1, keepdims=True))

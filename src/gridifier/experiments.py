@@ -419,8 +419,6 @@ class BenchRow:
     channels: int
     k: int
     time_ms_median: float
-    time_ms_mean: float
-    time_ms_std: float
     allocs_bytes: int
     pos_evals: int
 
@@ -452,7 +450,8 @@ class BenchReport:
 
 
 def _timed_stats(fn, repetitions: int, warmups: int, min_time: float = 1e-3):
-    """Median/mean/std seconds per call, auto-batching calls too fast to time.
+    """Median seconds per call and the calls per timed repetition,
+    auto-batching calls too fast to time.
 
     The calibration loop doubles as an extra warm-up; timed repetitions always
     measure ``inner`` consecutive calls and divide.
@@ -473,9 +472,7 @@ def _timed_stats(fn, repetitions: int, warmups: int, min_time: float = 1e-3):
         for _ in range(inner):
             fn()
         samples.append((time.perf_counter() - t0) / inner)
-    mean = statistics.fmean(samples)
-    std = statistics.pstdev(samples)
-    return statistics.median(samples), mean, std, inner
+    return statistics.median(samples), inner
 
 
 def _peak_alloc_bytes(fn) -> int:
@@ -514,7 +511,14 @@ def bench_scaling(
     if repetitions < 5:
         raise ConfigError(f"need >= 5 repetitions for stable medians, got {repetitions}")
     if len(n_list) < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ConfigError(f"cloud sizes must be strictly increasing, got {n_list}")
+        raise ConfigError(f"sizes (--sizes) must be strictly increasing, got {n_list}")
+    if n_list[0] < 1:
+        raise ConfigError(f"sizes (--sizes) must be >= 1, got {n_list}")
+    if not 1 <= k <= min(n_list[0], resolution**3):
+        raise ConfigError(
+            f"nr_neighbors (--k) must be in [1, min(smallest size {n_list[0]}, "
+            f"resolution**3 = {resolution**3})], got {k}"
+        )
     if n_layers < 1:
         raise ConfigError(f"need at least one convolution layer, got n_layers={n_layers}")
 
@@ -560,11 +564,8 @@ def bench_scaling(
                     raise TrainingError("positional evaluations unevenly split across layers")
                 per_layer = counter.pos_evals // n_layers
                 alloc = _peak_alloc_bytes(fn)
-                med, mean, std, _ = _timed_stats(fn, repetitions, warmups)
-                rows.append(
-                    BenchRow(path, n, width, k,
-                             med * 1e3, mean * 1e3, std * 1e3, alloc, per_layer)
-                )
+                med, _ = _timed_stats(fn, repetitions, warmups)
+                rows.append(BenchRow(path, n, width, k, med * 1e3, alloc, per_layer))
 
     report = BenchReport(rows, repetitions, n_layers)
     if out_csv is not None:

@@ -4,6 +4,10 @@ Each destination node i aggregates messages from its edge neighborhood:
 
     out_i = phi_upd( agg_{j -> i} phi_msg( [phi_node(x_j) ; phi_pos(c_i - c_j)] ) )
 
+phi_node, phi_msg and phi_upd are MLPs; phi_pos is a ``nn.PositionalNet``, a
+sinusoid of learnable frequencies followed by an MLP, so every message can
+carry high-frequency functions of the offset.
+
 Gridification runs this cloud->grid; de-gridification runs the mirror image
 grid->cloud over the inverted edge set.  phi_node and phi_upd run once per
 point; everything per edge (the offsets, phi_pos, phi_msg and the
@@ -43,7 +47,7 @@ class GridifierParams:
     """
 
     phi_node: MlpParams
-    phi_pos: PositionalNet | MlpParams
+    phi_pos: PositionalNet
     phi_msg: MlpParams
     phi_upd: MlpParams
     aggregation: str
@@ -148,12 +152,10 @@ def _message_passing(
         src, dst = edges.src[order], edges.dst[order]
 
     node = mlp_forward(params.phi_node, src_feats)
-    pos = params.phi_pos
-    freq, head = (pos.rff.freq, pos.head) if isinstance(pos, PositionalNet) else (None, pos)
-    msg = params.phi_msg
+    pos, msg = params.phi_pos, params.phi_msg
     agg = ad.message_aggregate(
-        node, src_coords, dst_coords, src, dst, freq,
-        list(zip(head.weights, head.biases)), list(zip(msg.weights, msg.biases)),
+        node, src_coords, dst_coords, src, dst, pos.freq,
+        list(zip(pos.head.weights, pos.head.biases)), list(zip(msg.weights, msg.biases)),
         params.aggregation,
     )
     return mlp_forward(params.phi_upd, agg)
@@ -254,11 +256,12 @@ def check_requirements(
 
     Checks, in order: the grid must hold at least as many points as the cloud;
     no phi network may bottleneck below its input information content
-    (phi_node under F_P, phi_pos under D, phi_msg/phi_upd under F_P + D); no
-    point on either side may be disconnected (verified on ``edges`` when
-    given); and the positional network must be able to express high-frequency
-    functions of position (a sinusoidal featurization must be present).
-    Networks without hidden layers are not flagged for width.
+    (phi_node under F_P, phi_pos under D, phi_msg/phi_upd under F_P + D); and
+    no point on either side may be disconnected (verified on ``edges`` when
+    given).  Networks without hidden layers are not flagged for width.  The
+    positional network's ability to express high-frequency functions of
+    position needs no check here: ``PositionalNet`` refuses to exist without
+    at least one sinusoid frequency.
     """
     out: list[Violation] = []
     n_grid = spec.n_points
@@ -274,24 +277,15 @@ def check_requirements(
     if params is not None:
         for tag, net, bound, what in (
             ("node-width", params.phi_node, n_feats, f"feature width {n_feats}"),
-            ("positional-width", params.phi_pos, d, f"spatial dimension {d}"),
+            ("positional-width", params.phi_pos.head, d, f"spatial dimension {d}"),
             ("message-width", params.phi_msg, n_feats + d, f"combined width {n_feats + d}"),
             ("update-width", params.phi_upd, n_feats + d, f"combined width {n_feats + d}"),
         ):
-            mlp = net.head if isinstance(net, PositionalNet) else net
-            narrow = _hidden_bottleneck(mlp)
+            narrow = _hidden_bottleneck(net)
             if narrow is not None and narrow < bound:
                 out.append(
                     Violation(tag, f"hidden width {narrow} is below the {what} it must carry")
                 )
-        if not isinstance(params.phi_pos, PositionalNet) or params.phi_pos.rff.n_frequencies < 1:
-            out.append(
-                Violation(
-                    "high-frequency",
-                    "positional network has no sinusoidal featurization, so it "
-                    "cannot express high-frequency functions of position",
-                )
-            )
     if k < 1:
         out.append(Violation("cloud-connected", f"k={k} leaves points unmatched; need k >= 1"))
     if edges is not None:

@@ -145,9 +145,9 @@ class ConvSpec:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if min(self.in_channels, self.out_channels) < 1:
             raise ConfigError("channel counts must be >= 1")
-        if self.kernel_net.rff.dim != self.dim:
+        if self.kernel_net.dim != self.dim:
             raise ConfigError(
-                f"kernel net takes {self.kernel_net.rff.dim}-d offsets, conv is {self.dim}-d"
+                f"kernel net takes {self.kernel_net.dim}-d offsets, conv is {self.dim}-d"
             )
         if self.kernel_net.out_width != self.in_channels * self.out_channels:
             raise ConfigError(
@@ -271,7 +271,7 @@ def conv_point_native(
         )
     head = kernel_net.head
     out = ad.edge_conv(
-        coords, feats, edges.src, edges.dst, kernel_net.rff.freq, zip(head.weights, head.biases)
+        coords, feats, edges.src, edges.dst, kernel_net.freq, zip(head.weights, head.biases)
     )
     if counter is not None:
         counter.bump(pos_evals=edges.src.size, applications=1)

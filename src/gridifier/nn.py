@@ -1,10 +1,15 @@
-"""MLPs and the sinusoidal positional network used for relative coordinates.
+"""MLPs and the positional network used for relative coordinates.
+
+A positional network has one form: a sinusoid of learnable frequencies
+followed by an MLP head (``PositionalNet``), run forward and backward as one
+``autodiff.positional`` node.
 
 Naming convention for checkpoints and optimizers: every learnable array has a
 dotted path like ``phi_msg.w0`` or ``pos.head.b1``.  Weight matrices are
 ``w<i>``, biases ``b<i>``, normalization scales ``gamma``/``beta``, and the
-frequency matrix of a positional net ``freq``.  Weight decay applies only to
-``w<i>`` entries (and the classification head's ``w``); see ``decays_weight``.
+frequency matrix of a positional net ``rff.freq``.  Weight decay applies only
+to ``w<i>`` entries (and the classification head's ``w``); see
+``decays_weight``.
 """
 
 from __future__ import annotations
@@ -63,8 +68,8 @@ class MlpParams:
 
 def init_mlp(widths: list[int], rng: np.random.Generator) -> MlpParams:
     """Uniform fan-in initialization: each layer ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
-    if len(widths) < 2:
-        raise ConfigError(f"mlp needs at least [in, out] widths, got {widths}")
+    if len(widths) < 2 or min(widths) < 1:
+        raise ConfigError(f"mlp needs at least [in, out] widths, each >= 1, got {widths}")
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = 1.0 / np.sqrt(fan_in)
@@ -85,15 +90,30 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
 
 
 @dataclass
-class RffConfig:
-    """Sinusoidal input featurization with frequencies B ~ Normal(0, omega^2).
+class PositionalNet:
+    """Relative-coordinate network: sinusoidal features followed by an MLP head.
 
-    omega controls the frequency content the downstream head can express; B
-    itself is a learnable parameter.
+    The head reads [cos 2 pi B p ; sin 2 pi B p] with B = ``freq``
+    (n_frequencies, dim), a learnable parameter; at least one frequency is
+    required, since the sinusoid is what lets the network express
+    high-frequency functions of position.  Maps (m, dim) offsets to
+    (m, head.out_width) values; the default head width makes it the
+    message-side positional embedding, and with out_width set to c_in * c_out
+    it doubles as a convolution-kernel generator.
     """
 
-    omega: float
     freq: Tensor  # (n_frequencies, dim)
+    head: MlpParams
+
+    def __post_init__(self):
+        if self.freq.ndim != 2 or self.freq.shape[0] < 1:
+            raise ConfigError(
+                f"positional net needs at least one frequency, got freq of shape {self.freq.shape}"
+            )
+        if self.head.in_width != 2 * self.n_frequencies:
+            raise ConfigError(
+                f"positional head expects input {2 * self.n_frequencies}, got {self.head.in_width}"
+            )
 
     @property
     def n_frequencies(self) -> int:
@@ -105,44 +125,10 @@ class RffConfig:
 
     @property
     def out_width(self) -> int:
-        return 2 * self.n_frequencies
-
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {f"{prefix}freq": self.freq}
-
-
-def init_rff(omega: float, n_frequencies: int, dim: int, rng: np.random.Generator) -> RffConfig:
-    if not (np.isfinite(omega) and omega > 0) or n_frequencies < 1:
-        raise ConfigError(
-            f"rff needs a finite omega > 0 and n_frequencies >= 1, got {omega}, {n_frequencies}"
-        )
-    return RffConfig(omega, Tensor(rng.normal(0.0, omega, (n_frequencies, dim))))
-
-
-@dataclass
-class PositionalNet:
-    """Relative-coordinate network: sinusoidal features followed by an MLP head.
-
-    Maps (m, dim) offsets to (m, head.out_width) values; the default head width
-    makes it the message-side positional embedding, and with out_width set to
-    c_in * c_out it doubles as a convolution-kernel generator.
-    """
-
-    rff: RffConfig
-    head: MlpParams
-
-    def __post_init__(self):
-        if self.head.in_width != self.rff.out_width:
-            raise ConfigError(
-                f"positional head expects input {self.rff.out_width}, got {self.head.in_width}"
-            )
-
-    @property
-    def out_width(self) -> int:
         return self.head.out_width
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        out = self.rff.named_parameters(f"{prefix}rff.")
+        out = {f"{prefix}rff.freq": self.freq}
         out.update(self.head.named_parameters(f"{prefix}head."))
         return out
 
@@ -155,9 +141,12 @@ def init_positional_net(
     out_width: int,
     rng: np.random.Generator,
 ) -> PositionalNet:
-    rff = init_rff(omega, n_frequencies, dim, rng)
-    head = init_mlp([rff.out_width, *hidden, out_width], rng)
-    return PositionalNet(rff, head)
+    """Frequencies B ~ Normal(0, omega^2), drawn before the head's layers."""
+    if not (np.isfinite(omega) and omega > 0):
+        raise ConfigError(f"positional net needs a finite omega > 0, got {omega}")
+    freq = Tensor(rng.normal(0.0, omega, (n_frequencies, dim)))
+    head = init_mlp([2 * n_frequencies, *hidden, out_width], rng)
+    return PositionalNet(freq, head)
 
 
 def positional_forward(net: PositionalNet, rel_pos: np.ndarray) -> Tensor:
@@ -165,4 +154,4 @@ def positional_forward(net: PositionalNet, rel_pos: np.ndarray) -> Tensor:
     ``autodiff.positional`` node: [cos 2 pi B p ; sin 2 pi B p] per row, then
     the head."""
     head = net.head
-    return ad.positional(rel_pos, net.rff.freq, zip(head.weights, head.biases))
+    return ad.positional(rel_pos, net.freq, zip(head.weights, head.biases))

@@ -43,12 +43,10 @@ def naive_mlp(params, row):
     return h
 
 
-def naive_pos(net, rel_row):
-    """Positional value for one offset row; accepts a plain MLP as well."""
-    if isinstance(net, PositionalNet):
-        z = 2.0 * np.pi * (net.rff.freq.data @ rel_row)
-        return naive_mlp(net.head, np.concatenate([np.cos(z), np.sin(z)]))
-    return naive_mlp(net, rel_row)
+def naive_pos(net: PositionalNet, rel_row):
+    """Positional value for one offset row."""
+    z = 2.0 * np.pi * (net.freq.data @ rel_row)
+    return naive_mlp(net.head, np.concatenate([np.cos(z), np.sin(z)]))
 
 
 def _phase(rel, freq):
@@ -67,18 +65,14 @@ def _cos_sin(t):
     return out
 
 
-def taped_positional(net, rel):
+def taped_positional(net: PositionalNet, rel):
     """The positional network on the offsets ``rel`` as a chain of small taped
     nodes: [cos ; sin] of (rel @ B^T) * 2 pi, then ``ad.affine`` layers with
     ``ad.gelu`` between them.  It is the composition ``ad.positional`` fuses,
-    in the same operation order, so both give the same bits.  A plain MLP
-    runs on the offsets themselves."""
-    if isinstance(net, PositionalNet):
-        x = _cos_sin(ad.mul(_phase(rel, net.rff.freq), 2.0 * np.pi))
-        net = net.head
-    else:
-        x = Tensor(rel)
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+    in the same operation order, so both give the same bits."""
+    x = _cos_sin(ad.mul(_phase(rel, net.freq), 2.0 * np.pi))
+    head = net.head
+    for i, (w, b) in enumerate(zip(head.weights, head.biases)):
         x = ad.affine(ad.gelu(x) if i else x, w, b)
     return x
 

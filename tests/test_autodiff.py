@@ -11,27 +11,36 @@ from gridifier.errors import InvariantError, ShapeError
 
 def aggregate_rows(values, dst, n_dst, mode):
     """``message_aggregate`` whose message on edge e is row e of ``values``:
-    one source row per edge, a zero positional head, and a one-layer message
-    network that passes the node half through unchanged."""
+    one source row per edge, one frequency under a zero positional head, and
+    a one-layer message network that passes the node half through unchanged."""
     values = ad.as_tensor(values)
     n_rows, width = values.shape
     pass_node = np.vstack([np.eye(width), np.zeros((1, width))])
     return ad.message_aggregate(
-        values, np.zeros((n_rows, 1)), np.zeros((n_dst, 1)), np.arange(n_rows), dst, None,
-        [(np.zeros((1, 1)), np.zeros(1))], [(pass_node, np.zeros(width))], mode,
+        values, np.zeros((n_rows, 1)), np.zeros((n_dst, 1)), np.arange(n_rows), dst,
+        np.ones((1, 1)), [(np.zeros((2, 1)), np.zeros(1))], [(pass_node, np.zeros(width))], mode,
     )
 
 
 def sum_rows(values, dst):
     """``edge_conv`` whose message on edge e is row e of ``values``: one
-    source row per edge and an identity kernel on every edge."""
+    source row per edge, and one frequency under a zero-weight kernel layer
+    whose bias is the identity kernel."""
     values = ad.as_tensor(values)
     n_rows, width = values.shape
     identity = np.eye(width).ravel()
     return ad.edge_conv(
-        np.zeros((n_rows, 1)), values, np.arange(n_rows), dst, None,
-        [(np.zeros((1, width * width)), identity)],
+        np.zeros((n_rows, 1)), values, np.arange(n_rows), dst, np.ones((1, 1)),
+        [(np.zeros((2, width * width)), identity)],
     )
+
+
+def sinusoid(rel, freq):
+    """[cos 2 pi B r ; sin 2 pi B r] per row, in the positional node's
+    operation order."""
+    z = rel @ freq.T
+    z *= 2.0 * np.pi
+    return np.concatenate([np.cos(z), np.sin(z)], axis=1)
 
 
 def edge_conv_inputs(rng, n=6, c_in=2, c_out=3, freqs=2, hidden=4):
@@ -163,6 +172,29 @@ class TestForwardValues:
         with pytest.raises(InvariantError, match="mode 'sum'"):
             apply_message_aggregate(ts, coords, edges, "sum")
 
+    @pytest.mark.parametrize("node", ["positional", "message_aggregate", "edge_conv"])
+    def test_missing_frequencies_rejected(self, node):
+        # every positional network starts with the sinusoid: a node given no
+        # frequency matrix, or a 1-d one, fails its shape check
+        rng = np.random.default_rng(45)
+
+        def call(freq):
+            if node == "positional":
+                return ad.positional(rand(rng, 4, 2), freq, [(rand(rng, 4, 3), rand(rng, 3))])
+            if node == "message_aggregate":
+                ts = message_inputs(rng)
+                coords = (rand(rng, 5, 2), rand(rng, 4, 2))
+                edges = (np.array([0, 4, 2, 1]), np.array([0, 1, 2, 3]))
+                return apply_message_aggregate([ts[0], freq, *ts[2:]], coords, edges, "mean")
+            ts = edge_conv_inputs(rng, n=4)
+            edges = (np.array([0, 1, 3]), np.array([1, 1, 2]))
+            return apply_edge_conv([ts[0], freq, *ts[2:]], rand(rng, 4, 2), edges)
+
+        call(rand(rng, 2, 2))
+        for freq in (None, rand(rng, 4)):
+            with pytest.raises(ShapeError, match=f"{node} shapes incompatible.*freq"):
+                call(freq)
+
     def test_edge_conv_sums_bits_match_sequential_loop(self, monkeypatch):
         # the per-destination sums must reproduce a left-to-right
         # accumulation exactly, bit for bit, not merely to rounding error,
@@ -218,10 +250,12 @@ class TestForwardValues:
         assert n_rows == 1 or min(b - a for a, b in blocks) >= 2
         rng = np.random.default_rng(21)
         coords, w, b, x = rand(rng, n_rows, 2), rand(rng, 2, 6), rand(rng, 6), rand(rng, n_rows, 2)
+        freq = rand(rng, 1, 2)
         src = rng.integers(0, n_rows, size=n_rows)
-        out = ad.edge_conv(coords, Tensor(x), src, np.arange(n_rows), None, [(w, b)])
+        out = ad.edge_conv(coords, Tensor(x), src, np.arange(n_rows), freq, [(w, b)])
         expected = np.stack([
-            x[s] @ ((coords[d] - coords[s]) @ w + b).reshape(2, 3) for d, s in enumerate(src)
+            x[s] @ (sinusoid(coords[[d]] - coords[[s]], freq) @ w + b).reshape(2, 3)
+            for d, s in enumerate(src)
         ])
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-13)
 
@@ -253,7 +287,7 @@ class TestForwardValues:
         with pytest.raises(ShapeError, match=r"offsets \(4, 3\).*\(6, 2\)"):
             ad.positional(np.zeros((4, 3)), np.zeros((2, 3)), [(np.zeros((6, 2)), np.zeros(2))])
         with pytest.raises(ShapeError, match=r"offsets \(4,\)"):
-            ad.positional(np.zeros(4), None, [(np.zeros((4, 2)), np.zeros(2))])
+            ad.positional(np.zeros(4), np.zeros((2, 4)), [(np.zeros((4, 2)), np.zeros(2))])
 
 
 class TestGradients:
@@ -268,28 +302,31 @@ class TestGradients:
         rng = np.random.default_rng(3)
         arrays = [rand(rng, 5, 2)]
         assert_grads_match(
-            lambda ts: ad.reduce_mean(2.5 * ts[0] - ts[0] * ts[0]), arrays
+            lambda ts: ad.reduce_mean(ad.sub(ad.add(ad.mul(2.5, ts[0]), 1.0), ad.mul(ts[0], ts[0]))),
+            arrays,
         )
 
-    def test_message_aggregate_one_layer_message_and_plain_head(self):
-        # one affine message layer on [node ; r @ P + p], no sinusoid; rows 0
-        # and 3 are gathered twice, row 2 never, and each destination has one
-        # edge, so the mean is the message itself
+    def test_message_aggregate_one_layer_message_and_one_layer_head(self):
+        # one affine message layer on [node ; sinusoid(r) @ P + p] with one
+        # frequency; rows 0 and 3 are gathered twice, row 2 never, and each
+        # destination has one edge, so the mean is the message itself
         rng = np.random.default_rng(4)
         src = np.array([3, 0, 1, 3, 0, 4])
         src_coords, dst_coords = rand(rng, 5, 2), rand(rng, 6, 2)
-        arrays = [rand(rng, 5, 2), rand(rng, 2, 3), rand(rng, 3), rand(rng, 5, 4), rand(rng, 4)]
+        freq = 0.5 * rand(rng, 1, 2)
+        arrays = [rand(rng, 5, 2), rand(rng, 2, 3), rand(rng, 3), rand(rng, 5, 4), rand(rng, 4),
+                  freq]
 
         def build(ts):
             out = ad.message_aggregate(
-                ts[0], src_coords, dst_coords, src, np.arange(6), None,
+                ts[0], src_coords, dst_coords, src, np.arange(6), ts[5],
                 [(ts[1], ts[2])], [(ts[3], ts[4])], "mean",
             )
             return ad.reduce_mean(ad.mul(out, out))
 
         assert_grads_match(build, arrays)
         out = build([Tensor(a) for a in arrays])
-        pos = (dst_coords - src_coords[src]) @ arrays[1] + arrays[2]
+        pos = sinusoid(dst_coords - src_coords[src], freq) @ arrays[1] + arrays[2]
         joined = np.concatenate([arrays[0][src], pos], axis=1)
         want = joined @ arrays[3] + arrays[4]
         np.testing.assert_allclose(out.data, np.mean(want * want), rtol=1e-14)
@@ -443,10 +480,11 @@ class TestBuffers:
         w, b = rand(rng, 5, 4), rand(rng, 4)
         src = rng.integers(0, 5, size=9)
         src_coords, dst_coords = rand(rng, 5, 2), rand(rng, 9, 2)
+        freq = rand(rng, 1, 2)
         out = ad.message_aggregate(
-            node, src_coords, dst_coords, src, np.arange(9), None, [(p, pb)], [(w, b)], "mean"
+            node, src_coords, dst_coords, src, np.arange(9), freq, [(p, pb)], [(w, b)], "mean"
         )
-        pos = (dst_coords - src_coords[src]) @ p + pb
+        pos = sinusoid(dst_coords - src_coords[src], freq) @ p + pb
         np.testing.assert_array_equal(out.data, (node @ w[:3])[src] + pos @ w[3:] + b)
 
     def test_first_gradient_is_adopted_without_copy(self):

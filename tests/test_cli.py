@@ -336,6 +336,9 @@ BAD_VALUES = [
     *[(task, ["--k", "0"], [], None, "nr_neighbors (--k)")
       for task in ("gridify", "degridify", "train-recon", "train-classify", "bench", "inspect")],
     ("inspect", [], ["nr_neighbors=-1"], None, "nr_neighbors (--k)"),
+    ("bench", ["--sizes", "0,10"], [], None, "sizes (--sizes)"),
+    ("bench", ["--sizes", "5", "--k", "9"], [], None, "nr_neighbors (--k)"),
+    ("bench", ["--resolution", "1"], [], None, "nr_neighbors (--k)"),
     *[(task, ["--blocks", value], [], None, "nr_conv_blocks (--blocks)")
       for task in ("train-classify", "bench") for value in ("0", "-1")],
     *[(task, ["--seed", "-1"], [], None, "seed") for task in SEEDED],

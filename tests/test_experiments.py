@@ -352,8 +352,6 @@ class TestBench:
     def test_rows_carry_measurements(self, tiny_report):
         for row in tiny_report.rows:
             assert row.time_ms_median > 0
-            assert row.time_ms_mean > 0
-            assert row.time_ms_std >= 0
             assert row.allocs_bytes > 0
             assert row.k == 2 and row.channels == 2
 
@@ -390,6 +388,6 @@ class TestBench:
             bench_scaling(n_list=(20, 40), c_list=(2,), n_layers=n_layers)
 
     def test_timer_batches_fast_functions(self):
-        med, mean, std, inner = _timed_stats(lambda: None, repetitions=5, warmups=0)
+        med, inner = _timed_stats(lambda: None, repetitions=5, warmups=0)
         assert inner > 1
-        assert med >= 0 and mean >= 0 and std >= 0
+        assert med >= 0

@@ -19,13 +19,7 @@ from gridifier.gridify import (
     gridify_features,
     init_gridifier,
 )
-from gridifier.nn import (
-    MlpParams,
-    PositionalNet,
-    RffConfig,
-    init_mlp,
-    mlp_forward,
-)
+from gridifier.nn import MlpParams, PositionalNet, mlp_forward
 from gridifier.pccore import Grid, GridSpec, PointCloud, make_grid_coords
 
 # ---------------------------------------------------------------------------
@@ -53,21 +47,18 @@ def naive_pass(src_coords, src_feats, dst_coords, pairs, params, n_dst):
 # ---------------------------------------------------------------------------
 
 
-def projection_params(width, take_first=True, aggregation="mean", dim=2):
-    """phi_node/phi_upd identity, phi_msg projecting one half of its input."""
-    proj = np.zeros((2 * width, width))
-    block = np.eye(width)
-    proj[:width] = block if take_first else 0.0
-    proj[width:] = 0.0 if take_first else block
-    pos = MlpParams([Tensor(np.zeros((dim, width)))], [Tensor(np.zeros(width))])
-    if not take_first:
-        pos = identity_mlp(dim) if dim == width else pos
+def projection_params(width, dim=2):
+    """phi_node/phi_upd identity, phi_msg projecting the node half of its
+    input, and phi_pos one frequency under a zero head, so every message is
+    its source's features."""
+    proj = np.vstack([np.eye(width), np.zeros((width, width))])
+    zero_head = MlpParams([Tensor(np.zeros((2, width)))], [Tensor(np.zeros(width))])
     return GridifierParams(
         phi_node=identity_mlp(width),
-        phi_pos=pos,
+        phi_pos=PositionalNet(Tensor(np.ones((1, dim))), zero_head),
         phi_msg=MlpParams([Tensor(proj)], [Tensor(np.zeros(width))]),
         phi_upd=identity_mlp(width),
-        aggregation=aggregation,
+        aggregation="mean",
         hidden=width,
     )
 
@@ -111,12 +102,16 @@ class TestTrivialConfigurations:
         np.testing.assert_array_equal(out, [[4.25], [4.25]])
 
     def test_relative_positions_change_sign_between_directions(self):
-        # phi_msg projects the positional half; phi_pos is the identity on
-        # coordinates, so outputs are signed relative offsets
+        # phi_msg projects the positional half; phi_pos reads the sine half
+        # of one unit frequency per axis, sin(2 pi r), which is odd in the
+        # offset r, so the outputs change sign with the direction
         width = 2
+        sine_half = np.vstack([np.zeros((width, width)), np.eye(width)])
         params = GridifierParams(
             phi_node=identity_mlp(width),
-            phi_pos=identity_mlp(width),
+            phi_pos=PositionalNet(
+                Tensor(np.eye(width)), MlpParams([Tensor(sine_half)], [Tensor(np.zeros(width))])
+            ),
             phi_msg=MlpParams(
                 [Tensor(np.vstack([np.zeros((width, width)), np.eye(width)]))],
                 [Tensor(np.zeros(width))],
@@ -130,9 +125,9 @@ class TestTrivialConfigurations:
         spec = GridSpec(resolution=1, lo=0.0, hi=1.0, dim=2)  # lattice point (0.5, 0.5)
         fwd = edge_set([(0, 0)], Direction.CLOUD_TO_GRID, 1, 1)
         grid = gridify(cloud, spec, fwd, params)
-        np.testing.assert_allclose(grid.feats, [[0.25, -0.25]])
+        np.testing.assert_allclose(grid.feats, [[1.0, -1.0]])  # sin(2 pi (0.25, -0.25))
         back = degridify(Grid(spec, np.zeros((1, 2))), cloud_coords, invert_edges(fwd), params)
-        np.testing.assert_allclose(back, [[-0.25, 0.25]])
+        np.testing.assert_allclose(back, [[-1.0, 1.0]])
 
 
 class TestOracleEquivalence:
@@ -269,16 +264,17 @@ def test_split_layer_row_bits_follow_the_row_not_its_position(n_rows, width):
     rng = np.random.default_rng(n_rows * width)
     node, coords = rng.normal(size=(n_rows, width)), rng.normal(size=(n_rows, 3))
     dst_coords = rng.normal(size=(50, 3))
-    pos = [(rng.normal(size=(3, width)), rng.normal(size=width))]
+    freq = rng.normal(size=(1, 3))
+    pos = [(rng.normal(size=(2, width)), rng.normal(size=width))]
     msg = [(rng.normal(size=(2 * width, width)), rng.normal(size=width))]
     src, dst = rng.integers(0, n_rows, 50), np.arange(50)
-    base = ad.message_aggregate(node, coords, dst_coords, src, dst, None, pos, msg, "mean").data
+    base = ad.message_aggregate(node, coords, dst_coords, src, dst, freq, pos, msg, "mean").data
     w = msg[0][0]
     for perm in (rng.permutation(n_rows), np.roll(np.arange(n_rows), 1), np.arange(n_rows)[::-1]):
         slot = np.empty_like(perm)
         slot[perm] = np.arange(n_rows)
         moved = ad.message_aggregate(
-            node[perm], coords[perm], dst_coords, slot[src], dst, None, pos, msg, "mean"
+            node[perm], coords[perm], dst_coords, slot[src], dst, freq, pos, msg, "mean"
         ).data
         np.testing.assert_array_equal(moved, base)
         np.testing.assert_array_equal(node[perm] @ w[:width], (node @ w[:width])[perm])
@@ -369,7 +365,7 @@ EXPECTED_BLOCKS = {
 }
 
 
-def block_instance(counts, net, aggregation, seed=50):
+def block_instance(counts, aggregation, seed=50):
     rng = np.random.default_rng(seed)
     n_src, n_dst = 16, len(counts)
     src = np.concatenate([np.sort(rng.choice(n_src, c, replace=False)) for c in counts])
@@ -377,12 +373,6 @@ def block_instance(counts, net, aggregation, seed=50):
     edges = EdgeSet(src, dst, Direction.GRID_TO_CLOUD, n_src, n_dst)
     h = HIDDEN
     params = init_gridifier(2, 3, h, 3, rng, omega=0.8, aggregation=aggregation)
-    if net == "plain":
-        # no sinusoid on the offsets, and a one-layer message network
-        params = GridifierParams(
-            params.phi_node, init_mlp([3, h, h], rng), init_mlp([2 * h, h], rng),
-            params.phi_upd, aggregation, h,
-        )
     coords = (rng.uniform(-1, 1, (n_src, 3)), rng.uniform(-1, 1, (n_dst, 3)))
     return rng.normal(size=(n_src, 2)), coords, edges, params
 
@@ -406,12 +396,11 @@ class TestFusedMessagePassing:
             assert len(blocks) > 2
             assert max(starts[b] - starts[a] for a, b in blocks) <= BLOCK_ROWS
 
-    @pytest.mark.parametrize("net", ["sinusoid", "plain"])
     @pytest.mark.parametrize("aggregation", ["mean", "max"])
     @pytest.mark.parametrize("case", list(BLOCK_CASES))
-    def test_forward_bits_and_gradients_match_unfused(self, case, aggregation, net):
+    def test_forward_bits_and_gradients_match_unfused(self, case, aggregation):
         feats, (src_coords, dst_coords), edges, params = block_instance(
-            BLOCK_CASES[case], net, aggregation
+            BLOCK_CASES[case], aggregation
         )
         weight = np.random.default_rng(51).normal(size=(edges.n_dst, params.f_out))
         results = []
@@ -473,11 +462,7 @@ def rebuild_mlp(template: MlpParams, it) -> MlpParams:
 def rebuild_params(template: GridifierParams, tensors: list[Tensor]) -> GridifierParams:
     it = iter(tensors)
     phi_node = rebuild_mlp(template.phi_node, it)
-    if isinstance(template.phi_pos, PositionalNet):
-        rff = template.phi_pos.rff
-        phi_pos = PositionalNet(RffConfig(rff.omega, next(it)), rebuild_mlp(template.phi_pos.head, it))
-    else:
-        phi_pos = rebuild_mlp(template.phi_pos, it)
+    phi_pos = PositionalNet(next(it), rebuild_mlp(template.phi_pos.head, it))
     phi_msg = rebuild_mlp(template.phi_msg, it)
     phi_upd = rebuild_mlp(template.phi_upd, it)
     return GridifierParams(
@@ -552,11 +537,12 @@ class TestRequirements:
         got = check_requirements(100, 4, GridSpec(resolution=5, dim=3), params)
         assert {v.requirement for v in got} == {"message-width", "update-width"}
 
-    def test_plain_coordinate_net_flagged_as_low_frequency(self):
-        params = projection_params(2)
-        got = check_requirements(1, 2, GridSpec(resolution=2, dim=2), params)
-        tags = {v.requirement for v in got}
-        assert "high-frequency" in tags
+    def test_positional_net_without_frequencies_rejected(self):
+        # the high-frequency requirement holds by construction: a positional
+        # network with no sinusoid frequency cannot be built
+        empty_head = MlpParams([Tensor(np.zeros((0, 2)))], [Tensor(np.zeros(2))])
+        with pytest.raises(ConfigError, match="at least one frequency"):
+            PositionalNet(Tensor(np.zeros((0, 2))), empty_head)
 
     def test_connectivity_verified_on_edges(self):
         edges = edge_set([(0, 0), (0, 1)], Direction.CLOUD_TO_GRID, 2, 2)

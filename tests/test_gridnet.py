@@ -25,12 +25,7 @@ from gridifier.gridnet import (
     init_conv_block,
     offset_lattice,
 )
-from gridifier.nn import (
-    MlpParams,
-    PositionalNet,
-    RffConfig,
-    init_positional_net,
-)
+from gridifier.nn import MlpParams, PositionalNet, init_positional_net
 from gridifier.pccore import GridSpec, make_grid_coords
 
 
@@ -88,16 +83,13 @@ def to_edge_set(pairs, n):
     return EdgeSet(src[order], dst[order], Direction.CLOUD_TO_CLOUD, n, n)
 
 
-def rebuild_kernel_net(template, tensors):
+def rebuild_kernel_net(tensors):
     """PositionalNet from a flat tensor list [freq, w0, b0, w1, b1, ...]."""
-    rff = RffConfig(template.rff.omega, tensors[0])
-    ws = tensors[1::2]
-    bs = tensors[2::2]
-    return PositionalNet(rff, MlpParams(list(ws), list(bs)))
+    return PositionalNet(tensors[0], MlpParams(list(tensors[1::2]), list(tensors[2::2])))
 
 
 def kernel_net_arrays(net):
-    arrs = [net.rff.freq.data.copy()]
+    arrs = [net.freq.data.copy()]
     for w, b in zip(net.head.weights, net.head.biases):
         arrs.extend([w.data.copy(), b.data.copy()])
     return arrs
@@ -312,7 +304,7 @@ class TestKernelReuse:
         x = rand(rng, 4, 1)
 
         def build(ts):
-            net = rebuild_kernel_net(template.kernel_net, ts[:-1])
+            net = rebuild_kernel_net(ts[:-1])
             conv = ConvSpec(3, 1, 1, 1, kernel_net=net)
             cache = KernelCache()
             h = conv_grid_features(ts[-1], spec, conv, cache=cache)
@@ -545,7 +537,7 @@ class TestConvGradients:
         x = rand(rng, spec.n_points, 2)
 
         def build(ts):
-            conv = ConvSpec(3, 2, 2, 2, kernel_net=rebuild_kernel_net(template.kernel_net, ts[:-1]))
+            conv = ConvSpec(3, 2, 2, 2, kernel_net=rebuild_kernel_net(ts[:-1]))
             out = conv_grid_features(ts[-1], spec, conv)
             return ad.reduce_mean(ad.mul(out, out))
 
@@ -572,7 +564,7 @@ class TestConvGradients:
 
         def run(conv):
             arrays = kernel_net_arrays(template.kernel_net)
-            net = rebuild_kernel_net(template.kernel_net, [Tensor(a) for a in arrays])
+            net = rebuild_kernel_net([Tensor(a) for a in arrays])
             xs = [Tensor(f) for f in feats]
             outs = [conv(net, x, spec) for x, spec in zip(xs, specs)]
             losses = [ad.reduce_mean(ad.mul(o, w)) for o, w in zip(outs, weights)]
@@ -591,7 +583,7 @@ class TestConvGradients:
         x = rand(rng, 8, 2)
 
         def build(ts):
-            net = rebuild_kernel_net(template, ts[:-1])
+            net = rebuild_kernel_net(ts[:-1])
             out = conv_point_native(coords, ts[-1], edges, net)
             return ad.reduce_mean(ad.mul(out, out))
 
@@ -668,7 +660,7 @@ class TestBlocks:
         arrays = [*net_arrays, np.full(2, 1.1), np.full(2, -0.2), rand(rng, 9, 2)]
 
         def build(ts):
-            net = rebuild_kernel_net(template.kernel_net, ts[: len(net_arrays)])
+            net = rebuild_kernel_net(ts[: len(net_arrays)])
             gamma, beta, x = ts[len(net_arrays) :]
             block = ConvBlock(BlockSpec(2, 3), ConvSpec(3, 2, 2, 2, kernel_net=net), gamma, beta)
             out = block_forward(x, gspec, block)

@@ -12,7 +12,6 @@ from gridifier.nn import (
     decays_weight,
     init_mlp,
     init_positional_net,
-    init_rff,
     mlp_forward,
     positional_forward,
 )
@@ -55,6 +54,11 @@ class TestMlp:
         with pytest.raises(ConfigError):
             init_mlp([2], np.random.default_rng(0))
 
+    @pytest.mark.parametrize("widths", [[0, 4], [3, 0, 2]])
+    def test_zero_width_rejected(self, widths):
+        with pytest.raises(ConfigError, match="each >= 1"):
+            init_mlp(widths, np.random.default_rng(0))
+
     def test_gradient_of_all_weights(self):
         rng = np.random.default_rng(2)
         arrays = [rand(rng, 4, 2), rand(rng, 2, 6), rand(rng, 6), rand(rng, 6, 3), rand(rng, 3)]
@@ -74,11 +78,17 @@ class TestMlp:
             np.testing.assert_array_equal(pa.data, pb.data)
 
 
-def sinusoid(cfg, rel):
+def init_freq(omega, n_frequencies, dim, rng):
+    """The frequencies ``init_positional_net`` draws, which come before its
+    head's layers."""
+    return init_positional_net(omega, n_frequencies, dim, [], 1, rng).freq
+
+
+def sinusoid(freq, rel):
     """[cos 2 pi B r ; sin 2 pi B r] per row: the positional node with one
     identity layer, which passes its input through exactly."""
-    width = cfg.out_width
-    return ad.positional(rel, cfg.freq, [(np.eye(width), np.zeros(width))])
+    width = 2 * freq.shape[0]
+    return ad.positional(rel, freq, [(np.eye(width), np.zeros(width))])
 
 
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -86,51 +96,45 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 def taped_chain_bits(x, freq, w0, b0, w1, b1, g):
     """The taped chain the positional node replaced, restated in numpy in its
-    operation order: the phase, [cos ; sin] (or the offsets themselves when
-    ``freq`` is None), affine, exact GELU, affine; then each node's backward
-    for the output gradient ``g``.  Returns the output and the gradients of
-    freq, w0, b0, w1 and b1."""
-    if freq is None:
-        emb = x
-    else:
-        phase = (x @ freq.T) * (2.0 * np.pi)
-        emb = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+    operation order: the phase, [cos ; sin], affine, exact GELU, affine; then
+    each node's backward for the output gradient ``g``.  Returns the output
+    and the gradients of freq, w0, b0, w1 and b1."""
+    phase = (x @ freq.T) * (2.0 * np.pi)
+    emb = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
     pre = emb @ w0 + b0
     cdf = (erf(pre * (1.0 / np.sqrt(2.0))) + 1.0) * 0.5
     hidden = pre * cdf
     out = hidden @ w1 + b1
     g_pre = (np.exp(np.square(pre) * -0.5) * _INV_SQRT2PI * pre + cdf) * (g @ w1.T)
-    grads = [None, emb.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0)]
-    if freq is not None:
-        g_emb = g_pre @ w0.T
-        f = freq.shape[0]
-        g_phase = (-g_emb[:, :f] * np.sin(phase) + g_emb[:, f:] * np.cos(phase)) * (2.0 * np.pi)
-        grads[0] = (x.T @ g_phase).T
+    g_emb = g_pre @ w0.T
+    f = freq.shape[0]
+    g_phase = (-g_emb[:, :f] * np.sin(phase) + g_emb[:, f:] * np.cos(phase)) * (2.0 * np.pi)
+    grads = [(x.T @ g_phase).T, emb.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0)]
     return out, grads
 
 
 class TestRff:
     def test_zero_offset(self):
-        cfg = init_rff(0.5, 6, 3, np.random.default_rng(0))
-        out = sinusoid(cfg, np.zeros((4, 3)))
+        freq = init_freq(0.5, 6, 3, np.random.default_rng(0))
+        out = sinusoid(freq, np.zeros((4, 3)))
         np.testing.assert_array_equal(out.data[:, :6], 1.0)
         np.testing.assert_array_equal(out.data[:, 6:], 0.0)
 
     def test_deterministic_per_seed(self):
         x = np.random.default_rng(3).normal(size=(5, 2))
-        a = sinusoid(init_rff(1.0, 8, 2, np.random.default_rng(7)), x)
-        b = sinusoid(init_rff(1.0, 8, 2, np.random.default_rng(7)), x)
+        a = sinusoid(init_freq(1.0, 8, 2, np.random.default_rng(7)), x)
+        b = sinusoid(init_freq(1.0, 8, 2, np.random.default_rng(7)), x)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_bounded(self):
-        cfg = init_rff(2.0, 16, 3, np.random.default_rng(1))
-        out = sinusoid(cfg, np.random.default_rng(2).normal(size=(50, 3)))
+        freq = init_freq(2.0, 16, 3, np.random.default_rng(1))
+        out = sinusoid(freq, np.random.default_rng(2).normal(size=(50, 3)))
         assert out.data.min() >= -1.0 and out.data.max() <= 1.0
 
     def test_frequency_scale(self):
         # the sampler's standard deviation should track omega
-        cfg = init_rff(0.7, 5000, 2, np.random.default_rng(11))
-        std = cfg.freq.data.std()
+        freq = init_freq(0.7, 5000, 2, np.random.default_rng(11))
+        std = freq.data.std()
         assert abs(std - 0.7) / 0.7 < 0.05
 
     def test_gradient_through_embedding_and_frequencies(self):
@@ -148,27 +152,18 @@ class TestRff:
         assert_grads_match(build, arrays)
 
     def test_bits_equal_cos_sin_concat_composition(self):
-        self._check_bits(with_freq=True)
-
-    def test_bits_equal_plain_composition_without_frequencies(self):
-        self._check_bits(with_freq=False)
-
-    @staticmethod
-    def _check_bits(with_freq):
         rng = np.random.default_rng(9)
         x, freq = rand(rng, 7, 3), rand(rng, 5, 3)
-        width = 10 if with_freq else 3
-        arrays = [rand(rng, width, 6), rand(rng, 6), rand(rng, 6, 4), rand(rng, 4)]
+        arrays = [rand(rng, 10, 6), rand(rng, 6), rand(rng, 6, 4), rand(rng, 4)]
         weight = rand(rng, 7, 4)
-        params = [Tensor(freq) if with_freq else None, *(Tensor(a) for a in arrays)]
+        params = [Tensor(freq), *(Tensor(a) for a in arrays)]
         out = ad.positional(x, params[0], [params[1:3], params[3:]])
         ad.reduce_mean(ad.mul(out, weight)).backward()
         g = np.full(out.shape, 1.0 / out.data.size) * weight
-        want, grads = taped_chain_bits(x, freq if with_freq else None, *arrays, g)
+        want, grads = taped_chain_bits(x, freq, *arrays, g)
         np.testing.assert_array_equal(out.data, want)
         for p, grad in zip(params, grads, strict=True):
-            if p is not None:
-                np.testing.assert_array_equal(p.grad, grad)
+            np.testing.assert_array_equal(p.grad, grad)
 
 
 class TestPositionalNet:
@@ -190,8 +185,19 @@ class TestPositionalNet:
         from gridifier.nn import PositionalNet
 
         rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match="head expects input 8, got 5"):
+            PositionalNet(init_freq(1.0, 4, 3, rng), init_mlp([5, 2], rng))
+
+    @pytest.mark.parametrize("omega,n_frequencies", [(0.0, 4), (-1.0, 4), (np.nan, 4), (1.0, 0)])
+    def test_init_rejects_bad_scale_or_no_frequencies(self, omega, n_frequencies):
         with pytest.raises(ConfigError):
-            PositionalNet(init_rff(1.0, 4, 3, rng), init_mlp([5, 2], rng))
+            init_positional_net(omega, n_frequencies, 3, [8], 5, np.random.default_rng(0))
+
+    def test_frequencies_keep_their_checkpoint_name(self):
+        net = init_positional_net(1.0, 4, 3, [8], 5, np.random.default_rng(0))
+        assert list(net.named_parameters("pos.")) == [
+            "pos.rff.freq", "pos.head.w0", "pos.head.b0", "pos.head.w1", "pos.head.b1"
+        ]
 
 
 class TestDecayRule:
