@@ -15,11 +15,9 @@ from .errors import (
     TrainingError,
 )
 from .pccore import (
-    Grid,
     GridSpec,
     PointCloud,
     make_grid_coords,
-    normalize_cloud,
     read_cloud,
     write_cloud,
 )
@@ -32,11 +30,9 @@ __all__ = [
     "ParseError",
     "ShapeError",
     "TrainingError",
-    "Grid",
     "GridSpec",
     "PointCloud",
     "make_grid_coords",
-    "normalize_cloud",
     "read_cloud",
     "write_cloud",
 ]

@@ -704,8 +704,9 @@ def gelu(t: Tensor) -> Tensor:
     return out
 
 
-def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization over the channel axis with learnable scale/shift."""
+def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-row normalization over the channel axis with learnable scale/shift;
+    the variance is offset by 1e-5 before its square root."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 2 or gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ShapeError(
@@ -713,7 +714,7 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> T
         )
     mean = x.data.mean(axis=1, keepdims=True)
     var = x.data.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mean) * inv_std
     out = Tensor(xhat * gamma.data + beta.data, (x, gamma, beta))
 

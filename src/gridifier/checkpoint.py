@@ -136,22 +136,3 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], AdamWState
         raise ParseError(f"{path}: offset {r.off}: {len(raw) - r.off} trailing bytes")
     return params, optimizer
 
-
-def restore_params(params: dict[str, Tensor], loaded: dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into an existing parameter tree.
-
-    Every name and shape is checked before any parameter is touched, so a
-    mismatch leaves the whole tree as it was.
-    """
-    missing = sorted(set(params) ^ set(loaded))
-    if missing:
-        raise ParseError(f"checkpoint parameter names do not match model: {missing}")
-    wrong = [
-        f"checkpoint {name}: shape {loaded[name].shape} does not match model {p.data.shape}"
-        for name, p in params.items()
-        if loaded[name].shape != p.data.shape
-    ]
-    if wrong:
-        raise ParseError("; ".join(wrong))
-    for name, p in params.items():
-        p.data = loaded[name].copy()

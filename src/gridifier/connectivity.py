@@ -13,8 +13,9 @@ distance, target index), with squared distances equal bit for bit to the
   targets lie at or below the k-th distance take a stable sort of the row.
 - Larger sets ask ``scipy.spatial.cKDTree`` for a few more than k
   candidates, re-rank the rows the tree did not already return in exact
-  (squared distance, index) order, and rescan exhaustively every row where a
-  target outside the candidates could tie or beat the k-th.
+  (squared distance, index) order, and answer every row where a target
+  outside the candidates could tie or beat the k-th again from all targets
+  in a ball just wider than its k-th distance.
 
 All three match the oracle index-for-index, including on inputs with
 duplicated coordinates or clouds that sit on the lattice.  Edge sets are then
@@ -97,10 +98,6 @@ class EdgeSet:
     def in_degrees(self) -> np.ndarray:
         return np.bincount(self.dst, minlength=self.n_dst)
 
-    def pairs(self) -> np.ndarray:
-        """Edges as an (E, 2) array of (src, dst) rows."""
-        return np.stack([self.src, self.dst], axis=1)
-
 
 def _dedup_sorted(src, dst, direction, n_src, n_dst) -> EdgeSet:
     key = np.sort(np.asarray(dst, dtype=np.int64) * n_src + np.asarray(src, dtype=np.int64))
@@ -178,14 +175,16 @@ def knn_tree(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     ordered by (squared distance, index).  A row whose last tree candidate is
     not strictly farther than its k-th exact distance may have an equally near
     target outside the candidates (duplicated points, clouds on the lattice),
-    so it is recomputed exhaustively.
+    so it is answered again from every target in a ball just wider than that
+    distance (``_knn_ball``).
     """
     from scipy.spatial import cKDTree  # imported on first use, see EXHAUSTIVE_CUTOFF
 
     queries, targets = _check_knn_args(queries, targets, k)
     m, t = queries.shape[0], targets.shape[0]
     n_cand = min(k + _TIE_SLACK, t)
-    tree_dist, idx = cKDTree(targets).query(queries, k=n_cand)
+    tree = cKDTree(targets)
+    tree_dist, idx = tree.query(queries, k=n_cand)
     # cKDTree drops the candidate axis when n_cand == 1
     tree_dist = tree_dist.reshape(m, n_cand)
     idx = idx.reshape(m, n_cand)
@@ -209,8 +208,31 @@ def knn_tree(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     if n_cand < t:
         unsure = np.flatnonzero(tree_dist[:, -1] ** 2 <= d2[:, k - 1] * (1.0 + 1e-9))
         if unsure.size:
-            out[unsure] = knn_brute(queries[unsure], targets, k)
+            radius = np.sqrt(d2[unsure, k - 1]) * (1.0 + 1e-9)
+            out[unsure] = _knn_ball(tree, queries[unsure], targets, k, radius)
     return out
+
+
+def _knn_ball(
+    tree, queries: np.ndarray, targets: np.ndarray, k: int, radius: np.ndarray
+) -> np.ndarray:
+    """k-NN among the targets ``tree`` finds within ``radius`` of each query,
+    ordered by exact (squared distance, index).
+
+    ``radius`` must reach past each row's k-th exact distance, so the ball
+    holds every target that ties with or beats it; a ball with fewer than k
+    targets means it did not.
+    """
+    balls = tree.query_ball_point(queries, radius)
+    counts = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
+    if counts.min() < k:
+        raise InvariantError(f"a k-NN ball holds {counts.min()} targets, fewer than k={k}")
+    cand = np.concatenate(balls).astype(np.int64)
+    rows = np.repeat(np.arange(len(balls)), counts)
+    d2 = _squared_distances(targets[cand], queries[rows])
+    order = np.lexsort((cand, d2, rows))
+    first = np.cumsum(counts) - counts
+    return cand[order][first[:, None] + np.arange(k)]
 
 
 def _select_k(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -337,8 +359,8 @@ def knn(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
       window cannot prove exact answered by one of the two scans below;
     - fewer than ``EXHAUSTIVE_CUTOFF`` targets: every distance, partial
       selection, and a stable sort of the rows that tie at the k-th distance;
-    - otherwise ``knn_tree``: cKDTree candidates, an exact re-rank, and an
-      exhaustive fallback for rows with a tie at the candidate boundary.
+    - otherwise ``knn_tree``: cKDTree candidates, an exact re-rank, and a
+      ball query for rows with a tie at the candidate boundary.
     """
     queries, targets = _check_knn_args(queries, targets, k)
     axes = _lattice_axes(targets)

@@ -40,7 +40,6 @@ from .gridify import (
 )
 from .gridnet import (
     AffineHead,
-    BlockSpec,
     ConvBlock,
     KernelEvalCounter,
     block_forward,
@@ -186,8 +185,10 @@ class ReconConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self):
-        if self.n_train < 1 or self.n_val < 1:
-            raise ConfigError("need at least one training and one validation cloud")
+        for name in ("n_train", "n_val"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if min(self.resolutions, default=0) < 2:
             raise ConfigError(f"resolutions must all be >= 2, got {self.resolutions}")
         if not self.channels or min(self.channels) < 1:
@@ -309,8 +310,10 @@ class ClassifyConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self):
-        if self.n_train < 2 or self.n_val < 2:
-            raise ConfigError("need at least two clouds on each split for both classes")
+        for name in ("n_train", "n_val"):
+            value = getattr(self, name)
+            if value < 2:
+                raise ConfigError(f"{name} must be >= 2 so the split holds both classes, got {value}")
         if self.resolution < 1:
             raise ConfigError(f"resolution must be >= 1, got {self.resolution}")
         if self.n_blocks < 1:
@@ -382,9 +385,10 @@ def train_classify_synth(cfg: ClassifyConfig) -> float:
 
     init_rng = np.random.default_rng(init_ss)
     enc = init_gridifier(1, cfg.channels, cfg.channels, 3, init_rng, omega=cfg.omega)
-    block_spec = BlockSpec(cfg.channels, cfg.kernel_size, dropout=cfg.dropout)
     blocks = [
-        init_conv_block(block_spec, 3, init_rng, omega=1.0, n_frequencies=4, hidden=[16])
+        init_conv_block(
+            cfg.channels, cfg.kernel_size, 3, init_rng, cfg.dropout, n_frequencies=4, hidden=[16]
+        )
         for _ in range(cfg.n_blocks)
     ]
     head = init_affine_head(cfg.channels, 2, init_rng)
@@ -449,30 +453,16 @@ class BenchReport:
                 )
 
 
-def _timed_stats(fn, repetitions: int, warmups: int, min_time: float = 1e-3):
-    """Median seconds per call and the calls per timed repetition,
-    auto-batching calls too fast to time.
-
-    The calibration loop doubles as an extra warm-up; timed repetitions always
-    measure ``inner`` consecutive calls and divide.
-    """
-    inner = 1
-    while True:
-        t0 = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        if time.perf_counter() - t0 >= min_time or inner >= 10**6:
-            break
-        inner *= 10
-    for _ in range(warmups):
+def _median_seconds(fn, repetitions: int) -> float:
+    """Median seconds of ``repetitions`` timed calls, after three untimed ones."""
+    for _ in range(3):
         fn()
     samples = []
     for _ in range(repetitions):
         t0 = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        samples.append((time.perf_counter() - t0) / inner)
-    return statistics.median(samples), inner
+        fn()
+        samples.append(time.perf_counter() - t0)
+    return statistics.median(samples)
 
 
 def _peak_alloc_bytes(fn) -> int:
@@ -495,7 +485,6 @@ def bench_scaling(
     n_layers: int = 3,
     omega: float = 1.0,
     seed: int = 0,
-    warmups: int = 2,
     out_csv: str | None = None,
 ) -> BenchReport:
     """Time the gridified pipeline against the per-edge baseline over cloud sizes.
@@ -564,7 +553,7 @@ def bench_scaling(
                     raise TrainingError("positional evaluations unevenly split across layers")
                 per_layer = counter.pos_evals // n_layers
                 alloc = _peak_alloc_bytes(fn)
-                med, _ = _timed_stats(fn, repetitions, warmups)
+                med = _median_seconds(fn, repetitions)
                 rows.append(BenchRow(path, n, width, k, med * 1e3, alloc, per_layer))
 
     report = BenchReport(rows, repetitions, n_layers)

@@ -32,18 +32,19 @@ from .autodiff import Tensor
 from .connectivity import Direction, EdgeSet
 from .errors import ConfigError, ShapeError
 from .nn import MlpParams, PositionalNet, init_mlp, init_positional_net, mlp_forward
-from .pccore import Grid, GridSpec, PointCloud, make_grid_coords
+from .pccore import GridSpec
 
 AGGREGATIONS = ("mean", "max")
 
 
 @dataclass
 class GridifierParams:
-    """The four learnable networks plus the aggregation mode and hidden width.
+    """The four learnable networks plus the aggregation mode.
 
     phi_node embeds source features (F_in -> H), phi_pos embeds relative
     positions (D -> H), phi_msg mixes their concatenation (2H -> H), and
-    phi_upd produces destination features (H -> F_out).
+    phi_upd produces destination features (H -> F_out).  The hidden width H
+    is phi_node's output width; the other three networks must agree with it.
     """
 
     phi_node: MlpParams
@@ -51,14 +52,11 @@ class GridifierParams:
     phi_msg: MlpParams
     phi_upd: MlpParams
     aggregation: str
-    hidden: int
 
     def __post_init__(self):
         h = self.hidden
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
-        if self.phi_node.out_width != h:
-            raise ConfigError(f"phi_node must output width {h}, got {self.phi_node.out_width}")
         if self.phi_pos.out_width != h:
             raise ConfigError(f"phi_pos must output width {h}, got {self.phi_pos.out_width}")
         if self.phi_msg.in_width != 2 * h:
@@ -70,6 +68,10 @@ class GridifierParams:
             raise ConfigError(f"phi_msg must output width {h}, got {self.phi_msg.out_width}")
         if self.phi_upd.in_width != h:
             raise ConfigError(f"phi_upd must take width {h}, got {self.phi_upd.in_width}")
+
+    @property
+    def hidden(self) -> int:
+        return self.phi_node.out_width
 
     @property
     def f_in(self) -> int:
@@ -94,19 +96,16 @@ def init_gridifier(
     dim: int,
     rng: np.random.Generator,
     omega: float = 0.1,
-    n_frequencies: int | None = None,
     aggregation: str = "mean",
 ) -> GridifierParams:
-    """Default architecture: every phi is a two-layer MLP with hidden width H."""
-    if n_frequencies is None:
-        n_frequencies = max(4, hidden // 2)
+    """Default architecture: every phi is a two-layer MLP with hidden width H,
+    and phi_pos reads max(4, H // 2) sinusoid frequencies."""
     return GridifierParams(
         phi_node=init_mlp([f_in, hidden, hidden], rng),
-        phi_pos=init_positional_net(omega, n_frequencies, dim, [hidden], hidden, rng),
+        phi_pos=init_positional_net(omega, max(4, hidden // 2), dim, [hidden], hidden, rng),
         phi_msg=init_mlp([2 * hidden, hidden, hidden], rng),
         phi_upd=init_mlp([hidden, hidden, f_out], rng),
         aggregation=aggregation,
-        hidden=hidden,
     )
 
 
@@ -203,23 +202,6 @@ def degridify_features(
         params, grid_feats.shape[1],
     )
     return _message_passing(grid_coords, grid_feats, cloud_coords, edges, params)
-
-
-def gridify(cloud: PointCloud, spec: GridSpec, edges: EdgeSet, params: GridifierParams) -> Grid:
-    """Map a point cloud onto the regular lattice defined by ``spec``."""
-    if spec.dim != cloud.dim:
-        raise ShapeError(f"grid dim {spec.dim} != cloud dim {cloud.dim}")
-    grid_coords = make_grid_coords(spec)
-    feats = gridify_features(Tensor(cloud.feats), cloud.coords, grid_coords, edges, params)
-    return Grid(spec, feats.data)
-
-
-def degridify(
-    grid: Grid, cloud_coords: np.ndarray, edges: EdgeSet, params: GridifierParams
-) -> np.ndarray:
-    """Map grid features back onto cloud coordinates; returns (N_P, F_out)."""
-    out = degridify_features(Tensor(grid.feats), grid.coords, np.asarray(cloud_coords, float), edges, params)
-    return out.data
 
 
 # ---------------------------------------------------------------------------

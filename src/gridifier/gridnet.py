@@ -31,7 +31,6 @@ from .pccore import GridSpec
 
 __all__ = [
     "AffineHead",
-    "BlockSpec",
     "ConvBlock",
     "ConvSpec",
     "KernelCache",
@@ -282,33 +281,27 @@ def conv_point_native(
 # blocks and heads
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """Wiring of one residual unit: channel norm -> conv -> GELU -> dropout, plus
-    the input; the convolution keeps the channel count."""
-
-    channels: int
-    kernel_size: int
-    dropout: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout}")
-
-
 @dataclass
 class ConvBlock:
-    spec: BlockSpec
+    """One residual unit: channel norm -> conv -> GELU -> dropout, plus the
+    input.  The convolution keeps its channel count, so the sum is defined."""
+
     conv: ConvSpec
     gamma: Tensor
     beta: Tensor
+    dropout: float = 0.0
 
     def __post_init__(self):
-        c = self.spec.channels
-        if (self.conv.in_channels, self.conv.out_channels) != (c, c):
-            raise ConfigError("block and convolution channel counts disagree")
+        c = self.conv.in_channels
+        if self.conv.out_channels != c:
+            raise ConfigError(
+                f"a residual block's convolution must keep its channel count, "
+                f"got {c} -> {self.conv.out_channels}"
+            )
         if self.gamma.shape != (c,) or self.beta.shape != (c,):
             raise ShapeError(f"norm parameters must have shape ({c},)")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout}")
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = {f"{prefix}gamma": self.gamma, f"{prefix}beta": self.beta}
@@ -317,16 +310,20 @@ class ConvBlock:
 
 
 def init_conv_block(
-    spec: BlockSpec,
+    channels: int,
+    kernel_size: int,
     dim: int,
     rng: np.random.Generator,
-    omega: float = 1.0,
+    dropout: float = 0.0,
     n_frequencies: int = 8,
     hidden: list[int] | None = None,
 ) -> ConvBlock:
-    c = spec.channels
-    conv = init_conv(spec.kernel_size, dim, c, c, rng, omega, n_frequencies, hidden)
-    return ConvBlock(spec, conv, Tensor(np.ones(c)), Tensor(np.zeros(c)))
+    """A block around ``init_conv``'s channels -> channels convolution (omega
+    1), with the norm at unit scale and zero shift."""
+    conv = init_conv(
+        kernel_size, dim, channels, channels, rng, n_frequencies=n_frequencies, hidden=hidden
+    )
+    return ConvBlock(conv, Tensor(np.ones(channels)), Tensor(np.zeros(channels)), dropout)
 
 
 def block_forward(
@@ -344,10 +341,10 @@ def block_forward(
     h = ad.channel_norm(feats, block.gamma, block.beta)
     h = conv_grid_features(h, spec, block.conv)
     h = ad.gelu(h)
-    if training and block.spec.dropout > 0.0:
+    if training and block.dropout > 0.0:
         if rng is None:
             raise ConfigError("dropout during training needs an rng")
-        h = ad.dropout(h, block.spec.dropout, rng)
+        h = ad.dropout(h, block.dropout, rng)
     return ad.add(feats, h)
 
 

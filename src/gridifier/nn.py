@@ -144,6 +144,8 @@ def init_positional_net(
     """Frequencies B ~ Normal(0, omega^2), drawn before the head's layers."""
     if not (np.isfinite(omega) and omega > 0):
         raise ConfigError(f"positional net needs a finite omega > 0, got {omega}")
+    if n_frequencies < 1:
+        raise ConfigError(f"positional net needs n_frequencies >= 1, got {n_frequencies}")
     freq = Tensor(rng.normal(0.0, omega, (n_frequencies, dim)))
     head = init_mlp([2 * n_frequencies, *hidden, out_width], rng)
     return PositionalNet(freq, head)

@@ -61,11 +61,11 @@ def _pack(arrays: dict[str, np.ndarray], layout: dict[str, slice], size: int) ->
     return flat
 
 
-def adamw_init(params: dict[str, Tensor], lr: float, weight_decay: float = 0.0,
-               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamWState:
+def adamw_init(params: dict[str, Tensor], lr: float, weight_decay: float = 0.0) -> AdamWState:
+    """Zero moments for every parameter, with the default betas and eps."""
     m = {name: np.zeros_like(p.data) for name, p in params.items()}
     v = {name: np.zeros_like(p.data) for name, p in params.items()}
-    return AdamWState(lr, weight_decay, beta1, beta2, eps, m=m, v=v)
+    return AdamWState(lr, weight_decay, m=m, v=v)
 
 
 def adamw_step(state: AdamWState, params: dict[str, Tensor], lr: float | None = None,

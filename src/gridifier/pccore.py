@@ -1,4 +1,4 @@
-"""Point cloud and grid data model, lattice construction, normalization, file I/O.
+"""Point cloud data model, the [-1, 1]^dim lattice, and cloud file I/O.
 
 Coordinates and features are float64 in memory.  The binary ``pcb`` file format
 stores float32, so a write/read round trip is bit-exact only for values that are
@@ -8,7 +8,7 @@ exactly representable in float32.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,18 +72,14 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Regular lattice of resolution**dim points spanning [lo, hi]**dim."""
+    """Regular lattice of resolution**dim points spanning [-1, 1]**dim."""
 
     resolution: int
-    lo: float = -1.0
-    hi: float = 1.0
     dim: int = 3
 
     def __post_init__(self):
         if self.resolution < 1:
             raise ConfigError(f"grid resolution must be >= 1, got {self.resolution}")
-        if not self.lo < self.hi:
-            raise ConfigError(f"grid domain requires lo < hi, got [{self.lo}, {self.hi}]")
         if self.dim not in SUPPORTED_DIMS:
             raise ConfigError(f"unsupported spatial dimension {self.dim}")
 
@@ -95,8 +91,8 @@ class GridSpec:
     def spacing(self) -> float:
         """Distance between adjacent lattice points along one axis."""
         if self.resolution == 1:
-            return self.hi - self.lo
-        return (self.hi - self.lo) / (self.resolution - 1)
+            return 2.0
+        return 2.0 / (self.resolution - 1)
 
 
 def make_grid_coords(spec: GridSpec) -> np.ndarray:
@@ -104,58 +100,14 @@ def make_grid_coords(spec: GridSpec) -> np.ndarray:
 
     Flat ordering is row-major with the last axis fastest, so index i decodes
     by mixed-radix decomposition in base ``resolution``.  Axis endpoints are
-    exactly lo and hi for resolution >= 2; a single-point axis sits at the
-    domain midpoint.
+    exactly -1 and 1 for resolution >= 2; a single-point axis sits at 0.
     """
     if spec.resolution == 1:
-        axis = np.array([(spec.lo + spec.hi) / 2.0])
+        axis = np.array([0.0])
     else:
-        axis = np.linspace(spec.lo, spec.hi, spec.resolution)
+        axis = np.linspace(-1.0, 1.0, spec.resolution)
     mesh = np.meshgrid(*([axis] * spec.dim), indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, spec.dim)
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Feature field on a regular lattice; coordinates derive from the spec."""
-
-    spec: GridSpec
-    feats: np.ndarray
-    _coords: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        feats = _frozen(np.atleast_2d(self.feats))
-        if feats.shape[0] != self.spec.n_points:
-            raise DataError(
-                f"grid feats rows ({feats.shape[0]}) != lattice size ({self.spec.n_points})"
-            )
-        object.__setattr__(self, "feats", feats)
-        object.__setattr__(self, "_coords", _frozen(make_grid_coords(self.spec)))
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self._coords
-
-    @property
-    def n_points(self) -> int:
-        return self.spec.n_points
-
-    @property
-    def n_feats(self) -> int:
-        return self.feats.shape[1]
-
-
-def normalize_cloud(cloud: PointCloud) -> PointCloud:
-    """Center the cloud on the origin and scale the largest point norm to 1.
-
-    Features pass through unchanged.  If every point coincides with the
-    centroid the coordinates all map to the origin.
-    """
-    centered = cloud.coords - cloud.coords.mean(axis=0)
-    max_norm = np.sqrt((centered**2).sum(axis=1)).max()
-    if max_norm > 0.0:
-        centered = centered / max_norm
-    return PointCloud(centered, cloud.feats)
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,10 @@ class TestTrainingCommands:
         ("train-recon", ["--lr", "nan"], "lr"),
         ("train-recon", ["--weight-decay", "-5"], "weight_decay"),
         ("train-recon", ["--aggregation", "sum"], "aggregation"),
+        ("train-recon", ["--n-train", "0"], "n_train"),
+        ("train-recon", ["--n-val", "0"], "n_val"),
+        ("train-classify", ["--n-train", "1"], "n_train"),
+        ("train-classify", ["--n-val", "1"], "n_val"),
         # each setting of a sweep would overwrite the one checkpoint file
         ("train-recon", ["--resolution", "3,4", "--checkpoint", "x.ckpt"], "checkpoint"),
     ]

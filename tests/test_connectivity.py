@@ -25,6 +25,11 @@ from gridifier.pccore import GridSpec, make_grid_coords
 from scipy.spatial import cKDTree
 
 
+def mesh(axis, dim=3):
+    """Row-major lattice over ``axis`` on every axis, as ``make_grid_coords`` lays it out."""
+    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+
+
 def bilateral_oracle(cloud, grid, k):
     """Two independent exhaustive passes, joined as a Python set of pairs."""
     edges = set()
@@ -115,7 +120,7 @@ def _tie_heavy_cases():
     dense = rng.uniform(-1, 1, (2000, 3))
     plane = make_grid_coords(GridSpec(resolution=30, dim=2))
     # every cell centre is equidistant from its 8 corner nodes
-    centres = make_grid_coords(GridSpec(resolution=8, lo=-7 / 8, hi=7 / 8))
+    centres = mesh(np.linspace(-7 / 8, 7 / 8, 8))
     return {
         "lattice_on_itself": (lattice, lattice, 9),
         "cloud_on_lattice_nodes": (on_nodes, lattice, 9),
@@ -153,6 +158,19 @@ def test_tree_search_matches_brute_force_above_cutoff(queries, targets, k):
     np.testing.assert_array_equal(knn(queries, targets, k), expected)
 
 
+@pytest.mark.parametrize("k", [1, 5, 9, 28])
+def test_tree_answers_lattice_queries_on_node_clouds_without_brute_force(monkeypatch, k):
+    # every lattice query ties at its k-th distance among cloud points that
+    # sit on lattice nodes, so every row is unsure of its tree candidates
+    rng = np.random.default_rng(33)
+    lattice = make_grid_coords(GridSpec(resolution=9, dim=3))
+    cloud = lattice[rng.integers(0, lattice.shape[0], 8000)]
+    expected = knn_brute(lattice, cloud, k)
+    brute_calls = _count_calls(monkeypatch, "knn_brute")
+    np.testing.assert_array_equal(knn_tree(lattice, cloud, k), expected)
+    assert brute_calls == []
+
+
 def _small_tie_heavy_cases():
     """Queries, targets and k for searches below the exhaustive cutoff."""
     rng = np.random.default_rng(32)
@@ -161,7 +179,7 @@ def _small_tie_heavy_cases():
     base = rng.uniform(-1, 1, (100, 3))
     plane = make_grid_coords(GridSpec(resolution=15, dim=2))
     # every cell centre is equidistant from its 8 corner nodes
-    centres = make_grid_coords(GridSpec(resolution=5, lo=-0.8, hi=0.8))
+    centres = mesh(np.linspace(-0.8, 0.8, 5))
     return {
         "lattice_on_itself": (lattice, lattice, 9),
         "cloud_on_lattice_nodes": (on_nodes, lattice, 9),
@@ -383,7 +401,7 @@ def _lattice_cases():
     plane = make_grid_coords(GridSpec(resolution=13, dim=2))
     base = rng.uniform(-1, 1, (150, 3))
     # every cell centre is equidistant from its 8 corner nodes
-    centres = make_grid_coords(GridSpec(resolution=8, lo=-7 / 8, hi=7 / 8))
+    centres = mesh(np.linspace(-7 / 8, 7 / 8, 8))
     return {
         "lattice_on_itself": (cube, cube, 9),
         "cloud_on_nodes": (cube[rng.integers(0, cube.shape[0], 900)], cube, 9),
@@ -431,7 +449,7 @@ def test_lattice_search_matches_brute_force(monkeypatch, queries, targets, k):
 
 
 def test_lattice_axes_are_the_sorted_coordinates():
-    lattice = make_grid_coords(GridSpec(resolution=5, lo=-0.5, hi=1.5, dim=3)) + 0.125
+    lattice = mesh(np.linspace(-0.5, 1.5, 5)) + 0.125
     axes = _lattice_axes(lattice)
     assert len(axes) == 3
     for axis in axes:

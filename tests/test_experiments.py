@@ -20,7 +20,7 @@ from gridifier.experiments import (
     ReconConfig,
     _ClassifyModel,
     _classify_logits,
-    _timed_stats,
+    _median_seconds,
     bench_scaling,
     gen_random_cloud,
     gen_shape_cloud,
@@ -28,7 +28,7 @@ from gridifier.experiments import (
     train_reconstruction,
 )
 from gridifier.gridify import init_gridifier
-from gridifier.gridnet import BlockSpec, init_affine_head, init_conv_block
+from gridifier.gridnet import init_affine_head, init_conv_block
 from gridifier.pccore import GridSpec, make_grid_coords
 
 
@@ -290,9 +290,7 @@ def test_classify_forward_renders_each_kernel_once_per_block(monkeypatch):
     rng = np.random.default_rng(0)
     spec = GridSpec(resolution=4, dim=3)
     grid_coords = make_grid_coords(spec)
-    blocks = [
-        init_conv_block(BlockSpec(3, 3), 3, rng, n_frequencies=4, hidden=[8]) for _ in range(2)
-    ]
+    blocks = [init_conv_block(3, 3, 3, rng, n_frequencies=4, hidden=[8]) for _ in range(2)]
     model = _ClassifyModel(
         spec, grid_coords, init_gridifier(1, 3, 3, 3, rng), blocks, init_affine_head(3, 2, rng)
     )
@@ -328,7 +326,6 @@ def tiny_report():
         resolution=3,
         kernel_size=3,
         n_layers=2,
-        warmups=0,
     )
 
 
@@ -387,7 +384,8 @@ class TestBench:
         with pytest.raises(ConfigError, match="n_layers"):
             bench_scaling(n_list=(20, 40), c_list=(2,), n_layers=n_layers)
 
-    def test_timer_batches_fast_functions(self):
-        med, inner = _timed_stats(lambda: None, repetitions=5, warmups=0)
-        assert inner > 1
+    def test_timer_warms_up_three_calls_then_times_each(self):
+        calls = []
+        med = _median_seconds(lambda: calls.append(None), repetitions=5)
+        assert len(calls) == 3 + 5
         assert med >= 0

@@ -13,14 +13,12 @@ from gridifier.gridify import (
     Violation,
     _canonical_edge_order,
     check_requirements,
-    degridify,
     degridify_features,
-    gridify,
     gridify_features,
     init_gridifier,
 )
 from gridifier.nn import MlpParams, PositionalNet, mlp_forward
-from gridifier.pccore import Grid, GridSpec, PointCloud, make_grid_coords
+from gridifier.pccore import GridSpec, PointCloud, make_grid_coords
 
 # ---------------------------------------------------------------------------
 # naive per-edge oracle: plain numpy, explicit python loops, no shared code
@@ -59,7 +57,6 @@ def projection_params(width, dim=2):
         phi_msg=MlpParams([Tensor(proj)], [Tensor(np.zeros(width))]),
         phi_upd=identity_mlp(width),
         aggregation="mean",
-        hidden=width,
     )
 
 
@@ -79,27 +76,36 @@ def random_instance(seed, n=64, res=4, k=3, f_in=2, f_out=3, hidden=6, aggregati
     return cloud, spec, edges, params
 
 
+def gridify_cloud(cloud, spec, edges, params):
+    """Grid features (r**D, F_out) of ``cloud`` on the lattice of ``spec``."""
+    grid_coords = make_grid_coords(spec)
+    return gridify_features(Tensor(cloud.feats), cloud.coords, grid_coords, edges, params).data
+
+
 class TestTrivialConfigurations:
     def test_mean_of_connected_features(self):
         # two cloud features feeding one grid cell through identity networks
-        cloud = PointCloud(np.array([[0.2], [0.8]]), np.array([[1.0], [3.0]]))
-        spec = GridSpec(resolution=1, lo=0.0, hi=1.0, dim=1)
+        cloud = PointCloud(np.array([[-0.3], [0.3]]), np.array([[1.0], [3.0]]))
+        spec = GridSpec(resolution=1, dim=1)
         edges = edge_set([(0, 0), (1, 0)], Direction.CLOUD_TO_GRID, 2, 1)
-        grid = gridify(cloud, spec, edges, projection_params(1, dim=1))
-        np.testing.assert_array_equal(grid.feats, [[2.0]])
+        grid = gridify_cloud(cloud, spec, edges, projection_params(1, dim=1))
+        np.testing.assert_array_equal(grid, [[2.0]])
 
     def test_single_point_passthrough(self):
-        cloud = PointCloud(np.array([[0.3, 0.3]]), np.array([[7.5]]))
-        spec = GridSpec(resolution=1, lo=0.0, hi=1.0, dim=2)
+        cloud = PointCloud(np.array([[-0.2, -0.2]]), np.array([[7.5]]))
+        spec = GridSpec(resolution=1, dim=2)
         edges = edge_set([(0, 0)], Direction.CLOUD_TO_GRID, 1, 1)
-        grid = gridify(cloud, spec, edges, projection_params(1))
-        np.testing.assert_array_equal(grid.feats, [[7.5]])
+        grid = gridify_cloud(cloud, spec, edges, projection_params(1))
+        np.testing.assert_array_equal(grid, [[7.5]])
 
     def test_one_grid_cell_feeds_two_cloud_points(self):
-        grid = Grid(GridSpec(resolution=1, lo=0.0, hi=1.0, dim=2), np.array([[4.25]]))
+        grid_coords = make_grid_coords(GridSpec(resolution=1, dim=2))
+        cloud_coords = np.array([[-0.4, -0.4], [0.4, 0.4]])
         edges = edge_set([(0, 0), (0, 1)], Direction.GRID_TO_CLOUD, 1, 2)
-        out = degridify(grid, np.array([[0.1, 0.1], [0.9, 0.9]]), edges, projection_params(1))
-        np.testing.assert_array_equal(out, [[4.25], [4.25]])
+        out = degridify_features(
+            Tensor(np.array([[4.25]])), grid_coords, cloud_coords, edges, projection_params(1)
+        )
+        np.testing.assert_array_equal(out.data, [[4.25], [4.25]])
 
     def test_relative_positions_change_sign_between_directions(self):
         # phi_msg projects the positional half; phi_pos reads the sine half
@@ -118,16 +124,17 @@ class TestTrivialConfigurations:
             ),
             phi_upd=identity_mlp(width),
             aggregation="mean",
-            hidden=width,
         )
-        cloud_coords = np.array([[0.25, 0.75]])
+        cloud_coords = np.array([[-0.25, 0.25]])
         cloud = PointCloud(cloud_coords, np.zeros((1, 2)))
-        spec = GridSpec(resolution=1, lo=0.0, hi=1.0, dim=2)  # lattice point (0.5, 0.5)
+        spec = GridSpec(resolution=1, dim=2)  # lattice point (0, 0)
         fwd = edge_set([(0, 0)], Direction.CLOUD_TO_GRID, 1, 1)
-        grid = gridify(cloud, spec, fwd, params)
-        np.testing.assert_allclose(grid.feats, [[1.0, -1.0]])  # sin(2 pi (0.25, -0.25))
-        back = degridify(Grid(spec, np.zeros((1, 2))), cloud_coords, invert_edges(fwd), params)
-        np.testing.assert_allclose(back, [[-1.0, 1.0]])
+        grid = gridify_cloud(cloud, spec, fwd, params)
+        np.testing.assert_allclose(grid, [[1.0, -1.0]])  # sin(2 pi (0.25, -0.25))
+        back = degridify_features(
+            Tensor(np.zeros((1, 2))), make_grid_coords(spec), cloud_coords, invert_edges(fwd), params
+        )
+        np.testing.assert_allclose(back.data, [[-1.0, 1.0]])
 
 
 class TestOracleEquivalence:
@@ -135,30 +142,31 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("aggregation", ["mean", "max"])
     def test_gridify_matches_naive_loop(self, seed, aggregation):
         cloud, spec, edges, params = random_instance(seed, aggregation=aggregation)
-        grid = gridify(cloud, spec, edges, params)
+        grid = gridify_cloud(cloud, spec, edges, params)
         want = naive_pass(
             cloud.coords, cloud.feats, make_grid_coords(spec),
             list(zip(edges.src, edges.dst)), params, spec.n_points,
         )
-        np.testing.assert_allclose(grid.feats, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grid, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4, 7))
     @pytest.mark.parametrize("aggregation", ["mean", "max"])
     def test_degridify_matches_naive_loop(self, seed, aggregation):
         cloud, spec, edges, params = random_instance(seed, aggregation=aggregation)
-        grid = gridify(cloud, spec, edges, params)
+        grid_coords = make_grid_coords(spec)
+        grid = gridify_cloud(cloud, spec, edges, params)
         # the reverse map gets its own networks: grid channels in, cloud features out
         back_params = init_gridifier(
             params.f_out, 2, 6, 3, np.random.default_rng(seed + 100),
             omega=0.8, aggregation=aggregation,
         )
         inv = invert_edges(edges)
-        out = degridify(grid, cloud.coords, inv, back_params)
+        out = degridify_features(Tensor(grid), grid_coords, cloud.coords, inv, back_params)
         want = naive_pass(
-            grid.coords, grid.feats, cloud.coords,
+            grid_coords, grid, cloud.coords,
             list(zip(inv.src, inv.dst)), back_params, cloud.n_points,
         )
-        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
 
 
 def reindex_cloud(cloud, edges, perm):
@@ -175,26 +183,26 @@ class TestInvariances:
     def test_permutation_bit_identity(self, aggregation):
         rng = np.random.default_rng(21)
         cloud, spec, edges, params = random_instance(21, aggregation=aggregation)
-        base = gridify(cloud, spec, edges, params)
+        base = gridify_cloud(cloud, spec, edges, params)
         for _ in range(5):
             perm = rng.permutation(cloud.n_points)
             permuted, pedges = reindex_cloud(cloud, edges, perm)
-            got = gridify(permuted, spec, pedges, params)
-            np.testing.assert_array_equal(got.feats, base.feats)
+            got = gridify_cloud(permuted, spec, pedges, params)
+            np.testing.assert_array_equal(got, base)
 
     def test_permutation_bit_identity_with_rebuilt_edges(self):
         # the full pipeline: connectivity is reconstructed from the permuted
         # coordinates instead of being reindexed
         rng = np.random.default_rng(22)
         cloud, spec, edges, params = random_instance(22)
-        base = gridify(cloud, spec, edges, params)
+        base = gridify_cloud(cloud, spec, edges, params)
         grid_coords = make_grid_coords(spec)
         for _ in range(3):
             perm = rng.permutation(cloud.n_points)
             permuted = PointCloud(cloud.coords[perm], cloud.feats[perm])
             pedges = bilateral_knn(permuted.coords, grid_coords, 3)
-            got = gridify(permuted, spec, pedges, params)
-            np.testing.assert_array_equal(got.feats, base.feats)
+            got = gridify_cloud(permuted, spec, pedges, params)
+            np.testing.assert_array_equal(got, base)
 
     def test_translation_bit_identity_on_dyadic_coords(self):
         # coordinates on a 2^-20 lattice make every relative position exact,
@@ -465,9 +473,7 @@ def rebuild_params(template: GridifierParams, tensors: list[Tensor]) -> Gridifie
     phi_pos = PositionalNet(next(it), rebuild_mlp(template.phi_pos.head, it))
     phi_msg = rebuild_mlp(template.phi_msg, it)
     phi_upd = rebuild_mlp(template.phi_upd, it)
-    return GridifierParams(
-        phi_node, phi_pos, phi_msg, phi_upd, template.aggregation, template.hidden
-    )
+    return GridifierParams(phi_node, phi_pos, phi_msg, phi_upd, template.aggregation)
 
 
 @pytest.mark.parametrize("aggregation", ["mean", "max"])
@@ -479,8 +485,7 @@ def test_end_to_end_gradient_matches_finite_differences(aggregation):
     grid_coords = make_grid_coords(GridSpec(resolution=2, dim=2))
     edges = bilateral_knn(cloud_coords, grid_coords, 2)
     inv = invert_edges(edges)
-    template = init_gridifier(f_in, f_in, 2, 2, rng, omega=0.7, n_frequencies=2,
-                              aggregation=aggregation)
+    template = init_gridifier(f_in, f_in, 2, 2, rng, omega=0.7, aggregation=aggregation)
     target = rng.normal(size=(n, f_in))
 
     def build(ts):
@@ -501,16 +506,16 @@ class TestGuards:
     def test_wrong_direction_rejected(self):
         cloud, spec, edges, params = random_instance(40)
         with pytest.raises(ConfigError):
-            gridify(cloud, spec, invert_edges(edges), params)
+            gridify_cloud(cloud, spec, invert_edges(edges), params)
 
     def test_disconnected_destination_rejected(self):
-        cloud = PointCloud(np.array([[0.1, 0.1], [0.9, 0.9]]), np.ones((2, 1)))
-        spec = GridSpec(resolution=2, lo=0.0, hi=1.0, dim=2)
+        cloud = PointCloud(np.array([[-0.8, -0.8], [0.8, 0.8]]), np.ones((2, 1)))
+        spec = GridSpec(resolution=2, dim=2)
         edges = edge_set(
             [(0, 0), (1, 1), (0, 2)], Direction.CLOUD_TO_GRID, 2, 4
         )  # grid point 3 unreached
         with pytest.raises(InvariantError, match="3"):
-            gridify(cloud, spec, edges, projection_params(1))
+            gridify_cloud(cloud, spec, edges, projection_params(1))
 
 
 class TestRequirements:

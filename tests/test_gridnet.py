@@ -11,7 +11,6 @@ from gridifier.connectivity import Direction, EdgeSet, self_knn
 from gridifier.errors import ConfigError, InvariantError, ShapeError
 from gridifier.gridnet import (
     AffineHead,
-    BlockSpec,
     ConvBlock,
     ConvSpec,
     KernelCache,
@@ -159,7 +158,7 @@ class TestConvAgainstOracle:
     def test_one_dimensional_hand_case(self):
         # signal [0,1,0], taps [1,2,3]: cross-correlation slides the window
         # without flipping, so out[i] = sum_t k[t] * x[i + t - 1] with zero pad
-        spec = GridSpec(resolution=3, lo=0.0, hi=1.0, dim=1)
+        spec = GridSpec(resolution=3, dim=1)
         kernel = np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1)
         signal = np.array([[0.0], [1.0], [0.0]])
         out = ad.grid_correlate(Tensor(signal), Tensor(kernel), spec.resolution, 1, 3)
@@ -350,7 +349,7 @@ class TestNativePointConv:
         net = init_positional_net(0.8, 3, 2, [8], 3 * 2, rng)
         out = conv_point_native(coords, Tensor(feats), edges, net)
         expected = np.zeros((12, 2))
-        for j, i in edges.pairs():
+        for j, i in zip(edges.src, edges.dst):
             w = naive_pos(net, coords[i] - coords[j]).reshape(3, 2)
             expected[i] += feats[j] @ w
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
@@ -599,8 +598,9 @@ class TestBlocks:
     def zero_block(self, channels, kernel_size, dim, dropout=0.0):
         """A block whose kernel net has a zero last layer, so every rendered
         kernel value is exactly 0."""
-        spec = BlockSpec(channels, kernel_size, dropout=dropout)
-        block = init_conv_block(spec, dim, np.random.default_rng(0), n_frequencies=2, hidden=[4])
+        block = init_conv_block(
+            channels, kernel_size, dim, np.random.default_rng(0), dropout, n_frequencies=2, hidden=[4]
+        )
         head = block.conv.kernel_net.head
         head.weights[-1].data[...] = 0.0
         head.biases[-1].data[...] = 0.0
@@ -614,17 +614,15 @@ class TestBlocks:
         np.testing.assert_array_equal(out.data, x)
 
     def test_block_conv_channel_agreement_checked(self):
-        spec = BlockSpec(2, 3)
+        # the residual sum needs the convolution to keep its channel count
         conv = init_conv(3, 2, 2, 3, np.random.default_rng(0), n_frequencies=2, hidden=[4])
-        with pytest.raises(ConfigError, match="disagree"):
-            ConvBlock(spec, conv, Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        with pytest.raises(ConfigError, match="2 -> 3"):
+            ConvBlock(conv, Tensor(np.ones(2)), Tensor(np.zeros(2)))
 
     def test_dropout_only_active_in_training(self):
         rng = np.random.default_rng(28)
         gspec = GridSpec(resolution=4, dim=2)
-        block = init_conv_block(
-            BlockSpec(2, 3, dropout=0.5), 2, np.random.default_rng(1), n_frequencies=4, hidden=[8]
-        )
+        block = init_conv_block(2, 3, 2, np.random.default_rng(1), 0.5, n_frequencies=4, hidden=[8])
         x = Tensor(rand(rng, gspec.n_points, 2))
         eval_a = block_forward(x, gspec, block)
         eval_b = block_forward(x, gspec, block)
@@ -641,9 +639,7 @@ class TestBlocks:
     def test_block_matches_manual_composition(self):
         rng = np.random.default_rng(29)
         gspec = GridSpec(resolution=4, dim=2)
-        block = init_conv_block(
-            BlockSpec(3, 3), 2, np.random.default_rng(3), n_frequencies=4, hidden=[8]
-        )
+        block = init_conv_block(3, 3, 2, np.random.default_rng(3), n_frequencies=4, hidden=[8])
         x = Tensor(rand(rng, gspec.n_points, 3))
         out = block_forward(x, gspec, block)
         h = ad.channel_norm(x, block.gamma, block.beta)
@@ -662,14 +658,14 @@ class TestBlocks:
         def build(ts):
             net = rebuild_kernel_net(ts[: len(net_arrays)])
             gamma, beta, x = ts[len(net_arrays) :]
-            block = ConvBlock(BlockSpec(2, 3), ConvSpec(3, 2, 2, 2, kernel_net=net), gamma, beta)
+            block = ConvBlock(ConvSpec(3, 2, 2, 2, kernel_net=net), gamma, beta)
             out = block_forward(x, gspec, block)
             return ad.reduce_mean(ad.mul(out, out))
 
         assert_grads_match(build, arrays, tol=2e-4)
 
     def test_block_parameter_names(self):
-        block = init_conv_block(BlockSpec(2, 3), 2, np.random.default_rng(4))
+        block = init_conv_block(2, 3, 2, np.random.default_rng(4))
         names = set(block.named_parameters("blocks.0.").keys())
         assert "blocks.0.gamma" in names
         assert "blocks.0.conv.pos.rff.freq" in names

@@ -3,11 +3,9 @@ import pytest
 
 from gridifier.errors import ConfigError, DataError, ParseError
 from gridifier.pccore import (
-    Grid,
     GridSpec,
     PointCloud,
     make_grid_coords,
-    normalize_cloud,
     read_cloud,
     write_cloud,
 )
@@ -15,15 +13,15 @@ from gridifier.pccore import (
 
 class TestGridCoords:
     def test_1d_inclusive_endpoints(self):
-        spec = GridSpec(resolution=3, lo=-1.0, hi=1.0, dim=1)
+        spec = GridSpec(resolution=3, dim=1)
         got = make_grid_coords(spec)
         np.testing.assert_array_equal(got, [[-1.0], [0.0], [1.0]])
 
     def test_unit_square_corners_row_major(self):
-        spec = GridSpec(resolution=2, lo=0.0, hi=1.0, dim=2)
+        spec = GridSpec(resolution=2, dim=2)
         got = make_grid_coords(spec)
         np.testing.assert_array_equal(
-            got, [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+            got, [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]
         )
 
     def test_full_resolution_count(self):
@@ -32,21 +30,22 @@ class TestGridCoords:
         assert make_grid_coords(spec).shape == (729, 3)
 
     def test_single_point_axis_is_midpoint(self):
-        spec = GridSpec(resolution=1, lo=0.0, hi=4.0, dim=2)
-        np.testing.assert_array_equal(make_grid_coords(spec), [[2.0, 2.0]])
+        spec = GridSpec(resolution=1, dim=2)
+        np.testing.assert_array_equal(make_grid_coords(spec), [[0.0, 0.0]])
+        assert spec.spacing == 2.0
 
     @pytest.mark.parametrize("r", [2, 3, 5, 8])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_count_and_exact_endpoints(self, r, dim):
-        spec = GridSpec(resolution=r, lo=-1.5, hi=2.5, dim=dim)
+        spec = GridSpec(resolution=r, dim=dim)
         coords = make_grid_coords(spec)
         assert coords.shape == (r**dim, dim)
         for axis in range(dim):
-            assert coords[:, axis].min() == spec.lo
-            assert coords[:, axis].max() == spec.hi
+            assert coords[:, axis].min() == -1.0
+            assert coords[:, axis].max() == 1.0
 
     def test_mixed_radix_flat_indexing(self):
-        spec = GridSpec(resolution=4, lo=-1.0, hi=1.0, dim=3)
+        spec = GridSpec(resolution=4, dim=3)
         coords = make_grid_coords(spec)
         axis = np.linspace(-1.0, 1.0, 4)
         rng = np.random.default_rng(7)
@@ -58,54 +57,7 @@ class TestGridCoords:
         with pytest.raises(ConfigError):
             GridSpec(resolution=0)
         with pytest.raises(ConfigError):
-            GridSpec(resolution=3, lo=1.0, hi=1.0)
-        with pytest.raises(ConfigError):
             GridSpec(resolution=3, dim=4)
-
-
-class TestNormalize:
-    def test_two_points_on_a_line(self):
-        cloud = PointCloud(np.array([[2.0, 0.0], [4.0, 0.0]]), np.zeros((2, 1)))
-        out = normalize_cloud(cloud)
-        np.testing.assert_array_equal(out.coords, [[-1.0, 0.0], [1.0, 0.0]])
-
-    def test_singleton_maps_to_origin(self):
-        cloud = PointCloud(np.array([[5.0, 5.0, 5.0]]), np.ones((1, 2)))
-        out = normalize_cloud(cloud)
-        np.testing.assert_array_equal(out.coords, [[0.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(out.feats, cloud.feats)
-
-    def test_centroid_and_max_norm(self):
-        # recompute the statistics after the call rather than trusting the op
-        rng = np.random.default_rng(42)
-        cloud = PointCloud(rng.uniform(0.0, 2.0, (1000, 3)), rng.normal(size=(1000, 2)))
-        out = normalize_cloud(cloud)
-        centroid = out.coords.mean(axis=0)
-        norms = np.sqrt((out.coords**2).sum(axis=1))
-        assert np.abs(centroid).max() < 1e-9
-        assert abs(norms.max() - 1.0) < 1e-9
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(3)
-        cloud = PointCloud(rng.normal(2.0, 5.0, (64, 3)), rng.normal(size=(64, 1)))
-        once = normalize_cloud(cloud)
-        twice = normalize_cloud(once)
-        assert np.abs(twice.coords - once.coords).max() < 1e-12
-
-    def test_features_untouched(self):
-        rng = np.random.default_rng(9)
-        feats = rng.normal(size=(20, 4))
-        out = normalize_cloud(PointCloud(rng.normal(size=(20, 2)), feats))
-        np.testing.assert_array_equal(out.feats, feats)
-
-    def test_nonfinite_coords_rejected(self):
-        coords = np.array([[0.0, np.inf]])
-        with pytest.raises(DataError):
-            PointCloud(coords, np.zeros((1, 1)))
-
-    def test_nonfinite_features_rejected(self):
-        with pytest.raises(DataError, match="features"):
-            PointCloud(np.zeros((2, 3)), np.array([[0.0], [np.nan]]))
 
 
 class TestCloudValidation:
@@ -122,15 +74,22 @@ class TestCloudValidation:
         with pytest.raises(ValueError):
             cloud.coords[0, 0] = 1.0
 
-    def test_grid_feat_rows_must_match_lattice(self):
+    def test_nonfinite_coords_rejected(self):
+        coords = np.array([[0.0, np.inf]])
         with pytest.raises(DataError):
-            Grid(GridSpec(resolution=3, dim=2), np.zeros((8, 1)))
+            PointCloud(coords, np.zeros((1, 1)))
+
+    def test_nonfinite_features_rejected(self):
+        with pytest.raises(DataError, match="features"):
+            PointCloud(np.zeros((2, 3)), np.array([[0.0], [np.nan]]))
 
     def test_grid_coords_match_spec(self):
+        # adjacent lattice coordinates differ by the spec's spacing on every axis
         spec = GridSpec(resolution=3, dim=2)
-        grid = Grid(spec, np.zeros((9, 2)))
-        np.testing.assert_array_equal(grid.coords, make_grid_coords(spec))
-        assert grid.spec.spacing == 1.0
+        coords = make_grid_coords(spec).reshape(3, 3, 2)
+        assert spec.spacing == 1.0
+        np.testing.assert_array_equal(np.diff(coords[:, 0, 0]), [spec.spacing] * 2)
+        np.testing.assert_array_equal(np.diff(coords[0, :, 1]), [spec.spacing] * 2)
 
 
 class TestFileIO:
