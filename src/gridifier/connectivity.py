@@ -32,7 +32,11 @@ import numpy as np
 from .errors import ConfigError, DataError, InvariantError
 
 # below this many targets an exhaustive scan with partial selection answers,
-# so a process that only searches small sets never imports scipy.spatial
+# so a process that only searches small sets never imports scipy.spatial.
+# The cutoff is for memory, not time: at the training workloads' sizes the
+# tree took 0.16-0.48 ms per call against 0.18-0.87 ms for the scan, but
+# importing scipy.spatial raised max RSS from 55.0 to 65.9 MB, +16-18% of
+# those workloads' 61-69 MB peak RSS (2-vCPU Xeon, numpy 2.4.6, scipy 1.17.1)
 EXHAUSTIVE_CUTOFF = 512
 
 # candidates the tree returns beyond k, so that a tie at the k-th distance

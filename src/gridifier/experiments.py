@@ -39,7 +39,6 @@ from .gridify import (
     init_gridifier,
 )
 from .gridnet import (
-    AffineHead,
     ConvBlock,
     KernelEvalCounter,
     block_forward,
@@ -50,7 +49,7 @@ from .gridnet import (
     init_conv,
     init_conv_block,
 )
-from .nn import init_positional_net
+from .nn import MlpParams, init_positional_net
 from .optim import adamw_init, adamw_step, lr_at, zero_grads
 from .pccore import GridSpec, PointCloud, make_grid_coords
 
@@ -338,7 +337,7 @@ class _ClassifyModel:
     grid_coords: np.ndarray
     enc: GridifierParams
     blocks: list[ConvBlock]
-    head: AffineHead
+    head: MlpParams
 
     def named_parameters(self) -> dict[str, Tensor]:
         params = self.enc.named_parameters("enc.")
@@ -386,9 +385,7 @@ def train_classify_synth(cfg: ClassifyConfig) -> float:
     init_rng = np.random.default_rng(init_ss)
     enc = init_gridifier(1, cfg.channels, cfg.channels, 3, init_rng, omega=cfg.omega)
     blocks = [
-        init_conv_block(
-            cfg.channels, cfg.kernel_size, 3, init_rng, cfg.dropout, n_frequencies=4, hidden=[16]
-        )
+        init_conv_block(cfg.channels, cfg.kernel_size, 3, init_rng, cfg.dropout)
         for _ in range(cfg.n_blocks)
     ]
     head = init_affine_head(cfg.channels, 2, init_rng)
@@ -430,8 +427,6 @@ class BenchRow:
 @dataclass
 class BenchReport:
     rows: list[BenchRow]
-    repetitions: int
-    n_layers: int
 
     def slope(self, path: str, channels: int) -> float:
         """Least-squares log-log slope of median time versus cloud size."""
@@ -453,16 +448,25 @@ class BenchReport:
                 )
 
 
-def _median_seconds(fn, repetitions: int) -> float:
-    """Median seconds of ``repetitions`` timed calls, after three untimed ones."""
+def _median_seconds(fns, repetitions: int) -> list[float]:
+    """Median seconds of ``repetitions`` timed calls of each function in
+    ``fns``, after three untimed calls of each.
+
+    Each repetition times every function once, and odd repetitions run them
+    in reverse order, so what one function leaves behind (freed pages, a warm
+    cache) weighs on the others' readings evenly instead of on one side only.
+    """
     for _ in range(3):
-        fn()
-    samples = []
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)
+        for fn in fns:
+            fn()
+    samples = [[] for _ in fns]
+    for rep in range(repetitions):
+        order = range(len(fns)) if rep % 2 == 0 else reversed(range(len(fns)))
+        for i in order:
+            t0 = time.perf_counter()
+            fns[i]()
+            samples[i].append(time.perf_counter() - t0)
+    return [statistics.median(s) for s in samples]
 
 
 def _peak_alloc_bytes(fn) -> int:
@@ -494,7 +498,8 @@ def bench_scaling(
     then convolves there with one kernel materialization per layer; the native
     path convolves directly over self-neighborhood edges, re-evaluating its
     kernel network once per edge.  Peak allocation comes from an untimed traced
-    pass, and positional-evaluation counts from an untimed counted pass.
+    pass, and positional-evaluation counts from an untimed counted pass; the
+    timed calls of the two paths alternate (``_median_seconds``).
     """
     n_list = [int(n) for n in n_list]
     if repetitions < 5:
@@ -546,17 +551,18 @@ def bench_scaling(
                     h = conv_point_native(cloud.coords, h, edges, net, counter)
                 return h
 
-            for path, fn in (("grid", run_grid), ("native", run_native)):
+            paths = (("grid", run_grid), ("native", run_native))
+            medians = _median_seconds([fn for _, fn in paths], repetitions)
+            for (path, fn), med in zip(paths, medians):
                 counter = KernelEvalCounter()
                 fn(counter)
                 if counter.pos_evals % n_layers:
                     raise TrainingError("positional evaluations unevenly split across layers")
                 per_layer = counter.pos_evals // n_layers
                 alloc = _peak_alloc_bytes(fn)
-                med = _median_seconds(fn, repetitions)
                 rows.append(BenchRow(path, n, width, k, med * 1e3, alloc, per_layer))
 
-    report = BenchReport(rows, repetitions, n_layers)
+    report = BenchReport(rows)
     if out_csv is not None:
         report.to_csv(out_csv)
     return report

@@ -73,14 +73,6 @@ class GridifierParams:
     def hidden(self) -> int:
         return self.phi_node.out_width
 
-    @property
-    def f_in(self) -> int:
-        return self.phi_node.in_width
-
-    @property
-    def f_out(self) -> int:
-        return self.phi_upd.out_width
-
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = self.phi_node.named_parameters(f"{prefix}phi_node.")
         out.update(self.phi_pos.named_parameters(f"{prefix}phi_pos."))
@@ -160,7 +152,9 @@ def _message_passing(
     return mlp_forward(params.phi_upd, agg)
 
 
-def _check_widths(edges: EdgeSet, expect_dir: Direction, n_src: int, n_dst: int, params, f_in: int):
+def _check_edges(edges: EdgeSet, expect_dir: Direction, n_src: int, n_dst: int):
+    """The edge set runs in the pass's direction between instances of these
+    sizes; feature widths are ``mlp_forward``'s to check."""
     if edges.direction is not expect_dir:
         raise ConfigError(f"edge set direction {edges.direction} unusable here, need {expect_dir}")
     if (edges.n_src, edges.n_dst) != (n_src, n_dst):
@@ -168,8 +162,6 @@ def _check_widths(edges: EdgeSet, expect_dir: Direction, n_src: int, n_dst: int,
             f"edge set bounds ({edges.n_src}, {edges.n_dst}) do not match "
             f"instance sizes ({n_src}, {n_dst})"
         )
-    if params.f_in != f_in:
-        raise ShapeError(f"phi_node expects width {params.f_in}, features have {f_in}")
 
 
 def gridify_features(
@@ -181,10 +173,7 @@ def gridify_features(
 ) -> Tensor:
     """Differentiable cloud->grid pass; returns grid features (N_G, F_out)."""
     cloud_feats = ad.as_tensor(cloud_feats)
-    _check_widths(
-        edges, Direction.CLOUD_TO_GRID, cloud_coords.shape[0], grid_coords.shape[0],
-        params, cloud_feats.shape[1],
-    )
+    _check_edges(edges, Direction.CLOUD_TO_GRID, cloud_coords.shape[0], grid_coords.shape[0])
     return _message_passing(cloud_coords, cloud_feats, grid_coords, edges, params)
 
 
@@ -197,10 +186,7 @@ def degridify_features(
 ) -> Tensor:
     """Differentiable grid->cloud pass; returns cloud features (N_P, F_out)."""
     grid_feats = ad.as_tensor(grid_feats)
-    _check_widths(
-        edges, Direction.GRID_TO_CLOUD, grid_coords.shape[0], cloud_coords.shape[0],
-        params, grid_feats.shape[1],
-    )
+    _check_edges(edges, Direction.GRID_TO_CLOUD, grid_coords.shape[0], cloud_coords.shape[0])
     return _message_passing(grid_coords, grid_feats, cloud_coords, edges, params)
 
 

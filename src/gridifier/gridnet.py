@@ -13,6 +13,10 @@ renders one kernel matrix per edge, in ``autodiff.edge_conv``'s blocks of
 edges that are applied and summed as they are rendered, so no
 (|E|, c_in * c_out) array exists.  Both paths run the one positional network
 of ``autodiff``, forward and backward.
+
+Residual blocks and the classification head complete the grid network; the
+head is a one-layer ``nn.MlpParams``, so every learned map here is a
+``PositionalNet`` or an MLP.
 """
 
 from __future__ import annotations
@@ -26,11 +30,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .connectivity import Direction, EdgeSet
 from .errors import ConfigError, InvariantError, ShapeError
-from .nn import PositionalNet, init_positional_net, positional_forward
+from .nn import MlpParams, PositionalNet, init_positional_net, mlp_forward, positional_forward
 from .pccore import GridSpec
 
 __all__ = [
-    "AffineHead",
     "ConvBlock",
     "ConvSpec",
     "KernelCache",
@@ -128,11 +131,11 @@ class ConvSpec:
     """A resolution-preserving convolution: K odd per axis, zero padding (K-1)/2.
 
     The kernel comes from ``kernel_net``, a positional network with output
-    width c_in * c_out that is rendered on the scaled offset lattice.
+    width c_in * c_out that is rendered on the scaled offset lattice; the
+    convolution is as many-dimensional as the offsets the kernel net takes.
     """
 
     kernel_size: int
-    dim: int
     in_channels: int
     out_channels: int
     kernel_net: PositionalNet
@@ -144,15 +147,15 @@ class ConvSpec:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if min(self.in_channels, self.out_channels) < 1:
             raise ConfigError("channel counts must be >= 1")
-        if self.kernel_net.dim != self.dim:
-            raise ConfigError(
-                f"kernel net takes {self.kernel_net.dim}-d offsets, conv is {self.dim}-d"
-            )
         if self.kernel_net.out_width != self.in_channels * self.out_channels:
             raise ConfigError(
                 f"kernel net emits {self.kernel_net.out_width} values per offset, "
                 f"need c_in*c_out = {self.in_channels * self.out_channels}"
             )
+
+    @property
+    def dim(self) -> int:
+        return self.kernel_net.dim
 
     @property
     def n_taps(self) -> int:
@@ -175,7 +178,7 @@ def init_conv(
     """Neural-field convolution: kernel values come from a positional network."""
     hidden = [32] if hidden is None else hidden
     net = init_positional_net(omega, n_frequencies, dim, hidden, in_channels * out_channels, rng)
-    return ConvSpec(kernel_size, dim, in_channels, out_channels, kernel_net=net)
+    return ConvSpec(kernel_size, in_channels, out_channels, kernel_net=net)
 
 
 def _render_kernel(
@@ -251,22 +254,14 @@ def conv_point_native(
     positional evaluations per call — the quantity the grid path amortizes
     away.
     """
-    feats = ad.as_tensor(feats)
     coords = np.asarray(coords, dtype=np.float64)
     if edges.direction is not Direction.CLOUD_TO_CLOUD:
         raise ConfigError(f"native convolution needs cloud self-edges, got {edges.direction.name}")
     n = coords.shape[0]
-    if n != feats.shape[0]:
-        raise ShapeError(f"{n} coordinates vs {feats.shape[0]} feature rows")
     if (edges.n_src, edges.n_dst) != (n, n):
         raise ShapeError(
             f"edges join {edges.n_src} sources to {edges.n_dst} destinations, "
             f"but the cloud has {n} points"
-        )
-    c_in = feats.shape[1]
-    if kernel_net.out_width % c_in != 0:
-        raise ShapeError(
-            f"kernel net emits {kernel_net.out_width} values per edge, not a multiple of c_in={c_in}"
         )
     head = kernel_net.head
     out = ad.edge_conv(
@@ -315,14 +310,11 @@ def init_conv_block(
     dim: int,
     rng: np.random.Generator,
     dropout: float = 0.0,
-    n_frequencies: int = 8,
-    hidden: list[int] | None = None,
 ) -> ConvBlock:
     """A block around ``init_conv``'s channels -> channels convolution (omega
-    1), with the norm at unit scale and zero shift."""
-    conv = init_conv(
-        kernel_size, dim, channels, channels, rng, n_frequencies=n_frequencies, hidden=hidden
-    )
+    1, a kernel net of 4 frequencies under one hidden layer of 16), with the
+    norm at unit scale and zero shift."""
+    conv = init_conv(kernel_size, dim, channels, channels, rng, n_frequencies=4, hidden=[16])
     return ConvBlock(conv, Tensor(np.ones(channels)), Tensor(np.zeros(channels)), dropout)
 
 
@@ -348,31 +340,18 @@ def block_forward(
     return ad.add(feats, h)
 
 
-@dataclass
-class AffineHead:
-    """Single affine map of the classification head."""
-
-    w: Tensor
-    b: Tensor
-
-    def __post_init__(self):
-        if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
-            raise ShapeError(f"affine head shapes incompatible: w {self.w.shape}, b {self.b.shape}")
-
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {f"{prefix}w": self.w, f"{prefix}b": self.b}
-
-
-def init_affine_head(in_width: int, out_width: int, rng: np.random.Generator) -> AffineHead:
+def init_affine_head(in_width: int, out_width: int, rng: np.random.Generator) -> MlpParams:
+    """The classification head: one affine layer, weights ~ U(-1/sqrt(in_width),
+    1/sqrt(in_width)) and a zero bias."""
     bound = 1.0 / np.sqrt(in_width)
-    return AffineHead(
-        Tensor(rng.uniform(-bound, bound, size=(in_width, out_width))),
-        Tensor(np.zeros(out_width)),
+    return MlpParams(
+        [Tensor(rng.uniform(-bound, bound, size=(in_width, out_width)))],
+        [Tensor(np.zeros(out_width))],
     )
 
 
-def classify_head(grid_feats: Tensor, head: AffineHead) -> Tensor:
-    """Global mean pool over all cells, then affine; returns (1, n_classes) logits."""
+def classify_head(grid_feats: Tensor, head: MlpParams) -> Tensor:
+    """Global mean pool over all cells, then the head; returns (1, n_classes) logits."""
     grid_feats = ad.as_tensor(grid_feats)
     pooled = ad.reshape(ad.reduce_mean(grid_feats, axis=0), (1, grid_feats.shape[1]))
-    return ad.affine(pooled, head.w, head.b)
+    return mlp_forward(head, pooled)

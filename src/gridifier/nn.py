@@ -1,15 +1,17 @@
-"""MLPs and the positional network used for relative coordinates.
+"""The two network types every learned map is built from.
 
-A positional network has one form: a sinusoid of learnable frequencies
-followed by an MLP head (``PositionalNet``), run forward and backward as one
-``autodiff.positional`` node.
+``MlpParams`` is a stack of affine layers with GELU between them; the message
+functions and the classification head are MLPs.  A positional network has
+one form: a sinusoid of learnable frequencies followed by an MLP head
+(``PositionalNet``), run forward and backward as one ``autodiff.positional``
+node; it is the message-side positional embedding and every continuous
+kernel.
 
 Naming convention for checkpoints and optimizers: every learnable array has a
 dotted path like ``phi_msg.w0`` or ``pos.head.b1``.  Weight matrices are
 ``w<i>``, biases ``b<i>``, normalization scales ``gamma``/``beta``, and the
 frequency matrix of a positional net ``rff.freq``.  Weight decay applies only
-to ``w<i>`` entries (and the classification head's ``w``); see
-``decays_weight``.
+to ``w<i>`` entries; see ``decays_weight``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ class MlpParams:
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ConfigError("mlp needs one bias per weight and at least one layer")
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.ndim != 2 or b.shape != (w.shape[1],):
+                raise ShapeError(
+                    f"mlp layer {i} needs a 2-d weight and a bias of its output width, "
+                    f"got w {w.shape}, b {b.shape}"
+                )
         for i in range(len(self.weights) - 1):
             if self.weights[i].shape[1] != self.weights[i + 1].shape[0]:
                 raise ConfigError(

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from gridifier import gridnet
+from gridifier import experiments, gridnet
 from gridifier.checkpoint import load_checkpoint
 from gridifier.connectivity import bilateral_knn
 from gridifier.errors import ConfigError, TrainingError
@@ -290,7 +290,7 @@ def test_classify_forward_renders_each_kernel_once_per_block(monkeypatch):
     rng = np.random.default_rng(0)
     spec = GridSpec(resolution=4, dim=3)
     grid_coords = make_grid_coords(spec)
-    blocks = [init_conv_block(3, 3, 3, rng, n_frequencies=4, hidden=[8]) for _ in range(2)]
+    blocks = [init_conv_block(3, 3, 3, rng) for _ in range(2)]
     model = _ClassifyModel(
         spec, grid_coords, init_gridifier(1, 3, 3, 3, rng), blocks, init_affine_head(3, 2, rng)
     )
@@ -386,6 +386,26 @@ class TestBench:
 
     def test_timer_warms_up_three_calls_then_times_each(self):
         calls = []
-        med = _median_seconds(lambda: calls.append(None), repetitions=5)
+        (med,) = _median_seconds([lambda: calls.append(None)], repetitions=5)
         assert len(calls) == 3 + 5
         assert med >= 0
+
+    def test_paths_alternate_which_is_timed_first(self, monkeypatch):
+        # each grid call runs gridify_features once, each per-edge call
+        # self_knn once: three untimed calls of each path, then per
+        # repetition one timed call of each, grid first on even repetitions
+        # and per-edge first on odd ones, then each path's counted and
+        # traced passes
+        calls = []
+        for name, tag in (("gridify_features", "g"), ("self_knn", "n")):
+            original = getattr(experiments, name)
+
+            def recording(*args, _original=original, _tag=tag, **kwargs):
+                calls.append(_tag)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, recording)
+        bench_scaling(n_list=(20,), c_list=(2,), k=2, repetitions=5, resolution=3,
+                      kernel_size=3, n_layers=1)
+        timed = "".join(("gn", "ng", "gn", "ng", "gn"))
+        assert "".join(calls) == "gn" * 3 + timed + "gg" + "nn"

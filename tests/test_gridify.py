@@ -7,7 +7,7 @@ from helpers import assert_grads_match, identity_mlp, naive_mlp, naive_pos, tape
 from gridifier import autodiff as ad
 from gridifier.autodiff import Tensor
 from gridifier.connectivity import Direction, EdgeSet, bilateral_knn, invert_edges
-from gridifier.errors import ConfigError, InvariantError
+from gridifier.errors import ConfigError, InvariantError, ShapeError
 from gridifier.gridify import (
     GridifierParams,
     Violation,
@@ -32,7 +32,7 @@ def naive_pass(src_coords, src_feats, dst_coords, pairs, params, n_dst):
         node = naive_mlp(params.phi_node, src_feats[j])
         pos = naive_pos(params.phi_pos, dst_coords[i] - src_coords[j])
         buckets[i].append(naive_mlp(params.phi_msg, np.concatenate([node, pos])))
-    out = np.zeros((n_dst, params.f_out))
+    out = np.zeros((n_dst, params.phi_upd.out_width))
     for i, msgs in buckets.items():
         stack = np.stack(msgs)
         agg = stack.mean(axis=0) if params.aggregation == "mean" else stack.max(axis=0)
@@ -157,7 +157,7 @@ class TestOracleEquivalence:
         grid = gridify_cloud(cloud, spec, edges, params)
         # the reverse map gets its own networks: grid channels in, cloud features out
         back_params = init_gridifier(
-            params.f_out, 2, 6, 3, np.random.default_rng(seed + 100),
+            params.phi_upd.out_width, 2, 6, 3, np.random.default_rng(seed + 100),
             omega=0.8, aggregation=aggregation,
         )
         inv = invert_edges(edges)
@@ -410,7 +410,7 @@ class TestFusedMessagePassing:
         feats, (src_coords, dst_coords), edges, params = block_instance(
             BLOCK_CASES[case], aggregation
         )
-        weight = np.random.default_rng(51).normal(size=(edges.n_dst, params.f_out))
+        weight = np.random.default_rng(51).normal(size=(edges.n_dst, params.phi_upd.out_width))
         results = []
         for run in (degridify_features, unfused_pass):
             x = Tensor(feats)
@@ -507,6 +507,12 @@ class TestGuards:
         cloud, spec, edges, params = random_instance(40)
         with pytest.raises(ConfigError):
             gridify_cloud(cloud, spec, invert_edges(edges), params)
+
+    def test_feature_width_checked_by_phi_node(self):
+        cloud, spec, edges, params = random_instance(42)  # phi_node takes width 2
+        wide = PointCloud(cloud.coords, np.ones((cloud.n_points, 3)))
+        with pytest.raises(ShapeError, match="mlp expects last axis 2"):
+            gridify_cloud(wide, spec, edges, params)
 
     def test_disconnected_destination_rejected(self):
         cloud = PointCloud(np.array([[-0.8, -0.8], [0.8, 0.8]]), np.ones((2, 1)))

@@ -10,7 +10,6 @@ from gridifier.autodiff import Tensor
 from gridifier.connectivity import Direction, EdgeSet, self_knn
 from gridifier.errors import ConfigError, InvariantError, ShapeError
 from gridifier.gridnet import (
-    AffineHead,
     ConvBlock,
     ConvSpec,
     KernelCache,
@@ -218,13 +217,17 @@ class TestConvValidation:
         with pytest.raises(ConfigError, match="odd"):
             init_conv(4, 1, 1, 1, np.random.default_rng(0), n_frequencies=2, hidden=[4])
 
-    def test_kernel_net_dim_and_width_checked(self):
+    def test_kernel_net_width_checked(self):
         rng = np.random.default_rng(0)
         net = init_positional_net(1.0, 2, 2, [4], 6, rng)
-        with pytest.raises(ConfigError, match="offsets"):
-            ConvSpec(3, 3, 2, 3, kernel_net=net)
         with pytest.raises(ConfigError, match="c_in\\*c_out"):
-            ConvSpec(3, 2, 2, 2, kernel_net=net)
+            ConvSpec(3, 2, 2, kernel_net=net)
+
+    def test_dim_is_the_kernel_nets(self):
+        net = init_positional_net(1.0, 2, 2, [4], 6, np.random.default_rng(0))
+        conv = ConvSpec(3, 2, 3, kernel_net=net)
+        assert conv.dim == net.dim == 2
+        assert conv.n_taps == 9
 
     def test_feature_shape_mismatch(self):
         spec = GridSpec(resolution=3, dim=2)
@@ -304,7 +307,7 @@ class TestKernelReuse:
 
         def build(ts):
             net = rebuild_kernel_net(ts[:-1])
-            conv = ConvSpec(3, 1, 1, 1, kernel_net=net)
+            conv = ConvSpec(3, 1, 1, kernel_net=net)
             cache = KernelCache()
             h = conv_grid_features(ts[-1], spec, conv, cache=cache)
             h = conv_grid_features(h, spec, conv, cache=cache)
@@ -367,7 +370,7 @@ class TestNativePointConv:
         net = init_positional_net(0.5, 4, dim, [12], c_in * c_out, rng)
 
         grid_out = conv_grid_features(
-            Tensor(feats), spec, ConvSpec(3, dim, c_in, c_out, kernel_net=net)
+            Tensor(feats), spec, ConvSpec(3, c_in, c_out, kernel_net=net)
         )
         native_out = conv_point_native(
             coords, Tensor(feats), to_edge_set(window_pairs(resolution, dim, 3), spec.n_points), net
@@ -390,7 +393,7 @@ class TestNativePointConv:
         conv_point_native(coords, Tensor(rand(rng, 64, 2)), self_knn(coords, 9), net, native)
         spec = GridSpec(resolution=8, dim=2)
         conv_grid_features(
-            Tensor(rand(rng, 64, 2)), spec, ConvSpec(3, 2, 2, 2, kernel_net=net), gridded
+            Tensor(rand(rng, 64, 2)), spec, ConvSpec(3, 2, 2, kernel_net=net), gridded
         )
         assert native.pos_evals == 64 * 9
         assert gridded.pos_evals == 9
@@ -479,12 +482,19 @@ class TestNativePointConv:
         with pytest.raises(ShapeError, match=r"10 sources to 10 destinations.*12 points"):
             conv_point_native(rng.uniform(-1, 1, (12, 3)), Tensor(np.ones((12, 2))), edges, net)
 
+    def test_feature_rows_must_match_the_cloud(self):
+        rng = np.random.default_rng(23)
+        coords = rng.uniform(-1, 1, (10, 3))
+        net = init_positional_net(1.0, 2, 3, [4], 2, rng)
+        with pytest.raises(ShapeError, match=r"edge_conv shapes incompatible.*x \(9, 1\)"):
+            conv_point_native(coords, Tensor(np.ones((9, 1))), self_knn(coords, 3), net)
+
     def test_kernel_width_must_divide(self):
         rng = np.random.default_rng(22)
         coords = np.zeros((2, 2))
         edges = to_edge_set([(0, 0), (0, 1), (1, 0), (1, 1)], 2)
         net = init_positional_net(1.0, 2, 2, [4], 5, rng)
-        with pytest.raises(ShapeError, match="multiple"):
+        with pytest.raises(ShapeError, match=r"edge_conv shapes incompatible.*x \(2, 3\)"):
             conv_point_native(coords, Tensor(np.ones((2, 3))), edges, net)
 
 
@@ -536,7 +546,7 @@ class TestConvGradients:
         x = rand(rng, spec.n_points, 2)
 
         def build(ts):
-            conv = ConvSpec(3, 2, 2, 2, kernel_net=rebuild_kernel_net(ts[:-1]))
+            conv = ConvSpec(3, 2, 2, kernel_net=rebuild_kernel_net(ts[:-1]))
             out = conv_grid_features(ts[-1], spec, conv)
             return ad.reduce_mean(ad.mul(out, out))
 
@@ -554,7 +564,7 @@ class TestConvGradients:
         weights = [rand(rng, s.n_points, 3) for s in specs]
 
         def fused(net, x, spec):
-            return conv_grid_features(x, spec, ConvSpec(3, 3, 2, 3, kernel_net=net))
+            return conv_grid_features(x, spec, ConvSpec(3, 2, 3, kernel_net=net))
 
         def taped(net, x, spec):
             rel = -offset_lattice(3, 3).astype(np.float64) * spec.spacing
@@ -598,9 +608,7 @@ class TestBlocks:
     def zero_block(self, channels, kernel_size, dim, dropout=0.0):
         """A block whose kernel net has a zero last layer, so every rendered
         kernel value is exactly 0."""
-        block = init_conv_block(
-            channels, kernel_size, dim, np.random.default_rng(0), dropout, n_frequencies=2, hidden=[4]
-        )
+        block = init_conv_block(channels, kernel_size, dim, np.random.default_rng(0), dropout)
         head = block.conv.kernel_net.head
         head.weights[-1].data[...] = 0.0
         head.biases[-1].data[...] = 0.0
@@ -622,7 +630,7 @@ class TestBlocks:
     def test_dropout_only_active_in_training(self):
         rng = np.random.default_rng(28)
         gspec = GridSpec(resolution=4, dim=2)
-        block = init_conv_block(2, 3, 2, np.random.default_rng(1), 0.5, n_frequencies=4, hidden=[8])
+        block = init_conv_block(2, 3, 2, np.random.default_rng(1), 0.5)
         x = Tensor(rand(rng, gspec.n_points, 2))
         eval_a = block_forward(x, gspec, block)
         eval_b = block_forward(x, gspec, block)
@@ -639,7 +647,7 @@ class TestBlocks:
     def test_block_matches_manual_composition(self):
         rng = np.random.default_rng(29)
         gspec = GridSpec(resolution=4, dim=2)
-        block = init_conv_block(3, 3, 2, np.random.default_rng(3), n_frequencies=4, hidden=[8])
+        block = init_conv_block(3, 3, 2, np.random.default_rng(3))
         x = Tensor(rand(rng, gspec.n_points, 3))
         out = block_forward(x, gspec, block)
         h = ad.channel_norm(x, block.gamma, block.beta)
@@ -658,11 +666,18 @@ class TestBlocks:
         def build(ts):
             net = rebuild_kernel_net(ts[: len(net_arrays)])
             gamma, beta, x = ts[len(net_arrays) :]
-            block = ConvBlock(ConvSpec(3, 2, 2, 2, kernel_net=net), gamma, beta)
+            block = ConvBlock(ConvSpec(3, 2, 2, kernel_net=net), gamma, beta)
             out = block_forward(x, gspec, block)
             return ad.reduce_mean(ad.mul(out, out))
 
         assert_grads_match(build, arrays, tol=2e-4)
+
+    def test_block_architecture(self):
+        # the one block the classification study trains: 4 kernel-net
+        # frequencies under one hidden layer of 16
+        net = init_conv_block(5, 3, 3, np.random.default_rng(4)).conv.kernel_net
+        assert (net.n_frequencies, net.dim) == (4, 3)
+        assert net.head.widths == [8, 16, 25]
 
     def test_block_parameter_names(self):
         block = init_conv_block(2, 3, 2, np.random.default_rng(4))
@@ -678,7 +693,7 @@ class TestHeads:
         head = init_affine_head(3, 5, rng)
         feats = np.full((16, 3), 0.75)
         logits = classify_head(Tensor(feats), head)
-        expected = np.full((1, 3), 0.75) @ head.w.data + head.b.data
+        expected = np.full((1, 3), 0.75) @ head.weights[0].data + head.biases[0].data
         np.testing.assert_allclose(logits.data, expected, rtol=0, atol=1e-12)
 
     def test_logit_shape_for_forty_classes(self):
@@ -692,7 +707,7 @@ class TestHeads:
         head = init_affine_head(4, 3, rng)
         feats = rand(rng, 10, 4)
         logits = classify_head(Tensor(feats), head)
-        expected = feats.mean(axis=0) @ head.w.data + head.b.data
+        expected = feats.mean(axis=0) @ head.weights[0].data + head.biases[0].data
         np.testing.assert_allclose(logits.data[0], expected, rtol=0, atol=1e-12)
 
     def test_head_gradients(self):
@@ -700,11 +715,18 @@ class TestHeads:
         arrays = [rand(rng, 4, 3), np.zeros(3), rand(rng, 10, 4)]
 
         def build(ts):
-            out = classify_head(ts[2], AffineHead(ts[0], ts[1]))
+            out = classify_head(ts[2], MlpParams([ts[0]], [ts[1]]))
             return ad.reduce_mean(ad.mul(out, out))
 
         assert_grads_match(build, arrays)
 
     def test_head_shape_validation(self):
-        with pytest.raises(ShapeError, match="affine head"):
-            AffineHead(Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match=r"bias of its output width.*w \(3, 2\), b \(3,\)"):
+            MlpParams([Tensor(np.zeros((3, 2)))], [Tensor(np.zeros(3))])
+
+    def test_head_is_one_layer_with_zero_bias(self):
+        head = init_affine_head(4, 3, np.random.default_rng(36))
+        assert head.widths == [4, 3]
+        assert list(head.named_parameters("head.")) == ["head.w0", "head.b0"]
+        assert np.abs(head.weights[0].data).max() <= 0.5
+        np.testing.assert_array_equal(head.biases[0].data, np.zeros(3))

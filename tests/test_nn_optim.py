@@ -9,6 +9,7 @@ from gridifier import checkpoint
 from gridifier.checkpoint import load_checkpoint, save_checkpoint
 from gridifier.errors import ConfigError, ParseError, ShapeError, TrainingError
 from gridifier.nn import (
+    MlpParams,
     decays_weight,
     init_mlp,
     init_positional_net,
@@ -50,6 +51,15 @@ class TestMlp:
         with pytest.raises(ShapeError):
             mlp_forward(params, Tensor(np.zeros((5, 3))))
 
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_bias_must_have_its_layers_output_width(self, bad):
+        rng = np.random.default_rng(3)
+        ws = [Tensor(rand(rng, 2, 4)), Tensor(rand(rng, 4, 3))]
+        bs = [Tensor(np.zeros(4)), Tensor(np.zeros(3))]
+        bs[bad] = Tensor(np.zeros(bs[bad].shape[0] + 1))
+        with pytest.raises(ShapeError, match=f"mlp layer {bad} .*bias"):
+            MlpParams(ws, bs)
+
     def test_bad_layer_chain(self):
         with pytest.raises(ConfigError):
             init_mlp([2], np.random.default_rng(0))
@@ -64,8 +74,6 @@ class TestMlp:
         arrays = [rand(rng, 4, 2), rand(rng, 2, 6), rand(rng, 6), rand(rng, 6, 3), rand(rng, 3)]
 
         def build(ts):
-            from gridifier.nn import MlpParams
-
             params = MlpParams([ts[1], ts[3]], [ts[2], ts[4]])
             return ad.reduce_mean(mlp_forward(params, ts[0]))
 
@@ -214,7 +222,7 @@ class TestDecayRule:
             ("phi_node.w0", True),
             ("phi_node.b0", False),
             ("pos.rff.freq", False),
-            ("head.w", True),
+            ("head.w0", True),
             ("blocks.0.gamma", False),
             ("blocks.0.beta", False),
         ],
@@ -293,7 +301,7 @@ class TestAdamW:
                 p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
 
         rng = np.random.default_rng(21)
-        shapes = {"mlp.w0": (3, 4), "mlp.b0": (4,), "head.w": (2, 3), "pos.rff.freq": (5, 3)}
+        shapes = {"mlp.w0": (3, 4), "mlp.b0": (4,), "head.w0": (2, 3), "pos.rff.freq": (5, 3)}
         init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         params = {name: Tensor(a.copy()) for name, a in init.items()}
         want = {name: a.copy() for name, a in init.items()}
