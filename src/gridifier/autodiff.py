@@ -12,6 +12,14 @@ the first gradient array it receives without copying it, and that array may
 be shared (``add`` hands one array to both parents, ``reshape`` hands down a
 view), so a stored ``grad`` is never written in place: later contributions
 replace it with a new sum.
+
+The positional network starts with the sinusoid [cos 2 pi B r ; sin 2 pi B r]
+of an offset r.  ``positional`` takes it of constant offsets; the two per-edge
+nodes, ``message_aggregate`` and ``edge_conv``, take it of every edge's offset
+d - s as the product e^{2 pi i B (d - o)} * conj(e^{2 pi i B (s - o)}) of two
+per-point phases (``_edge_phases``), so cos and sin run once per point, not
+once per edge, and the offsets themselves are formed only in the backward,
+for the gradient of B.
 """
 
 from __future__ import annotations
@@ -28,11 +36,17 @@ _TWO_PI = 2.0 * np.pi
 # bytes of one H-wide array of a ``message_aggregate`` edge block; 256 KiB
 # gave the fastest gridify + degridify forward in a sweep from 32 KiB to
 # 8 MiB at H=16 and N=1000 and 8000, and a training step at H=128 as fast as
-# 512 KiB (CHANGES.md)
+# 512 KiB.  Swept again with per-point phases (64 KiB to 2 MiB, medians of
+# 15 interleaved rounds, 2-vCPU Xeon, one BLAS thread), no budget was faster
+# at both sizes: 64/128/512 KiB/1/2 MiB ran 1.02/1.07/1.27/1.30/1.34 of
+# 256 KiB at N=1000 and 1.11/0.98/1.05/1.03/1.14 at N=8000 (CHANGES.md)
 _MESSAGE_BLOCK_BYTES = 256 << 10
 # bytes of the kernel rows of an ``edge_conv`` edge block; 512 KiB ran the
 # per-edge baseline (C=16, k=9) as fast as 256 KiB at N=1000 and 4-5% faster
-# at N=2000 and 8000, and 1 MiB was 16% slower at N=1000 (CHANGES.md)
+# at N=2000 and 8000, and 1 MiB was 16% slower at N=1000.  Swept again with
+# per-point phases, it is still the fastest at both sizes: 64/128/256 KiB/
+# 1/2 MiB ran 1.76/1.22/1.08/1.01/1.15 of it at N=1000 and
+# 2.06/1.29/1.01/1.05/1.17 at N=8000 (CHANGES.md)
 _RENDER_BLOCK_BYTES = 512 << 10
 
 
@@ -276,42 +290,91 @@ def _positional_width(freq: Tensor, dim: int, layers) -> int | None:
     return _chain_width(layers, 2 * freq.shape[0])
 
 
-def _positional(rel: np.ndarray, freq, layers):
-    """The positional network on the offsets ``rel``, for one edge block.
-
-    Its input is [cos 2 pi B r ; sin 2 pi B r] with B = ``freq``; ``layers``
-    are (w, b) affine layers with exact GELU between them.  Returns the input
-    of each layer, (pre-activation, cdf) of each GELU, and the output.
-    """
-    z = rel @ freq.data.T
+def _phases(coords: np.ndarray, freq: np.ndarray) -> np.ndarray:
+    """e^{2 pi i B p} for each row p of ``coords`` (m, D), B = ``freq``
+    (F, D), as complex128 (m, F): one cos and one sin per point and
+    frequency."""
+    z = coords @ freq.T
     z *= _TWO_PI
-    x = np.empty((z.shape[0], 2 * z.shape[1]))
-    np.cos(z, out=x[:, : z.shape[1]])
-    np.sin(z, out=x[:, z.shape[1] :])
-    ins, acts = [x], []
-    for w, b in layers[:-1]:
+    ph = np.empty(z.shape, dtype=np.complex128)
+    np.cos(z, out=ph.real)
+    np.sin(z, out=ph.imag)
+    return ph
+
+
+def _edge_phases(src_coords: np.ndarray, dst_coords: np.ndarray, freq: np.ndarray):
+    """Per-point phases whose product ``dst[d] * src[s]`` is the phase
+    e^{2 pi i B (d - s)} of the offset of edge s -> d.
+
+    Destinations get e^{2 pi i B (p - o)} and sources its conjugate, with o
+    the per-axis minimum of the source coordinates.  o moves with a
+    translation and p - o is exact on dyadic coordinates, so the phases, and
+    every edge sinusoid formed from them, keep their bits under translation.
+    """
+    origin = src_coords.min(axis=0) if src_coords.size else np.zeros(src_coords.shape[1])
+    ph_src = _phases(src_coords - origin, freq)
+    ph_dst = ph_src if dst_coords is src_coords else _phases(dst_coords - origin, freq)
+    return ph_dst, np.conj(ph_src)
+
+
+def _sinusoid(ph: np.ndarray) -> np.ndarray:
+    """The positional network's input [cos ; sin], (m, 2F), of the phases
+    ``ph`` (m, F)."""
+    f = ph.shape[1]
+    x = np.empty((ph.shape[0], 2 * f))
+    x[:, :f] = ph.real
+    x[:, f:] = ph.imag
+    return x
+
+
+def _hidden(x: np.ndarray, layers):
+    """``x`` through the (w, b) affine ``layers``, each followed by exact
+    GELU.  Returns the input of each layer, (pre-activation, cdf) of each
+    GELU, and the output."""
+    ins, acts = [], []
+    for w, b in layers:
+        ins.append(x)
         pre = _affine(x, w.data, b.data)
         cdf = _gelu_cdf(pre)
         x = pre * cdf
-        ins.append(x)
         acts.append((pre, cdf))
-    w, b = layers[-1]
-    return ins, acts, _affine(x, w.data, b.data)
+    return ins, acts, x
 
 
-def _positional_grad(rel: np.ndarray, freq, layers, ins, acts, g: np.ndarray, sums) -> None:
-    """Backward of ``_positional`` for the gradient ``g`` of its output: adds
-    the gradient of every layer and of ``freq`` to ``sums``."""
-    for j in reversed(range(len(layers))):
-        w, b = layers[j]
-        sums.add(w, ins[j].T @ g)
+def _hidden_grad(layers, ins, acts, g: np.ndarray, sums) -> np.ndarray:
+    """Backward of ``_hidden`` for the gradient ``g`` of its output: adds the
+    gradient of every layer to ``sums`` and returns that of the input."""
+    for (w, b), x, (pre, cdf) in zip(layers[::-1], ins[::-1], acts[::-1]):
+        g = _gelu_grad(pre, cdf, g)
+        sums.add(w, x.T @ g)
         sums.add(b, g.sum(axis=0))
         g = g @ w.data.T
-        if j:
-            g = _gelu_grad(*acts[j - 1], g)
+    return g
+
+
+def _head(x: np.ndarray, layers):
+    """``layers`` with exact GELU between them, the last one linear, on
+    ``x``.  Returns the input of each layer, (pre-activation, cdf) of each
+    GELU, and the output."""
+    ins, acts, h = _hidden(x, layers[:-1])
+    w, b = layers[-1]
+    return ins + [h], acts, _affine(h, w.data, b.data)
+
+
+def _head_grad(layers, ins, acts, g: np.ndarray, sums) -> np.ndarray:
+    """Backward of ``_head``, as ``_hidden_grad`` is of ``_hidden``."""
+    w, b = layers[-1]
+    sums.add(w, ins[-1].T @ g)
+    sums.add(b, g.sum(axis=0))
+    return _hidden_grad(layers[:-1], ins[:-1], acts, g @ w.data.T, sums)
+
+
+def _freq_grad(rel: np.ndarray, freq, x: np.ndarray, g: np.ndarray, sums) -> None:
+    """Adds to ``sums`` the gradient of ``freq`` through the sinusoid
+    ``x`` = [cos 2 pi B r ; sin 2 pi B r] of the offsets ``rel``, given the
+    gradient ``g`` of x."""
     f = freq.shape[0]
-    cs = ins[0]
-    gz = -g[:, :f] * cs[:, f:] + g[:, f:] * cs[:, :f]
+    gz = -g[:, :f] * x[:, f:] + g[:, f:] * x[:, :f]
     gz *= _TWO_PI
     sums.add(freq, (rel.T @ gz).T)
 
@@ -351,12 +414,12 @@ def positional(rel, freq, layers) -> Tensor:
             f"positional shapes incompatible: offsets {rel.shape}, "
             f"freq {freq.shape}, layers {[w.shape for w, _ in layers]}"
         )
-    ins, acts, data = _positional(rel, freq, layers)
+    ins, acts, data = _head(_sinusoid(_phases(rel, freq.data)), layers)
     out = Tensor(data, [freq, *(t for layer in layers for t in layer)])
 
     def backward(g):
         sums = _GradSums()
-        _positional_grad(rel, freq, layers, ins, acts, g, sums)
+        _freq_grad(rel, freq, ins[0], _head_grad(layers, ins, acts, g, sums), sums)
         sums.accumulate()
 
     out._backward = backward
@@ -372,17 +435,30 @@ def message_aggregate(
     msg([node[s] ; pos(dst_coords[d] - src_coords[s])]).  ``pos`` is an MLP
     over [cos 2 pi B r ; sin 2 pi B r] with B = ``freq`` (F, D);
     ``pos_layers`` and ``msg_layers`` are (w, b) affine layers with exact GELU
-    between them.  msg's first layer is split by linearity: node @ w0[:H]
-    runs once per source row and is gathered per edge, so no (E, 2H)
-    concatenation exists.
+    between them.
+
+    Nothing per edge is computed that can run per point, per destination or
+    per call:
+    - each edge's sinusoid is the product of two per-point phases
+      (``_edge_phases``), so cos and sin run once per point, not per edge;
+    - msg's first layer is split by linearity: node @ w0[:H] runs once per
+      source row and is gathered per edge, so no (E, 2H) concatenation
+      exists;
+    - pos's output layer is folded into the positional half of msg's first
+      layer, W' = W_pos @ w0[H:] and b' = b_pos @ w0[H:] + b0, once per call,
+      so each edge does one matmul there instead of two;
+    - under ``mean``, when msg has a hidden layer, its last layer runs once
+      per destination on the mean of its inputs, since a mean commutes with
+      an affine map.
 
     Edges are stably sorted by destination and run through the chain in blocks
     of about ``_MESSAGE_BLOCK_BYTES`` per H-wide array, cut only between
     destinations: each mean or max is reduced in edge order inside one block,
     so the bits equal those of the chain run over all edges at once.  Only the
     last block's intermediates are kept; the backward walks the blocks from
-    last to first and recomputes the others.  Every destination must receive
-    an edge.  Under ``max`` the gradient goes to the first edge attaining the
+    last to first and recomputes the others, and forms a block's offsets only
+    there, for the gradient of ``freq``.  Every destination must receive an
+    edge.  Under ``max`` the gradient goes to the first edge attaining the
     maximum, and a NaN maximum has no winner.
     """
     node = as_tensor(node)
@@ -417,83 +493,105 @@ def message_aggregate(
         empty = int(np.argmin(counts))
         raise InvariantError(f"destination {empty} receives no edges in message_aggregate")
     blocks = _segment_blocks(starts, width, _MESSAGE_BLOCK_BYTES)
+    ph_dst, ph_src = _edge_phases(src_coords, dst_coords, freq.data)
 
     w0, b0 = msg_layers[0]
     w0_node, w0_pos = w0.data[:width], w0.data[width:]
+    pos_hidden, (w_pos, b_pos) = pos_layers[:-1], pos_layers[-1]
+    w_fold = w_pos.data @ w0_pos
+    b_fold = b_pos.data @ w0_pos
+    b_fold += b0.data
+    # under mean, msg's last layer runs per destination, after the reduction
+    per_destination = mode == "mean" and len(msg_layers) > 1
+    msg_edge = msg_layers[1:-1] if per_destination else msg_layers[1:]
 
     def messages(a: int, b: int, proj: np.ndarray):
-        """The chain over destinations [a, b): their edge rows, source rows
-        and offsets, the positional network's layer inputs, GELUs and
-        output, (pre-activation, cdf, output) of each msg GELU, and the
-        messages.  ``proj`` is node @ w0[:H]."""
+        """The chain over destinations [a, b): their edge rows and source
+        rows, the sinusoid, the positional hidden layers' inputs, GELUs and
+        output, msg's layer inputs and GELUs, and the values reduced per
+        destination.  ``proj`` is node @ w0[:H]."""
         rows = slice(starts[a], starts[b])
         s = src[rows]
-        rel = dst_coords[dst[rows]] - src_coords[s]
-        pos_in, pos_act, pos = _positional(rel, freq, pos_layers)
+        x = _sinusoid(ph_dst[dst[rows]] * ph_src[s])
+        pos_ins, pos_acts, hp = _hidden(x, pos_hidden)
         m = proj[s]
-        m += pos @ w0_pos
-        m += b0.data
-        msg_act = []
-        for w, bias in msg_layers[1:]:
-            cdf = _gelu_cdf(m)
-            h = m * cdf
-            msg_act.append((m, cdf, h))
-            m = _affine(h, w.data, bias.data)
-        return rows, s, rel, pos_in, pos_act, pos, msg_act, m
+        m += hp @ w_fold
+        m += b_fold
+        msg_ins, msg_acts = [], []
+        if len(msg_layers) > 1:
+            msg_acts.append((m, _gelu_cdf(m)))
+            h = m * msg_acts[0][1]
+            msg_ins, acts, m = (_hidden if per_destination else _head)(h, msg_edge)
+            msg_acts += acts
+        return rows, s, x, pos_ins, pos_acts, hp, msg_ins, msg_acts, m
 
-    data = np.empty((n_dst, out_width))
+    reduced = np.empty((n_dst, msg_layers[-1][0].shape[0] if per_destination else out_width))
     proj = node.data @ w0_node
     kept = None
     for a, b in blocks:
         kept = None  # free the previous block before computing this one
         kept = messages(a, b, proj)
-        rows, m = kept[0], kept[-1]
+        rows, v = kept[0], kept[-1]
         if mode == "mean":
-            data[a:b] = _sum_rows_at(m, dst[rows] - a, b - a)
+            reduced[a:b] = _sum_rows_at(v, dst[rows] - a, b - a)
         else:
-            np.maximum.reduceat(m, starts[a:b] - starts[a], axis=0, out=data[a:b])
+            np.maximum.reduceat(v, starts[a:b] - starts[a], axis=0, out=reduced[a:b])
     if mode == "mean":
-        data /= counts[:, None]
+        reduced /= counts[:, None]
+    data = reduced
+    if per_destination:
+        w_last, b_last = msg_layers[-1]
+        data = _affine(reduced, w_last.data, b_last.data)
     out = Tensor(data, [node, freq, *(t for layer in pos_layers + msg_layers for t in layer)])
 
     def backward(g):
         sums = _GradSums()
+        if per_destination:
+            sums.add(w_last, reduced.T @ g)
+            sums.add(b_last, g.sum(axis=0))
+            g = g @ w_last.data.T
         g_mean = g / counts[:, None] if mode == "mean" else None
         # the forward keeps only the last block, and not the projected rows
         proj = node.data @ w0_node if len(blocks) > 1 else None
-        g_rows = g_w0_pos = None
+        g_rows = g_fold = g_bias = None
         for i in reversed(range(len(blocks))):
             a, b = blocks[i]
             parts = kept if i == len(blocks) - 1 else messages(a, b, proj)
-            rows, s, rel, pos_in, pos_act, pos, msg_act, m = parts
+            rows, s, x, pos_ins, pos_acts, hp, msg_ins, msg_acts, v = parts
             if mode == "mean":
                 gm = g_mean[dst[rows]]
             else:
                 # first row attaining each maximum; a NaN maximum has no
                 # winner (n).  Winners are distinct rows, so adding onto the
                 # zeros keeps the bits of g, signed zeros included
-                n = m.shape[0]
+                n = v.shape[0]
                 maxima = np.repeat(data[a:b], counts[a:b], axis=0)
-                hit_rows = np.where(m == maxima, np.arange(n)[:, None], n)
+                hit_rows = np.where(v == maxima, np.arange(n)[:, None], n)
                 winner = np.minimum.reduceat(hit_rows, starts[a:b] - starts[a], axis=0)
-                gm = np.zeros_like(m)
+                gm = np.zeros_like(v)
                 hit = winner < n
                 gm[winner[hit], np.nonzero(hit)[1]] += g[a:b][hit]
-            for (w, bias), (pre, cdf, h) in zip(msg_layers[:0:-1], msg_act[::-1]):
-                sums.add(w, h.T @ gm)
-                sums.add(bias, gm.sum(axis=0))
-                gm = _gelu_grad(pre, cdf, gm @ w.data.T)
+            if len(msg_layers) > 1:
+                grad = _hidden_grad if per_destination else _head_grad
+                gm = _gelu_grad(*msg_acts[0], grad(msg_edge, msg_ins, msg_acts[1:], gm, sums))
             # the split first layer: the node half is summed onto source rows
             if g_rows is None:
-                g_rows, g_w0_pos = _sum_rows_at(gm, s, n_src), pos.T @ gm
+                g_rows, g_fold, g_bias = _sum_rows_at(gm, s, n_src), hp.T @ gm, gm.sum(axis=0)
             else:
                 g_rows += _sum_rows_at(gm, s, n_src)
-                g_w0_pos += pos.T @ gm
-            sums.add(b0, gm.sum(axis=0))
-            _positional_grad(rel, freq, pos_layers, pos_in, pos_act, gm @ w0_pos.T, sums)
+                g_fold += hp.T @ gm
+                g_bias += gm.sum(axis=0)
+            g_x = _hidden_grad(pos_hidden, pos_ins, pos_acts, gm @ w_fold.T, sums)
+            _freq_grad(dst_coords[dst[rows]] - src_coords[s], freq, x, g_x, sums)
         if g_rows is not None:
             node.accumulate(g_rows @ w0_node.T)
+            # the folded layer: W' = W_pos @ w0[H:], b' = b_pos @ w0[H:] + b0
+            sums.add(w_pos, g_fold @ w0_pos.T)
+            sums.add(b_pos, g_bias @ w0_pos.T)
+            g_w0_pos = w_pos.data.T @ g_fold
+            g_w0_pos += np.outer(b_pos.data, g_bias)
             sums.add(w0, np.concatenate([node.data.T @ g_rows, g_w0_pos]))
+            sums.add(b0, g_bias)
         sums.accumulate()
 
     out._backward = backward
@@ -509,14 +607,17 @@ def edge_conv(coords, x, src, dst, freq, layers) -> Tensor:
     edges into d in edge order, and a point without edges gets zeros.
     ``pos`` is ``message_aggregate``'s positional network: the sinusoid of
     ``freq``, then the (w, b) ``layers`` with exact GELU between them, the
-    last one rendering c_in*c_out kernel values per edge.
+    last one rendering c_in*c_out kernel values per edge.  As there, each
+    edge's sinusoid is the product of two per-point phases, so cos and sin
+    run once per point.
 
     Edges are stably sorted by destination and run in blocks of about
     ``_RENDER_BLOCK_BYTES`` of kernel rows, cut only between destinations,
     so the bits equal those of rendering every kernel row at once and no
     (E, c_in*c_out) array is formed.  Only the last block's intermediates are
-    kept; the backward walks the blocks from last to first and recomputes the
-    others.
+    kept; the backward walks the blocks from last to first, recomputes the
+    others, and forms a block's offsets only there, for the gradient of
+    ``freq``.
     """
     x = as_tensor(x)
     freq = as_tensor(freq)
@@ -540,16 +641,16 @@ def edge_conv(coords, x, src, dst, freq, layers) -> Tensor:
     c_out = width // c_in
     src, dst, _, starts = _by_destination("edge_conv", src, dst, n, n)
     blocks = _segment_blocks(starts, width, _RENDER_BLOCK_BYTES)
+    ph_dst, ph_src = _edge_phases(coords, coords, freq.data)
 
     def kernels(a: int, b: int):
-        """Edge rows, source rows and offsets of destinations [a, b), the
-        positional network's layer inputs and GELUs, and the kernel rows
-        as (rows, c_in, c_out) matrices."""
+        """Edge rows and source rows of destinations [a, b), the positional
+        network's layer inputs (the sinusoid first) and GELUs, and the
+        kernel rows as (rows, c_in, c_out) matrices."""
         rows = slice(starts[a], starts[b])
         s = src[rows]
-        rel = coords[dst[rows]] - coords[s]
-        ins, acts, k = _positional(rel, freq, layers)
-        return rows, s, rel, ins, acts, k.reshape(-1, c_in, c_out)
+        ins, acts, k = _head(_sinusoid(ph_dst[dst[rows]] * ph_src[s]), layers)
+        return rows, s, ins, acts, k.reshape(-1, c_in, c_out)
 
     data = np.empty((n, c_out))
     kept = None
@@ -567,12 +668,13 @@ def edge_conv(coords, x, src, dst, freq, layers) -> Tensor:
         for i in reversed(range(len(blocks))):
             a, b = blocks[i]
             parts = kept if i == len(blocks) - 1 else kernels(a, b)
-            rows, s, rel, ins, acts, k = parts
+            rows, s, ins, acts, k = parts
             gm = g[dst[rows]]
             g_x += _sum_rows_at(np.einsum("nio,no->ni", k, gm), s, n)
             # d(message)/d(kernel row) is the outer product of the source row and g
             g_k = (x.data[s][:, :, None] * gm[:, None, :]).reshape(-1, width)
-            _positional_grad(rel, freq, layers, ins, acts, g_k, sums)
+            g_in = _head_grad(layers, ins, acts, g_k, sums)
+            _freq_grad(coords[dst[rows]] - coords[s], freq, ins[0], g_in, sums)
         x.accumulate(g_x)
         sums.accumulate()
 

@@ -10,12 +10,20 @@ carry high-frequency functions of the offset.
 
 Gridification runs this cloud->grid; de-gridification runs the mirror image
 grid->cloud over the inverted edge set.  phi_node and phi_upd run once per
-point; everything per edge (the offsets, phi_pos, phi_msg and the
-aggregation) is one ``autodiff.message_aggregate`` node.  It splits phi_msg's
-first layer by linearity, [n ; p] @ W0 = n @ W0[:H] + p @ W0[H:], so the node
-half runs once per source point and is gathered per edge, and it runs the
-edges in blocks cut between destinations, recomputing them in the backward:
-no (E, H) array outlives its block, and the bits equal the unblocked chain's.
+point; everything per edge (the sinusoid of the offsets, phi_pos, phi_msg and
+the aggregation) is one ``autodiff.message_aggregate`` node.  It moves every
+piece of work it can out of the per-edge chain:
+- each edge's sinusoid is the product of two per-point phases, so cos and
+  sin run once per point;
+- phi_msg's first layer is split by linearity, [n ; p] @ W0 = n @ W0[:H] +
+  p @ W0[H:], so the node half runs once per source point and is gathered
+  per edge;
+- phi_pos's output layer is folded into W0[H:] once per call;
+- under ``mean``, phi_msg's last layer runs once per destination on the mean
+  of its inputs.
+It runs the edges in blocks cut between destinations, recomputing them in
+the backward: no (E, H) array outlives its block, and the bits equal those of
+the same chain run over all edges at once.
 Message aggregation follows a canonical order keyed on source coordinates and
 features (not indices): one lexsort ranks the source points, and edges sort on
 (dst, rank), so re-ordering the input points reproduces the output bit-for-bit.
@@ -129,10 +137,11 @@ def _message_passing(
     """phi_upd of the aggregated messages, one row per destination.
 
     phi_node runs once per source point and phi_upd once per destination, as
-    taped MLPs.  The per-edge chain between them (offsets, phi_pos, phi_msg
-    and the aggregation) is the one ``autodiff.message_aggregate`` node,
-    which runs it in edge blocks and recomputes them in the backward, so no
-    (E, H) array outlives its block.  Edges reach it in canonical order.
+    taped MLPs.  The per-edge chain between them (the sinusoid of the
+    offsets, phi_pos, phi_msg and the aggregation) is the one
+    ``autodiff.message_aggregate`` node, which runs it in edge blocks and
+    recomputes them in the backward, so no (E, H) array outlives its block.
+    Edges reach it in canonical order.
     """
     if edges.direction is Direction.GRID_TO_CLOUD:
         # lattice sources have intrinsic indices (a fixed bijection with their

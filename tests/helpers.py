@@ -65,16 +65,37 @@ def _cos_sin(t):
     return out
 
 
+def taped_head(head: MlpParams, x):
+    """``head``'s layers on ``x`` as taped ``ad.affine`` nodes with
+    ``ad.gelu`` between them."""
+    for i, (w, b) in enumerate(zip(head.weights, head.biases)):
+        x = ad.affine(ad.gelu(x) if i else x, w, b)
+    return x
+
+
 def taped_positional(net: PositionalNet, rel):
     """The positional network on the offsets ``rel`` as a chain of small taped
     nodes: [cos ; sin] of (rel @ B^T) * 2 pi, then ``ad.affine`` layers with
     ``ad.gelu`` between them.  It is the composition ``ad.positional`` fuses,
     in the same operation order, so both give the same bits."""
-    x = _cos_sin(ad.mul(_phase(rel, net.freq), 2.0 * np.pi))
-    head = net.head
-    for i, (w, b) in enumerate(zip(head.weights, head.biases)):
-        x = ad.affine(ad.gelu(x) if i else x, w, b)
-    return x
+    return taped_head(net.head, _cos_sin(ad.mul(_phase(rel, net.freq), 2.0 * np.pi)))
+
+
+def taped_edge_sinusoid(freq: Tensor, src_coords, dst_coords, src, dst):
+    """[cos 2 pi B r ; sin 2 pi B r] of every edge's offset r = dst - src at
+    once, formed as the edge nodes form it: the product of the per-point
+    phases of ``ad._edge_phases``.  Its backward is the gradient of
+    B = ``freq`` through r."""
+    ph_dst, ph_src = ad._edge_phases(src_coords, dst_coords, freq.data)
+    x = ad._sinusoid(ph_dst[dst] * ph_src[src])
+    rel = dst_coords[dst] - src_coords[src]
+    f = freq.shape[0]
+
+    def backward(g):
+        gz = -g[:, :f] * x[:, f:] + g[:, f:] * x[:, :f]
+        freq.accumulate((rel.T @ (gz * (2.0 * np.pi))).T)
+
+    return Tensor(x, (freq,), backward)
 
 
 def numeric_grad(f, arrays, which, h=FD_STEP):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import assert_grads_match, rand
+from scipy.special import erf
 
 from gridifier import autodiff as ad
 from gridifier.autodiff import Tensor
@@ -238,6 +239,49 @@ class TestForwardValues:
                 apply_edge_conv(inputs, cs, es)
                 pytest.fail(what)
 
+    def test_edge_conv_without_points_or_edges(self):
+        # no points gives no rows; points without edges get zero rows
+        rng = np.random.default_rng(46)
+        ts = edge_conv_inputs(rng, n=4)
+        no_edges = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        out = apply_edge_conv([ts[0][:0], *ts[1:]], np.zeros((0, 2)), no_edges)
+        assert out.shape == (0, 3)
+        out = apply_edge_conv(ts, rand(rng, 4, 2), no_edges)
+        np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("mode", ["mean", "max"])
+    def test_message_aggregate_without_points(self, mode):
+        ts = message_inputs(np.random.default_rng(47), n_src=0)
+        no_edges = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        out = apply_message_aggregate(ts, (np.zeros((0, 2)), np.zeros((0, 2))), no_edges, mode)
+        assert out.shape == (0, 3)
+
+    @pytest.mark.parametrize("omega", [0.1, 1.0, 10.0, 30.0])
+    def test_edge_sinusoids_match_direct_trig(self, omega):
+        # both edge nodes form each edge's sinusoid from two per-point
+        # phases; identity layers pass it through to the output, one edge
+        # per destination, for comparison with cos and sin of 2 pi B (d - s)
+        rng = np.random.default_rng(48)
+        n_src, n_dst, freqs = 300, 200, 8
+        src_coords, dst_coords = rng.uniform(-1, 1, (n_src, 3)), rng.uniform(-1, 1, (n_dst, 3))
+        freq = rng.normal(0.0, omega, (freqs, 3))
+        src = rng.integers(0, n_src, n_dst)
+        z = 2.0 * np.pi * (dst_coords - src_coords[src]) @ freq.T
+        want = np.concatenate([np.cos(z), np.sin(z)], axis=1)
+        eye, zero = np.eye(2 * freqs), np.zeros(2 * freqs)
+        got = ad.message_aggregate(
+            np.zeros((n_src, 2 * freqs)), src_coords, dst_coords, src, np.arange(n_dst), freq,
+            [(eye, zero)], [(np.vstack([0 * eye, eye]), zero)], "mean",
+        )
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+        # edge_conv's points are both ends of its edges
+        coords = np.concatenate([src_coords, dst_coords])
+        got = ad.edge_conv(
+            coords, np.ones((n_src + n_dst, 1)), src, n_src + np.arange(n_dst), freq,
+            [(eye, zero)],
+        )
+        np.testing.assert_allclose(got.data[n_src:], want, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("n_rows", [1, 2, 9, 10, 11, 13])
     def test_edge_conv_matches_row_products(self, monkeypatch, n_rows):
         # one edge per destination and blocks of 3 rows: one block, several,
@@ -260,8 +304,6 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-13)
 
     def test_gelu_matches_definition(self):
-        from scipy.special import erf
-
         x = np.linspace(-3, 3, 13)
         out = ad.gelu(Tensor(x))
         np.testing.assert_allclose(out.data, x * 0.5 * (1 + erf(x / np.sqrt(2))), atol=1e-15)
@@ -366,6 +408,49 @@ class TestGradients:
             return ad.reduce_mean(ad.mul(out, weight))
 
         assert_grads_match(build, arrays)
+
+    @pytest.mark.parametrize("msg_depth", [1, 2, 3])
+    def test_message_aggregate_mean_against_loop(self, monkeypatch, msg_depth):
+        # under mean, a phi_msg with a hidden layer runs its last layer once
+        # per destination on the mean of its inputs, and a one-layer phi_msg
+        # runs per edge; both agree with a per-edge loop and with finite
+        # differences, over blocks of 4 edges
+        monkeypatch.setattr(ad, "_MESSAGE_BLOCK_BYTES", 4 * 8 * 3)
+        rng = np.random.default_rng(msg_depth)
+        dst = np.repeat(np.arange(6), [2, 1, 6, 3, 2, 3])
+        src = rng.integers(0, 5, size=dst.size)
+        src_coords, dst_coords = rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (6, 2))
+        widths = [6] + [4] * (msg_depth - 1) + [3]
+        msg_shapes = [s for a, b in zip(widths[:-1], widths[1:]) for s in ((a, b), (b,))]
+        arrays = message_inputs(rng)[:6] + [rand(rng, *shape) for shape in msg_shapes]
+
+        def layers(arrs):
+            return [(ad.as_tensor(w), ad.as_tensor(b)) for w, b in zip(arrs[::2], arrs[1::2])]
+
+        def forward(ts):
+            pos, msg = layers(ts[2:6]), layers(ts[6:])
+            return ad.message_aggregate(
+                ts[0], src_coords, dst_coords, src, dst, ts[1], pos, msg, "mean"
+            )
+
+        def chain(ls, row):
+            for i, (w, b) in enumerate(ls):
+                row = row @ w.data + b.data
+                if i < len(ls) - 1:
+                    row = row * 0.5 * (1.0 + erf(row / np.sqrt(2.0)))
+            return row
+
+        pos, msg = layers(arrays[2:6]), layers(arrays[6:])
+        want = np.zeros((6, 3))
+        for s, d in zip(src, dst):
+            z = 2.0 * np.pi * arrays[1] @ (dst_coords[d] - src_coords[s])
+            p = chain(pos, np.concatenate([np.cos(z), np.sin(z)]))
+            want[d] += chain(msg, np.concatenate([arrays[0][s], p]))
+        want /= np.bincount(dst)[:, None]
+        got = forward([Tensor(a) for a in arrays])
+        np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+        weight = rand(rng, 6, 3)
+        assert_grads_match(lambda ts: ad.reduce_mean(ad.mul(forward(ts), weight)), arrays)
 
     def test_edge_conv(self, monkeypatch):
         # blocks of 3 edges of 6 kernel values, so the backward recomputes
@@ -473,8 +558,10 @@ class TestBuffers:
         assert peak < 1.1 * out.data.nbytes
 
     def test_message_aggregate_keeps_the_sum_order(self):
-        # the split first layer: (node @ w[:H])[src] + pos @ w[H:] + b, in that
-        # order; one edge per destination makes the mean the message itself
+        # the split first layer with the positional output layer (p, pb)
+        # folded into its positional half: (node @ w[:H])[src] + x @ (p @ w[H:])
+        # + (pb @ w[H:] + b), in that order, x the sinusoid from per-point
+        # phases; one edge per destination makes the mean the message itself
         rng = np.random.default_rng(32)
         node, p, pb = rand(rng, 5, 3), rand(rng, 2, 2), rand(rng, 2)
         w, b = rand(rng, 5, 4), rand(rng, 4)
@@ -484,8 +571,10 @@ class TestBuffers:
         out = ad.message_aggregate(
             node, src_coords, dst_coords, src, np.arange(9), freq, [(p, pb)], [(w, b)], "mean"
         )
-        pos = sinusoid(dst_coords - src_coords[src], freq) @ p + pb
-        np.testing.assert_array_equal(out.data, (node @ w[:3])[src] + pos @ w[3:] + b)
+        ph_dst, ph_src = ad._edge_phases(src_coords, dst_coords, freq)
+        x = ad._sinusoid(ph_dst * ph_src[src])
+        want = (node @ w[:3])[src] + x @ (p @ w[3:]) + (pb @ w[3:] + b)
+        np.testing.assert_array_equal(out.data, want)
 
     def test_first_gradient_is_adopted_without_copy(self):
         leaf = Tensor(np.zeros(3))

@@ -2,7 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import assert_grads_match, identity_mlp, naive_mlp, naive_pos, taped_positional
+from helpers import (
+    assert_grads_match,
+    identity_mlp,
+    naive_mlp,
+    naive_pos,
+    taped_edge_sinusoid,
+)
 
 from gridifier import autodiff as ad
 from gridifier.autodiff import Tensor
@@ -289,28 +295,29 @@ def test_split_layer_row_bits_follow_the_row_not_its_position(n_rows, width):
 
 
 # ---------------------------------------------------------------------------
-# the fused, edge-blocked node against the unfused composition it replaced
+# the fused, edge-blocked node against the same chain taped over all edges
 # ---------------------------------------------------------------------------
 
 
-def unfused_gather_concat_affine(rows, index, x, w, b):
-    """[rows[index] ; x] @ w + b with the rows' product taken once per row."""
-    split = rows.shape[1]
-    w_rows, w_x = w.data[:split], w.data[split:]
-    data = (rows.data @ w_rows)[index]
-    data += x.data @ w_x
-    data += b.data
-    out = Tensor(data, (rows, x, w, b))
+def matmul(a, b):
+    """a @ b as a taped node; ``a`` may be a vector."""
 
     def backward(g):
-        g_rows = ad._sum_rows_at(g, index, rows.shape[0])
-        rows.accumulate(g_rows @ w_rows.T)
-        x.accumulate(g @ w_x.T)
-        w.accumulate(np.concatenate([rows.data.T @ g_rows, x.data.T @ g]))
-        b.accumulate(g.sum(axis=0))
+        a.accumulate(g @ b.data.T)
+        b.accumulate(np.outer(a.data, g) if a.ndim == 1 else a.data.T @ g)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data @ b.data, (a, b), backward)
+
+
+def rows_of(t, rows):
+    """t[rows] as a taped node: a slice of a weight's rows, or a gather."""
+
+    def backward(g):
+        full = np.zeros(t.shape)
+        np.add.at(full, rows, g)
+        t.accumulate(full)
+
+    return Tensor(t.data[rows], (t,), backward)
 
 
 def unfused_aggregate(values, dst, n_dst, mode):
@@ -341,15 +348,30 @@ def unfused_aggregate(values, dst, n_dst, mode):
 
 
 def unfused_pass(src_feats, src_coords, dst_coords, edges, params):
-    """The taped composition ``degridify_features`` ran before the fused node:
-    every per-edge array of the whole edge set exists at once."""
+    """The taped composition the fused node runs in blocks, in its order of
+    operations: every per-edge array of the whole edge set exists at once."""
+    h = params.hidden
     node = mlp_forward(params.phi_node, src_feats)
-    pos = taped_positional(params.phi_pos, dst_coords[edges.dst] - src_coords[edges.src])
-    w, b = params.phi_msg.weights, params.phi_msg.biases
-    msg = unfused_gather_concat_affine(node, edges.src, pos, w[0], b[0])
-    for i in range(1, len(w)):
-        msg = ad.affine(ad.gelu(msg), w[i], b[i])
-    agg = unfused_aggregate(msg, edges.dst, edges.n_dst, params.aggregation)
+    pos, msg = params.phi_pos.head, params.phi_msg
+    x = taped_edge_sinusoid(params.phi_pos.freq, src_coords, dst_coords, edges.src, edges.dst)
+    for w, b in zip(pos.weights[:-1], pos.biases[:-1]):
+        x = ad.gelu(ad.affine(x, w, b))
+    # phi_msg's first layer split by linearity, with phi_pos's output layer
+    # folded into its positional half
+    w0_pos = rows_of(msg.weights[0], slice(h, None))
+    w_fold = matmul(pos.weights[-1], w0_pos)
+    b_fold = ad.add(matmul(pos.biases[-1], w0_pos), msg.biases[0])
+    proj = matmul(node, rows_of(msg.weights[0], slice(None, h)))
+    m = ad.add(ad.add(rows_of(proj, edges.src), matmul(x, w_fold)), b_fold)
+    # under mean, phi_msg's last layer runs on each destination's mean
+    per_destination = params.aggregation == "mean" and len(msg.weights) > 1
+    for i in range(1, len(msg.weights) - per_destination):
+        m = ad.affine(ad.gelu(m), msg.weights[i], msg.biases[i])
+    if per_destination:
+        m = ad.gelu(m)
+    agg = unfused_aggregate(m, edges.dst, edges.n_dst, params.aggregation)
+    if per_destination:
+        agg = ad.affine(agg, msg.weights[-1], msg.biases[-1])
     return mlp_forward(params.phi_upd, agg)
 
 

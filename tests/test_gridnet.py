@@ -3,7 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import assert_grads_match, naive_pos, rand, taped_positional
+from helpers import (
+    assert_grads_match,
+    naive_pos,
+    rand,
+    taped_edge_sinusoid,
+    taped_head,
+    taped_positional,
+)
 
 from gridifier import autodiff as ad
 from gridifier.autodiff import Tensor
@@ -385,6 +392,23 @@ class TestNativePointConv:
             native_out.data[interior], grid_out.data[interior], rtol=0, atol=1e-10
         )
 
+    def test_translation_bit_identity_on_dyadic_coords(self):
+        # coordinates on a 2^-20 lattice make every offset from the phase
+        # origin exact, so translating the cloud cannot change a single bit
+        rng = np.random.default_rng(23)
+        coords = rng.integers(-(2**20), 2**20, size=(60, 3)) * 2.0**-20
+        feats = rand(rng, 60, 2)
+        net = init_positional_net(1.0, 4, 3, [8], 2 * 3, rng)
+        edges = self_knn(coords, 5)
+        base = conv_point_native(coords, Tensor(feats), edges, net).data
+        for t in ([0.375, -1.25, 0.5], [2.0, 2.0, 2.0], [-0.0625, 0.03125, 7.0]):
+            shifted = coords + np.asarray(t)
+            shifted_edges = self_knn(shifted, 5)
+            np.testing.assert_array_equal(shifted_edges.src, edges.src)
+            np.testing.assert_array_equal(shifted_edges.dst, edges.dst)
+            got = conv_point_native(shifted, Tensor(feats), shifted_edges, net)
+            np.testing.assert_array_equal(got.data, base)
+
     def test_eval_count_ratio_native_over_grid(self):
         rng = np.random.default_rng(20)
         coords = rng.uniform(-1, 1, (64, 2))
@@ -409,8 +433,10 @@ class TestNativePointConv:
     @staticmethod
     def unblocked_native(coords, feats, edges, net):
         """Every kernel row rendered at once, applied with one einsum and
-        summed in edge order: the composition the blocked node replaces."""
-        rows = taped_positional(net, coords[edges.dst] - coords[edges.src]).data
+        summed in edge order: the composition the blocked node runs in
+        blocks."""
+        x = taped_edge_sinusoid(net.freq, coords, coords, edges.src, edges.dst)
+        rows = taped_head(net.head, x).data
         per_edge = rows.reshape(edges.n_edges, feats.shape[1], -1)
         msgs = np.einsum("nio,ni->no", per_edge, feats[edges.src])
         return ad._sum_rows_at(msgs, edges.dst, coords.shape[0])
