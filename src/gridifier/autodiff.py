@@ -303,18 +303,28 @@ def _phases(coords: np.ndarray, freq: np.ndarray) -> np.ndarray:
 
 
 def _edge_phases(src_coords: np.ndarray, dst_coords: np.ndarray, freq: np.ndarray):
-    """Per-point phases whose product ``dst[d] * src[s]`` is the phase
-    e^{2 pi i B (d - s)} of the offset of edge s -> d.
+    """Per-point phases e^{2 pi i B (p - o)} of the destinations and of the
+    sources, from which ``_edge_sinusoid`` forms every edge's sinusoid.
 
-    Destinations get e^{2 pi i B (p - o)} and sources its conjugate, with o
-    the per-axis minimum of the source coordinates.  o moves with a
+    o is the per-axis minimum of the source coordinates.  It moves with a
     translation and p - o is exact on dyadic coordinates, so the phases, and
     every edge sinusoid formed from them, keep their bits under translation.
     """
     origin = src_coords.min(axis=0) if src_coords.size else np.zeros(src_coords.shape[1])
     ph_src = _phases(src_coords - origin, freq)
     ph_dst = ph_src if dst_coords is src_coords else _phases(dst_coords - origin, freq)
-    return ph_dst, np.conj(ph_src)
+    return ph_dst, ph_src
+
+
+def _edge_sinusoid(phases, d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """[cos 2 pi B r ; sin 2 pi B r] of the offsets r = dst - src of the edges
+    s -> d, as the phase products ph_dst[d] * conj(ph_src[s]) of the
+    ``_edge_phases`` ``phases``."""
+    ph_dst, ph_src = phases
+    e = ph_src[s]
+    np.conjugate(e, out=e)
+    np.multiply(ph_dst[d], e, out=e)
+    return _sinusoid(e)
 
 
 def _sinusoid(ph: np.ndarray) -> np.ndarray:
@@ -493,7 +503,6 @@ def message_aggregate(
         empty = int(np.argmin(counts))
         raise InvariantError(f"destination {empty} receives no edges in message_aggregate")
     blocks = _segment_blocks(starts, width, _MESSAGE_BLOCK_BYTES)
-    ph_dst, ph_src = _edge_phases(src_coords, dst_coords, freq.data)
 
     w0, b0 = msg_layers[0]
     w0_node, w0_pos = w0.data[:width], w0.data[width:]
@@ -505,14 +514,15 @@ def message_aggregate(
     per_destination = mode == "mean" and len(msg_layers) > 1
     msg_edge = msg_layers[1:-1] if per_destination else msg_layers[1:]
 
-    def messages(a: int, b: int, proj: np.ndarray):
+    def messages(a: int, b: int, proj: np.ndarray, phases):
         """The chain over destinations [a, b): their edge rows and source
         rows, the sinusoid, the positional hidden layers' inputs, GELUs and
         output, msg's layer inputs and GELUs, and the values reduced per
-        destination.  ``proj`` is node @ w0[:H]."""
+        destination.  ``proj`` is node @ w0[:H], ``phases`` the
+        ``_edge_phases``."""
         rows = slice(starts[a], starts[b])
         s = src[rows]
-        x = _sinusoid(ph_dst[dst[rows]] * ph_src[s])
+        x = _edge_sinusoid(phases, dst[rows], s)
         pos_ins, pos_acts, hp = _hidden(x, pos_hidden)
         m = proj[s]
         m += hp @ w_fold
@@ -527,10 +537,11 @@ def message_aggregate(
 
     reduced = np.empty((n_dst, msg_layers[-1][0].shape[0] if per_destination else out_width))
     proj = node.data @ w0_node
+    phases = _edge_phases(src_coords, dst_coords, freq.data)
     kept = None
     for a, b in blocks:
         kept = None  # free the previous block before computing this one
-        kept = messages(a, b, proj)
+        kept = messages(a, b, proj, phases)
         rows, v = kept[0], kept[-1]
         if mode == "mean":
             reduced[a:b] = _sum_rows_at(v, dst[rows] - a, b - a)
@@ -551,12 +562,14 @@ def message_aggregate(
             sums.add(b_last, g.sum(axis=0))
             g = g @ w_last.data.T
         g_mean = g / counts[:, None] if mode == "mean" else None
-        # the forward keeps only the last block, and not the projected rows
+        # the forward keeps only the last block, not the projected rows or
+        # the phases
         proj = node.data @ w0_node if len(blocks) > 1 else None
+        phases = _edge_phases(src_coords, dst_coords, freq.data) if len(blocks) > 1 else None
         g_rows = g_fold = g_bias = None
         for i in reversed(range(len(blocks))):
             a, b = blocks[i]
-            parts = kept if i == len(blocks) - 1 else messages(a, b, proj)
+            parts = kept if i == len(blocks) - 1 else messages(a, b, proj, phases)
             rows, s, x, pos_ins, pos_acts, hp, msg_ins, msg_acts, v = parts
             if mode == "mean":
                 gm = g_mean[dst[rows]]
@@ -641,22 +654,23 @@ def edge_conv(coords, x, src, dst, freq, layers) -> Tensor:
     c_out = width // c_in
     src, dst, _, starts = _by_destination("edge_conv", src, dst, n, n)
     blocks = _segment_blocks(starts, width, _RENDER_BLOCK_BYTES)
-    ph_dst, ph_src = _edge_phases(coords, coords, freq.data)
 
-    def kernels(a: int, b: int):
+    def kernels(a: int, b: int, phases):
         """Edge rows and source rows of destinations [a, b), the positional
         network's layer inputs (the sinusoid first) and GELUs, and the
-        kernel rows as (rows, c_in, c_out) matrices."""
+        kernel rows as (rows, c_in, c_out) matrices.  ``phases`` are the
+        ``_edge_phases``."""
         rows = slice(starts[a], starts[b])
         s = src[rows]
-        ins, acts, k = _head(_sinusoid(ph_dst[dst[rows]] * ph_src[s]), layers)
+        ins, acts, k = _head(_edge_sinusoid(phases, dst[rows], s), layers)
         return rows, s, ins, acts, k.reshape(-1, c_in, c_out)
 
     data = np.empty((n, c_out))
+    phases = _edge_phases(coords, coords, freq.data)
     kept = None
     for a, b in blocks:
         kept = None  # free the previous block before computing this one
-        kept = kernels(a, b)
+        kept = kernels(a, b, phases)
         rows, s, k = kept[0], kept[1], kept[-1]
         msgs = np.einsum("nio,ni->no", k, x.data[s])
         data[a:b] = _sum_rows_at(msgs, dst[rows] - a, b - a)
@@ -665,9 +679,11 @@ def edge_conv(coords, x, src, dst, freq, layers) -> Tensor:
     def backward(g):
         sums = _GradSums()
         g_x = np.zeros(x.shape)
+        # the forward keeps only the last block, not the phases
+        phases = _edge_phases(coords, coords, freq.data) if len(blocks) > 1 else None
         for i in reversed(range(len(blocks))):
             a, b = blocks[i]
-            parts = kept if i == len(blocks) - 1 else kernels(a, b)
+            parts = kept if i == len(blocks) - 1 else kernels(a, b, phases)
             rows, s, ins, acts, k = parts
             gm = g[dst[rows]]
             g_x += _sum_rows_at(np.einsum("nio,no->ni", k, gm), s, n)

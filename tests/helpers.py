@@ -83,11 +83,10 @@ def taped_positional(net: PositionalNet, rel):
 
 def taped_edge_sinusoid(freq: Tensor, src_coords, dst_coords, src, dst):
     """[cos 2 pi B r ; sin 2 pi B r] of every edge's offset r = dst - src at
-    once, formed as the edge nodes form it: the product of the per-point
-    phases of ``ad._edge_phases``.  Its backward is the gradient of
+    once, formed as the edge nodes form it, from the per-point phases of
+    ``ad._edge_phases``.  Its backward is the gradient of
     B = ``freq`` through r."""
-    ph_dst, ph_src = ad._edge_phases(src_coords, dst_coords, freq.data)
-    x = ad._sinusoid(ph_dst[dst] * ph_src[src])
+    x = ad._edge_sinusoid(ad._edge_phases(src_coords, dst_coords, freq.data), dst, src)
     rel = dst_coords[dst] - src_coords[src]
     f = freq.shape[0]
 

@@ -571,8 +571,7 @@ class TestBuffers:
         out = ad.message_aggregate(
             node, src_coords, dst_coords, src, np.arange(9), freq, [(p, pb)], [(w, b)], "mean"
         )
-        ph_dst, ph_src = ad._edge_phases(src_coords, dst_coords, freq)
-        x = ad._sinusoid(ph_dst * ph_src[src])
+        x = ad._edge_sinusoid(ad._edge_phases(src_coords, dst_coords, freq), np.arange(9), src)
         want = (node @ w[:3])[src] + x @ (p @ w[3:]) + (pb @ w[3:] + b)
         np.testing.assert_array_equal(out.data, want)
 
