@@ -714,36 +714,22 @@ def _window_cols(x: np.ndarray, resolution: int, dim: int, kernel_size: int) -> 
     return np.ascontiguousarray(win).reshape(r, r ** (dim - 1), kernel_size ** (dim - 1) * c)
 
 
-def _tap_blocks(resolution: int, rows: int, kernel_size: int):
-    """(tap, dst, src) row slices for each first-axis tap that stays in range.
+def _taps(v: np.ndarray, resolution: int, dim: int, kernel_size: int):
+    """(a, dst, rows) for each first-axis tap a that stays in range, centre first.
 
-    Tap a shifts the first axis by a - (K-1)/2; the slices cover the output
-    rows whose shifted source row exists, in blocks of ``rows`` flat rows.
+    Tap a shifts the first axis by a - (K-1)/2; ``rows`` are the windows of
+    ``v`` (``_window_cols``) at the shifted sources of the flat output rows
+    ``dst``.  The other taps follow the centre tap in ascending order.
     """
+    cols = _window_cols(v, resolution, dim, kernel_size)
+    r, step, width = cols.shape
+    flat = cols.reshape(r * step, width)
     half = (kernel_size - 1) // 2
-    for a in range(kernel_size):
+    for a in [half, *range(half), *range(half + 1, kernel_size)]:
         shift = a - half
-        lo, hi = max(0, -shift), min(resolution, resolution - shift)
+        lo, hi = max(0, -shift), min(r, r - shift)
         if lo < hi:
-            yield a, slice(lo * rows, hi * rows), slice((lo + shift) * rows, (hi + shift) * rows)
-
-
-def _correlate_cols(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sum over first-axis taps a of the shifted row block of ``cols`` @ w[a].
-
-    ``cols`` comes from ``_window_cols``; ``w`` is (K, K**(D-1) * C_in, C_out),
-    one matrix per first-axis tap.  Each tap is one 2-d matmul.
-    """
-    r, rows, width = cols.shape
-    kernel_size = w.shape[0]
-    half = (kernel_size - 1) // 2
-    flat = cols.reshape(r * rows, width)
-    # the centre tap covers every row, so it initializes the output
-    out = flat @ w[half]
-    for a, dst, src in _tap_blocks(r, rows, kernel_size):
-        if a != half:
-            out[dst] += flat[src] @ w[a]
-    return out
+            yield a, slice(lo * step, hi * step), flat[(lo + shift) * step : (hi + shift) * step]
 
 
 def grid_correlate(x, kernel, resolution: int, dim: int, kernel_size: int) -> Tensor:
@@ -753,9 +739,11 @@ def grid_correlate(x, kernel, resolution: int, dim: int, kernel_size: int) -> Te
     fastest) running from -(K-1)/2 to +(K-1)/2 per axis, and
     out[p] = sum_t x[p + offset(t)] @ kernel[t].  Only the trailing D-1 axes
     are windowed into memory; the first axis is a loop over K shifted row
-    blocks.  The input gradient is the same correlation of the output gradient
-    with the tap-reversed, channel-transposed kernel, exact for odd K with
-    symmetric zero padding.
+    blocks.  The tape keeps only the input: the backward windows the output
+    gradient g, and its shifted rows give both gradients, the input's with
+    the tap-reversed, channel-transposed kernel (exact for odd K with
+    symmetric zero padding) and the kernel's with the plain input, as
+    sum_p x[p + offset(t)]^T g[p] = sum_q x[q]^T g[q - offset(t)].
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     n_taps = kernel_size**dim
@@ -771,18 +759,28 @@ def grid_correlate(x, kernel, resolution: int, dim: int, kernel_size: int) -> Te
         )
     c_in, c_out = kernel.shape[1:]
     per_lead = n_taps // kernel_size
-    cols = _window_cols(x.data, resolution, dim, kernel_size)
     w = kernel.data.reshape(kernel_size, per_lead * c_in, c_out)
-    out = Tensor(_correlate_cols(cols, w), (x, kernel))
+    taps = _taps(x.data, resolution, dim, kernel_size)
+    a, _, rows = next(taps)
+    data = rows @ w[a]
+    for a, dst, rows in taps:
+        data[dst] += rows @ w[a]
+    out = Tensor(data, (x, kernel))
 
     def backward(g):
         flipped = kernel.data[::-1].transpose(0, 2, 1).reshape(kernel_size, per_lead * c_out, c_in)
-        x.accumulate(_correlate_cols(_window_cols(g, resolution, dim, kernel_size), flipped))
-        _, rows, width = cols.shape
-        flat = cols.reshape(-1, width)
-        dw = np.zeros((kernel_size, width, c_out))
-        for a, dst, src in _tap_blocks(resolution, rows, kernel_size):
-            dw[a] = flat[src].T @ g[dst]
+        taps = _taps(g, resolution, dim, kernel_size)
+        a, _, rows = next(taps)
+        g_x = rows @ flipped[a]
+        # dw[K-1-a] is first-axis tap a reversed; taps cropped away stay zero
+        dw = np.zeros((kernel_size, c_in, per_lead * c_out))
+        dw[kernel_size - 1 - a] = x.data.T @ rows
+        for a, dst, rows in taps:
+            g_x[dst] += rows @ flipped[a]
+            dw[kernel_size - 1 - a] = x.data[dst].T @ rows
+        x.accumulate(g_x)
+        # reversing the flat trailing-tap index reverses every trailing axis
+        dw = dw.reshape(kernel_size, c_in, per_lead, c_out)[:, :, ::-1].transpose(0, 2, 1, 3)
         kernel.accumulate(dw.reshape(kernel.shape))
 
     out._backward = backward

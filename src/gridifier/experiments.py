@@ -497,9 +497,9 @@ def bench_scaling(
     clouds: the grid path first maps the cloud onto a resolution**3 lattice and
     then convolves there with one kernel materialization per layer; the native
     path convolves directly over self-neighborhood edges, re-evaluating its
-    kernel network once per edge.  Peak allocation comes from an untimed traced
-    pass, and positional-evaluation counts from an untimed counted pass; the
-    timed calls of the two paths alternate (``_median_seconds``).
+    kernel network once per edge.  Peak allocation and positional-evaluation
+    counts come from one untimed traced and counted pass; the timed calls of
+    the two paths alternate (``_median_seconds``).
     """
     n_list = [int(n) for n in n_list]
     if repetitions < 5:
@@ -555,11 +555,10 @@ def bench_scaling(
             medians = _median_seconds([fn for _, fn in paths], repetitions)
             for (path, fn), med in zip(paths, medians):
                 counter = KernelEvalCounter()
-                fn(counter)
+                alloc = _peak_alloc_bytes(lambda: fn(counter))
                 if counter.pos_evals % n_layers:
                     raise TrainingError("positional evaluations unevenly split across layers")
                 per_layer = counter.pos_evals // n_layers
-                alloc = _peak_alloc_bytes(fn)
                 rows.append(BenchRow(path, n, width, k, med * 1e3, alloc, per_layer))
 
     report = BenchReport(rows)

@@ -6,13 +6,13 @@ offsets scaled to the grid spacing, as one ``autodiff.positional`` node.
 Because the grid is regular, that evaluation happens once per forward pass and
 the rendered kernel is reused at every cell: ``autodiff.grid_correlate``
 applies it as K shifted matmuls along the first axis over one windowed copy of
-the trailing axes, with no per-cell window matrix.  ``conv_point_native`` is the
-irregular counterpart — the same positional network evaluated once per edge —
-kept as a baseline so the two cost profiles can be compared directly.  It
-renders one kernel matrix per edge, in ``autodiff.edge_conv``'s blocks of
-edges that are applied and summed as they are rendered, so no
-(|E|, c_in * c_out) array exists.  Both paths run the one positional network
-of ``autodiff``, forward and backward.
+the trailing axes, with no per-cell window matrix, and tapes only its input.
+``conv_point_native`` is the irregular counterpart — the same positional
+network evaluated once per edge — kept as a baseline so the two cost profiles
+can be compared directly.  It renders one kernel matrix per edge, in
+``autodiff.edge_conv``'s blocks of edges that are applied and summed as they
+are rendered, so no (|E|, c_in * c_out) array exists.  Both paths run the one
+positional network of ``autodiff``, forward and backward.
 
 Residual blocks and the classification head complete the grid network; the
 head is a one-layer ``nn.MlpParams``, so every learned map here is a
@@ -81,21 +81,23 @@ class KernelEvalCounter:
 class KernelCache:
     """Holds kernels rendered during one forward pass.
 
-    Keyed by (convolution identity, grid spacing): repeated applications of the
-    same convolution at the same spacing reuse a single rendered tensor, so
+    Keyed by (convolution, grid spacing): repeated applications of the same
+    convolution at the same spacing reuse a single rendered tensor, so
     gradients from every application accumulate into one set of kernel-network
-    parameters.  Create a fresh cache per forward pass; a stale cache would
-    reuse graph nodes across backward calls.
+    parameters.  Each entry keeps its convolution, whose id no later object
+    can then reuse.  Create a fresh cache per forward pass; a stale cache
+    would reuse graph nodes across backward calls.
     """
 
     def __init__(self):
-        self._kernels: dict[tuple[int, float], Tensor] = {}
+        self._kernels: dict[tuple[int, float], tuple[ConvSpec, Tensor]] = {}
 
-    def get(self, key: tuple[int, float]) -> Tensor | None:
-        return self._kernels.get(key)
+    def get(self, key: tuple[ConvSpec, float]) -> Tensor | None:
+        conv, kernel = self._kernels.get((id(key[0]), key[1]), (None, None))
+        return kernel if conv is key[0] else None
 
-    def put(self, key: tuple[int, float], kernel: Tensor) -> None:
-        self._kernels[key] = kernel
+    def put(self, key: tuple[ConvSpec, float], kernel: Tensor) -> None:
+        self._kernels[(id(key[0]), key[1])] = (key[0], kernel)
 
     def __len__(self) -> int:
         return len(self._kernels)
@@ -195,7 +197,7 @@ def _render_kernel(
     render is two graph nodes: one ``autodiff.positional`` node, the same
     positional network ``edge_conv`` runs per edge, and a reshape.
     """
-    key = (id(conv), float(spacing))
+    key = (conv, float(spacing))
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:

@@ -394,8 +394,8 @@ class TestBench:
         # each grid call runs gridify_features once, each per-edge call
         # self_knn once: three untimed calls of each path, then per
         # repetition one timed call of each, grid first on even repetitions
-        # and per-edge first on odd ones, then each path's counted and
-        # traced passes
+        # and per-edge first on odd ones, then each path's one counted and
+        # traced pass
         calls = []
         for name, tag in (("gridify_features", "g"), ("self_knn", "n")):
             original = getattr(experiments, name)
@@ -408,4 +408,4 @@ class TestBench:
         bench_scaling(n_list=(20,), c_list=(2,), k=2, repetitions=5, resolution=3,
                       kernel_size=3, n_layers=1)
         timed = "".join(("gn", "ng", "gn", "ng", "gn"))
-        assert "".join(calls) == "gn" * 3 + timed + "gg" + "nn"
+        assert "".join(calls) == "gn" * 3 + timed + "g" + "n"

@@ -14,8 +14,10 @@ from helpers import (
 
 from gridifier import autodiff as ad
 from gridifier.autodiff import Tensor
-from gridifier.connectivity import Direction, EdgeSet, self_knn
+from gridifier.connectivity import Direction, EdgeSet, bilateral_knn, self_knn
 from gridifier.errors import ConfigError, InvariantError, ShapeError
+from gridifier.experiments import gen_random_cloud
+from gridifier.gridify import gridify_features, init_gridifier
 from gridifier.gridnet import (
     ConvBlock,
     ConvSpec,
@@ -34,17 +36,15 @@ from gridifier.nn import MlpParams, PositionalNet, init_positional_net
 from gridifier.pccore import GridSpec, make_grid_coords
 
 
-def conv_oracle(feats, resolution, dim, kernel_size, kernel):
-    """Nested-loop cross-correlation with zero padding, written from scratch.
+def lattice_taps(resolution, dim, kernel_size):
+    """(p, t, s) for every cell p and tap t whose source s = p + offset(t) exists.
 
     Mixed-radix index arithmetic is spelled out per point instead of reusing
     any lattice helper from the package.
     """
     half = (kernel_size - 1) // 2
-    n = resolution**dim
-    out = np.zeros((n, kernel.shape[2]))
     taps = list(itertools.product(range(-half, half + 1), repeat=dim))
-    for flat in range(n):
+    for flat in range(resolution**dim):
         digits = []
         rem = flat
         for _ in range(dim):
@@ -58,27 +58,33 @@ def conv_oracle(feats, resolution, dim, kernel_size, kernel):
             sflat = 0
             for s in src:
                 sflat = sflat * resolution + s
-            out[flat] += feats[sflat] @ kernel[t]
+            yield flat, t, sflat
+
+
+def conv_oracle(feats, resolution, dim, kernel_size, kernel):
+    """Nested-loop cross-correlation with zero padding, written from scratch."""
+    out = np.zeros((resolution**dim, kernel.shape[2]))
+    for p, t, s in lattice_taps(resolution, dim, kernel_size):
+        out[p] += feats[s] @ kernel[t]
     return out
+
+
+def conv_grad_oracle(feats, g, resolution, dim, kernel_size, kernel):
+    """Loop-level gradients of ``conv_oracle`` for the output gradient g.
+
+    dx[q] = sum_t g[q - offset(t)] @ kernel[t]^T and
+    dK[t] = sum_p x[p + offset(t)]^T g[p], one (cell, tap) pair at a time.
+    """
+    dx, dk = np.zeros(feats.shape), np.zeros(kernel.shape)
+    for p, t, s in lattice_taps(resolution, dim, kernel_size):
+        dx[s] += g[p] @ kernel[t].T
+        dk[t] += np.outer(feats[s], g[p])
+    return dx, dk
 
 
 def window_pairs(resolution, dim, kernel_size):
     """All (source, target) lattice pairs with source inside target's window."""
-    half = (kernel_size - 1) // 2
-    pairs = []
-    for cell in itertools.product(range(resolution), repeat=dim):
-        flat = 0
-        for c in cell:
-            flat = flat * resolution + c
-        for off in itertools.product(range(-half, half + 1), repeat=dim):
-            src = [c + o for c, o in zip(cell, off)]
-            if any(s < 0 or s >= resolution for s in src):
-                continue
-            sflat = 0
-            for s in src:
-                sflat = sflat * resolution + s
-            pairs.append((sflat, flat))
-    return pairs
+    return [(s, p) for p, _, s in lattice_taps(resolution, dim, kernel_size)]
 
 
 def to_edge_set(pairs, n):
@@ -129,29 +135,32 @@ class TestLatticeTables:
 # ---------------------------------------------------------------------------
 
 
+ORACLE_GEOMETRIES = pytest.mark.parametrize(
+    "dim,resolution,kernel_size,c_in,c_out,seed",
+    [
+        (1, 7, 3, 2, 2, 0),
+        (1, 5, 5, 1, 3, 1),
+        (2, 4, 3, 2, 3, 2),
+        (2, 5, 5, 3, 1, 3),
+        (3, 3, 3, 2, 2, 4),
+        (3, 4, 3, 1, 2, 5),
+        # kernels wider than the grid: first-axis taps with |shift| >= r
+        # crop to nothing
+        (1, 3, 7, 2, 3, 40),
+        (2, 3, 7, 2, 2, 41),
+        (3, 3, 7, 1, 2, 42),
+        # a single cell sees only the centre tap
+        (1, 1, 3, 2, 2, 43),
+        (2, 1, 5, 2, 3, 44),
+        (3, 1, 3, 3, 2, 45),
+        # the infer geometry
+        (3, 9, 9, 2, 1, 46),
+    ],
+)
+
+
 class TestConvAgainstOracle:
-    @pytest.mark.parametrize(
-        "dim,resolution,kernel_size,c_in,c_out,seed",
-        [
-            (1, 7, 3, 2, 2, 0),
-            (1, 5, 5, 1, 3, 1),
-            (2, 4, 3, 2, 3, 2),
-            (2, 5, 5, 3, 1, 3),
-            (3, 3, 3, 2, 2, 4),
-            (3, 4, 3, 1, 2, 5),
-            # kernels wider than the grid: first-axis taps with |shift| >= r
-            # crop to nothing
-            (1, 3, 7, 2, 3, 40),
-            (2, 3, 7, 2, 2, 41),
-            (3, 3, 7, 1, 2, 42),
-            # a single cell sees only the centre tap
-            (1, 1, 3, 2, 2, 43),
-            (2, 1, 5, 2, 3, 44),
-            (3, 1, 3, 3, 2, 45),
-            # the infer geometry
-            (3, 9, 9, 2, 1, 46),
-        ],
-    )
+    @ORACLE_GEOMETRIES
     def test_explicit_kernel_matches_oracle(self, dim, resolution, kernel_size, c_in, c_out, seed):
         rng = np.random.default_rng(seed)
         spec = GridSpec(resolution=resolution, dim=dim)
@@ -160,6 +169,21 @@ class TestConvAgainstOracle:
         out = ad.grid_correlate(Tensor(feats), Tensor(kernel), resolution, dim, kernel_size)
         expected = conv_oracle(feats, resolution, dim, kernel_size, kernel)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+    @ORACLE_GEOMETRIES
+    def test_gradients_match_loop_oracle(self, dim, resolution, kernel_size, c_in, c_out, seed):
+        # the kernel gradient reads shifted output-gradient rows against the
+        # plain input; the loops sum x[p + offset(t)]^T g[p] pair by pair
+        rng = np.random.default_rng(seed + 100)
+        spec = GridSpec(resolution=resolution, dim=dim)
+        x = Tensor(rand(rng, spec.n_points, c_in))
+        kernel = Tensor(rand(rng, kernel_size**dim, c_in, c_out))
+        weights = rand(rng, spec.n_points, c_out)
+        out = ad.grid_correlate(x, kernel, resolution, dim, kernel_size)
+        ad.reduce_mean(ad.mul(out, Tensor(weights))).backward()
+        dx, dk = conv_grad_oracle(x.data, out.grad, resolution, dim, kernel_size, kernel.data)
+        np.testing.assert_allclose(x.grad, dx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kernel.grad, dk, rtol=0, atol=1e-12)
 
     def test_one_dimensional_hand_case(self):
         # signal [0,1,0], taps [1,2,3]: cross-correlation slides the window
@@ -217,6 +241,52 @@ class TestConvAgainstOracle:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+class TestConvTape:
+    """The grid correlation tapes its input, not a window of it."""
+
+    def test_forward_holds_only_its_output(self):
+        # the trailing-axes window at r=9, K=9, C=16 is 7.3 MiB; with only x
+        # on the tape, a forward leaves its 0.09 MiB output
+        rng = np.random.default_rng(60)
+        x = Tensor(rand(rng, 9**3, 16))
+        kernel = Tensor(rand(rng, 9**3, 16, 16))
+        tracemalloc.start()
+        try:
+            out = ad.grid_correlate(x, kernel, 9, 3, 9)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (9**3, 16)
+        assert held < 2**20, f"held {held / 2**20:.2f} MiB"
+
+    def test_grid_training_step_peak(self):
+        # bilateral k-NN, gridify, three r=9, K=9, C=16 layers at N=8000,
+        # then the backward: 46.5 MiB traced while the tape kept each
+        # layer's window
+        rng = np.random.default_rng(61)
+        spec = GridSpec(resolution=9, dim=3)
+        grid_coords = make_grid_coords(spec)
+        cloud = gen_random_cloud(8000, 62)
+        enc = init_gridifier(1, 16, 16, 3, rng)
+        convs = [init_conv(9, 3, 16, 16, rng, n_frequencies=8, hidden=[32]) for _ in range(3)]
+
+        def step():
+            edges = bilateral_knn(cloud.coords, grid_coords, 9)
+            h = gridify_features(Tensor(cloud.feats), cloud.coords, grid_coords, edges, enc)
+            for conv in convs:
+                h = conv_grid_features(h, spec, conv)
+            ad.reduce_mean(h).backward()
+
+        step()  # the first step imports the k-d tree outside the trace
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestConvValidation:
@@ -292,6 +362,20 @@ class TestKernelReuse:
         h = conv_grid_features(h, spec, b, counter, cache)
         assert counter.snapshot() == (18, 2, 2)
         assert len(cache) == 2
+
+    def test_a_dropped_conv_does_not_lend_its_kernel(self):
+        # a conv built right after another is dropped can take over its id;
+        # the cache keeps each conv it renders, so the id stays that conv's
+        rng = np.random.default_rng(14)
+        spec = GridSpec(resolution=4, dim=2)
+        nets = [init_positional_net(1.0, 4, 2, [8], 4, rng) for _ in range(2)]
+        cache = KernelCache()
+        x = Tensor(rand(rng, spec.n_points, 2))
+        conv_grid_features(x, spec, ConvSpec(3, 2, 2, kernel_net=nets[0]), cache=cache)
+        conv = ConvSpec(3, 2, 2, kernel_net=nets[1])
+        out = conv_grid_features(x, spec, conv, cache=cache)
+        assert len(cache) == 2
+        np.testing.assert_array_equal(out.data, conv_grid_features(x, spec, conv).data)
 
     def test_cached_reuse_matches_uncached_values(self):
         rng = np.random.default_rng(12)
