@@ -20,6 +20,19 @@ d - s as the product e^{2 pi i B (d - o)} * conj(e^{2 pi i B (s - o)}) of two
 per-point phases (``_edge_phases``), so cos and sin run once per point, not
 once per edge, and the offsets themselves are formed only in the backward,
 for the gradient of B.
+
+The three positional nodes rest on two contracts, each checked once:
+- they take the networks themselves, an ``nn.PositionalNet`` and, for
+  ``message_aggregate``, an ``nn.MlpParams``; those check their own shapes
+  when they are built (every layer chains into the next, a positional head
+  reads the 2F sinusoid columns), so a node checks only what relates one
+  object to another: the offsets' dimension against the network's, the
+  message network's input width against the node and positional widths,
+  the kernel width against the input channels, and the edge indices against
+  the point counts;
+- the per-edge nodes take edges sorted by destination, as
+  ``connectivity.EdgeSet`` stores them and ``gridify`` orders them, and
+  raise ``InvariantError`` on any other order instead of sorting them.
 """
 
 from __future__ import annotations
@@ -229,7 +242,7 @@ def _sum_rows_at(values: np.ndarray, indices: np.ndarray, n_dst: int) -> np.ndar
 
 
 def _by_destination(op: str, src, dst, n_src: int, n_dst: int):
-    """Edges stably sorted by destination, after a bounds check naming ``op``.
+    """Edges checked, naming ``op``, to be in bounds and sorted by destination.
 
     Returns src, dst, each destination's edge count, and each destination's
     first edge row followed by the edge count.
@@ -239,10 +252,9 @@ def _by_destination(op: str, src, dst, n_src: int, n_dst: int):
         raise InvariantError(
             f"{op} index out of bounds: sources [0, {n_src}), destinations [0, {n_dst})"
         )
-    counts = np.bincount(dst, minlength=n_dst)
     if np.any(dst[1:] < dst[:-1]):
-        order = np.argsort(dst, kind="stable")
-        src, dst = src[order], dst[order]
+        raise InvariantError(f"{op} needs edges sorted by destination")
+    counts = np.bincount(dst, minlength=n_dst)
     starts = np.zeros(n_dst + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
     return src, dst, counts, starts
@@ -270,24 +282,6 @@ def _segment_blocks(starts: np.ndarray, width: int, budget: int) -> list[tuple[i
     if len(cuts) > 2 and starts[cuts[-1]] - starts[cuts[-2]] == 1:
         del cuts[-2]
     return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _chain_width(layers, width: int) -> int | None:
-    """Output width of the affine ``layers`` on ``width`` columns, None if they do not chain."""
-    for w, b in layers:
-        if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
-            return None
-        width = w.shape[1]
-    return width
-
-
-def _positional_width(freq: Tensor, dim: int, layers) -> int | None:
-    """Output width of the positional network on ``dim``-d offsets: the
-    sinusoid of ``freq`` (F, dim) feeds 2F columns to ``layers``.  None if
-    the shapes do not fit."""
-    if freq.ndim != 2 or freq.shape[1] != dim:
-        return None
-    return _chain_width(layers, 2 * freq.shape[0])
 
 
 def _phases(coords: np.ndarray, freq: np.ndarray) -> np.ndarray:
@@ -407,23 +401,21 @@ class _GradSums:
             t.accumulate(part)
 
 
-def positional(rel, freq, layers) -> Tensor:
-    """The positional network on the offsets ``rel`` (m, D), as one node.
+def positional(rel, net) -> Tensor:
+    """The positional network ``net`` on the offsets ``rel`` (m, D), as one node.
 
-    It is ``message_aggregate``'s and ``edge_conv``'s positional network: the
-    sinusoid of ``freq`` (F, D), then the (w, b) ``layers`` with exact GELU
-    between them.  ``rel`` is a constant: gradients reach ``freq`` and the
-    layers only.
+    ``net`` is an ``nn.PositionalNet``, the network ``message_aggregate`` and
+    ``edge_conv`` run per edge: the sinusoid of ``net.freq`` (F, D), then the
+    head's layers with exact GELU between them.  ``rel`` is a constant:
+    gradients reach the frequencies and the layers only.
     """
-    freq = as_tensor(freq)
-    layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
     rel = np.asarray(rel, dtype=np.float64)
-    width = _positional_width(freq, rel.shape[-1], layers)
-    if width is None or rel.ndim != 2:
+    if rel.ndim != 2 or rel.shape[1] != net.dim:
         raise ShapeError(
             f"positional shapes incompatible: offsets {rel.shape}, "
-            f"freq {freq.shape}, layers {[w.shape for w, _ in layers]}"
+            f"freq {net.freq.shape}, layers {net.head.widths}"
         )
+    freq, layers = net.freq, net.head.layers
     ins, acts, data = _head(_sinusoid(_phases(rel, freq.data)), layers)
     out = Tensor(data, [freq, *(t for layer in layers for t in layer)])
 
@@ -436,16 +428,14 @@ def positional(rel, freq, layers) -> Tensor:
     return out
 
 
-def message_aggregate(
-    node, src_coords, dst_coords, src, dst, freq, pos_layers, msg_layers, mode: str
-) -> Tensor:
+def message_aggregate(node, src_coords, dst_coords, src, dst, pos, msg, mode: str) -> Tensor:
     """Per-destination mean or max of edge messages, computed in blocks of edges.
 
     Edge e from source s to destination d carries the message
-    msg([node[s] ; pos(dst_coords[d] - src_coords[s])]).  ``pos`` is an MLP
-    over [cos 2 pi B r ; sin 2 pi B r] with B = ``freq`` (F, D);
-    ``pos_layers`` and ``msg_layers`` are (w, b) affine layers with exact GELU
-    between them.
+    msg([node[s] ; pos(dst_coords[d] - src_coords[s])]).  ``pos`` is an
+    ``nn.PositionalNet``, an MLP over [cos 2 pi B r ; sin 2 pi B r] with
+    B = ``pos.freq`` (F, D), and ``msg`` an ``nn.MlpParams``; both have exact
+    GELU between their layers.
 
     Nothing per edge is computed that can run per point, per destination or
     per call:
@@ -461,7 +451,7 @@ def message_aggregate(
       per destination on the mean of its inputs, since a mean commutes with
       an affine map.
 
-    Edges are stably sorted by destination and run through the chain in blocks
+    Edges arrive sorted by destination and run through the chain in blocks
     of about ``_MESSAGE_BLOCK_BYTES`` per H-wide array, cut only between
     destinations: each mean or max is reduced in edge order inside one block,
     so the bits equal those of the chain run over all edges at once.  Only the
@@ -472,30 +462,24 @@ def message_aggregate(
     maximum, and a NaN maximum has no winner.
     """
     node = as_tensor(node)
-    freq = as_tensor(freq)
-    pos_layers = [(as_tensor(w), as_tensor(b)) for w, b in pos_layers]
-    msg_layers = [(as_tensor(w), as_tensor(b)) for w, b in msg_layers]
     src_coords = np.asarray(src_coords, dtype=np.float64)
     dst_coords = np.asarray(dst_coords, dtype=np.float64)
-    dim = src_coords.shape[-1]
-    pos_width = _positional_width(freq, dim, pos_layers)
-    width = node.shape[-1]
-    out_width = None if pos_width is None else _chain_width(msg_layers, width + pos_width)
     if (
-        out_width is None
-        or (node.ndim, src_coords.ndim, dst_coords.ndim) != (2, 2, 2)
+        (node.ndim, src_coords.ndim, dst_coords.ndim) != (2, 2, 2)
         or node.shape[0] != src_coords.shape[0]
-        or dst_coords.shape[1] != dim
+        or src_coords.shape[1] != pos.dim
+        or dst_coords.shape[1] != pos.dim
+        or msg.in_width != node.shape[1] + pos.out_width
         or np.shape(src) != np.shape(dst)
         or np.ndim(src) != 1
     ):
         raise ShapeError(
             f"message_aggregate shapes incompatible: node {node.shape}, coords "
             f"{src_coords.shape} -> {dst_coords.shape}, edges {np.shape(src)} -> "
-            f"{np.shape(dst)}, freq {freq.shape}, "
-            f"pos {[w.shape for w, _ in pos_layers]}, msg {[w.shape for w, _ in msg_layers]}"
+            f"{np.shape(dst)}, freq {pos.freq.shape}, pos {pos.head.widths}, msg {msg.widths}"
         )
-    n_src, n_dst = node.shape[0], dst_coords.shape[0]
+    freq, pos_layers, msg_layers = pos.freq, pos.head.layers, msg.layers
+    (n_src, width), n_dst = node.shape, dst_coords.shape[0]
     src, dst, counts, starts = _by_destination("message_aggregate", src, dst, n_src, n_dst)
     if mode not in ("mean", "max"):
         raise InvariantError(f"unknown message_aggregate mode {mode!r}")
@@ -535,7 +519,7 @@ def message_aggregate(
             msg_acts += acts
         return rows, s, x, pos_ins, pos_acts, hp, msg_ins, msg_acts, m
 
-    reduced = np.empty((n_dst, msg_layers[-1][0].shape[0] if per_destination else out_width))
+    reduced = np.empty((n_dst, msg_layers[-1][0].shape[0] if per_destination else msg.out_width))
     proj = node.data @ w0_node
     phases = _edge_phases(src_coords, dst_coords, freq.data)
     kept = None
@@ -611,20 +595,20 @@ def message_aggregate(
     return out
 
 
-def edge_conv(coords, x, src, dst, freq, layers) -> Tensor:
+def edge_conv(coords, x, src, dst, net) -> Tensor:
     """Per-destination sums of source rows mixed by per-edge kernels, in blocks of edges.
 
     Edge e from source s to destination d renders the kernel row
     pos(coords[d] - coords[s]), reshaped to a (c_in, c_out) matrix, and
     carries x[s] @ that matrix; row d of the result sums the messages of the
     edges into d in edge order, and a point without edges gets zeros.
-    ``pos`` is ``message_aggregate``'s positional network: the sinusoid of
-    ``freq``, then the (w, b) ``layers`` with exact GELU between them, the
-    last one rendering c_in*c_out kernel values per edge.  As there, each
-    edge's sinusoid is the product of two per-point phases, so cos and sin
-    run once per point.
+    ``pos`` is the ``nn.PositionalNet`` ``net``, as in ``message_aggregate``:
+    the sinusoid of ``net.freq``, then the head's layers with exact GELU
+    between them, the last one rendering c_in*c_out kernel values per edge.
+    As there, each edge's sinusoid is the product of two per-point phases,
+    so cos and sin run once per point.
 
-    Edges are stably sorted by destination and run in blocks of about
+    Edges arrive sorted by destination and run in blocks of about
     ``_RENDER_BLOCK_BYTES`` of kernel rows, cut only between destinations,
     so the bits equal those of rendering every kernel row at once and no
     (E, c_in*c_out) array is formed.  Only the last block's intermediates are
@@ -633,23 +617,23 @@ def edge_conv(coords, x, src, dst, freq, layers) -> Tensor:
     ``freq``.
     """
     x = as_tensor(x)
-    freq = as_tensor(freq)
-    layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
     coords = np.asarray(coords, dtype=np.float64)
-    width = _positional_width(freq, coords.shape[-1], layers)
+    width = net.out_width
     if (
-        width is None
-        or (coords.ndim, x.ndim) != (2, 2)
+        (coords.ndim, x.ndim) != (2, 2)
+        or coords.shape[1] != net.dim
         or x.shape[0] != coords.shape[0]
+        or x.shape[1] < 1
         or width % x.shape[1]
         or np.shape(src) != np.shape(dst)
         or np.ndim(src) != 1
     ):
         raise ShapeError(
             f"edge_conv shapes incompatible: coords {coords.shape}, x {x.shape}, edges "
-            f"{np.shape(src)} -> {np.shape(dst)}, freq {freq.shape}, "
-            f"layers {[w.shape for w, _ in layers]}"
+            f"{np.shape(src)} -> {np.shape(dst)}, freq {net.freq.shape}, "
+            f"layers {net.head.widths}"
         )
+    freq, layers = net.freq, net.head.layers
     n, c_in = x.shape
     c_out = width // c_in
     src, dst, _, starts = _by_destination("edge_conv", src, dst, n, n)

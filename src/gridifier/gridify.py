@@ -11,8 +11,9 @@ carry high-frequency functions of the offset.
 Gridification runs this cloud->grid; de-gridification runs the mirror image
 grid->cloud over the inverted edge set.  phi_node and phi_upd run once per
 point; everything per edge (the sinusoid of the offsets, phi_pos, phi_msg and
-the aggregation) is one ``autodiff.message_aggregate`` node.  It moves every
-piece of work it can out of the per-edge chain:
+the aggregation) is one ``autodiff.message_aggregate`` node, which takes
+phi_pos and phi_msg themselves and edges sorted by destination.  It moves
+every piece of work it can out of the per-edge chain:
 - each edge's sinusoid is the product of two per-point phases, so cos and
   sin run once per point;
 - phi_msg's first layer is split by linearity, [n ; p] @ W0 = n @ W0[:H] +
@@ -26,7 +27,8 @@ the backward: no (E, H) array outlives its block, and the bits equal those of
 the same chain run over all edges at once.
 Message aggregation follows a canonical order keyed on source coordinates and
 features (not indices): one lexsort ranks the source points, and edges sort on
-(dst, rank), so re-ordering the input points reproduces the output bit-for-bit.
+(dst, rank), so re-ordering the input points reproduces the output bit-for-bit
+and the edges stay sorted by destination.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def _message_passing(
     offsets, phi_pos, phi_msg and the aggregation) is the one
     ``autodiff.message_aggregate`` node, which runs it in edge blocks and
     recomputes them in the backward, so no (E, H) array outlives its block.
-    Edges reach it in canonical order.
+    Edges reach it in canonical order, which is sorted by destination.
     """
     if edges.direction is Direction.GRID_TO_CLOUD:
         # lattice sources have intrinsic indices (a fixed bijection with their
@@ -152,11 +154,8 @@ def _message_passing(
         src, dst = edges.src[order], edges.dst[order]
 
     node = mlp_forward(params.phi_node, src_feats)
-    pos, msg = params.phi_pos, params.phi_msg
     agg = ad.message_aggregate(
-        node, src_coords, dst_coords, src, dst, pos.freq,
-        list(zip(pos.head.weights, pos.head.biases)), list(zip(msg.weights, msg.biases)),
-        params.aggregation,
+        node, src_coords, dst_coords, src, dst, params.phi_pos, params.phi_msg, params.aggregation
     )
     return mlp_forward(params.phi_upd, agg)
 

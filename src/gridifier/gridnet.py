@@ -11,8 +11,10 @@ the trailing axes, with no per-cell window matrix, and tapes only its input.
 network evaluated once per edge — kept as a baseline so the two cost profiles
 can be compared directly.  It renders one kernel matrix per edge, in
 ``autodiff.edge_conv``'s blocks of edges that are applied and summed as they
-are rendered, so no (|E|, c_in * c_out) array exists.  Both paths run the one
-positional network of ``autodiff``, forward and backward.
+are rendered, so no (|E|, c_in * c_out) array exists.  Both paths hand the
+kernel net itself to ``autodiff``: ``positional(rel, net)`` on the lattice
+offsets and ``edge_conv(coords, x, src, dst, net)`` on the edges, which an
+``EdgeSet`` keeps sorted by destination.
 
 Residual blocks and the classification head complete the grid network; the
 head is a one-layer ``nn.MlpParams``, so every learned map here is a
@@ -78,29 +80,17 @@ class KernelEvalCounter:
         return (self.pos_evals, self.materializations, self.applications)
 
 
-class KernelCache:
-    """Holds kernels rendered during one forward pass.
+class KernelCache(dict):
+    """Kernels rendered during one forward pass, as (id(conv), spacing) ->
+    (conv, kernel).
 
-    Keyed by (convolution, grid spacing): repeated applications of the same
-    convolution at the same spacing reuse a single rendered tensor, so
-    gradients from every application accumulate into one set of kernel-network
-    parameters.  Each entry keeps its convolution, whose id no later object
-    can then reuse.  Create a fresh cache per forward pass; a stale cache
-    would reuse graph nodes across backward calls.
+    Repeated applications of the same convolution at the same grid spacing
+    reuse a single rendered tensor, so gradients from every application
+    accumulate into one set of kernel-network parameters.  Each entry keeps
+    its convolution, whose id no later object can then reuse.  Create a
+    fresh cache per forward pass; a stale cache would reuse graph nodes
+    across backward calls.
     """
-
-    def __init__(self):
-        self._kernels: dict[tuple[int, float], tuple[ConvSpec, Tensor]] = {}
-
-    def get(self, key: tuple[ConvSpec, float]) -> Tensor | None:
-        conv, kernel = self._kernels.get((id(key[0]), key[1]), (None, None))
-        return kernel if conv is key[0] else None
-
-    def put(self, key: tuple[ConvSpec, float], kernel: Tensor) -> None:
-        self._kernels[(id(key[0]), key[1])] = (key[0], kernel)
-
-    def __len__(self) -> int:
-        return len(self._kernels)
 
 
 # --------------------------------------------------------------------------
@@ -197,18 +187,17 @@ def _render_kernel(
     render is two graph nodes: one ``autodiff.positional`` node, the same
     positional network ``edge_conv`` runs per edge, and a reshape.
     """
-    key = (conv, float(spacing))
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+    key = (id(conv), float(spacing))
+    owner, kernel = (None, None) if cache is None else cache.get(key, (None, None))
+    if owner is conv:
+        return kernel
     rel = -offset_lattice(conv.kernel_size, conv.dim).astype(np.float64) * spacing
     flat = positional_forward(conv.kernel_net, rel)
     kernel = ad.reshape(flat, (conv.n_taps, conv.in_channels, conv.out_channels))
     if counter is not None:
         counter.bump(pos_evals=conv.n_taps, materializations=1)
     if cache is not None:
-        cache.put(key, kernel)
+        cache[key] = (conv, kernel)
     return kernel
 
 
@@ -265,10 +254,7 @@ def conv_point_native(
             f"edges join {edges.n_src} sources to {edges.n_dst} destinations, "
             f"but the cloud has {n} points"
         )
-    head = kernel_net.head
-    out = ad.edge_conv(
-        coords, feats, edges.src, edges.dst, kernel_net.freq, zip(head.weights, head.biases)
-    )
+    out = ad.edge_conv(coords, feats, edges.src, edges.dst, kernel_net)
     if counter is not None:
         counter.bump(pos_evals=edges.src.size, applications=1)
     return out

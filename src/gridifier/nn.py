@@ -5,7 +5,9 @@ functions and the classification head are MLPs.  A positional network has
 one form: a sinusoid of learnable frequencies followed by an MLP head
 (``PositionalNet``), run forward and backward as one ``autodiff.positional``
 node; it is the message-side positional embedding and every continuous
-kernel.
+kernel.  Both types check their shapes when they are built, so the autodiff
+nodes that take them (``positional``, ``message_aggregate``, ``edge_conv``)
+do not check them again.
 
 Naming convention for checkpoints and optimizers: every learnable array has a
 dotted path like ``phi_msg.w0`` or ``pos.head.b1``.  Weight matrices are
@@ -41,7 +43,9 @@ class MlpParams:
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ConfigError("mlp needs one bias per weight and at least one layer")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(self.layers):
+            if not (isinstance(w, Tensor) and isinstance(b, Tensor)):
+                raise ConfigError(f"mlp layer {i} needs a Tensor weight and bias")
             if w.ndim != 2 or b.shape != (w.shape[1],):
                 raise ShapeError(
                     f"mlp layer {i} needs a 2-d weight and a bias of its output width, "
@@ -53,6 +57,11 @@ class MlpParams:
                     f"layer {i} output width {self.weights[i].shape[1]} does not chain "
                     f"into layer {i + 1} input width {self.weights[i + 1].shape[0]}"
                 )
+
+    @property
+    def layers(self) -> list[tuple[Tensor, Tensor]]:
+        """(weight, bias) of each layer, first to last."""
+        return list(zip(self.weights, self.biases))
 
     @property
     def widths(self) -> list[int]:
@@ -68,7 +77,7 @@ class MlpParams:
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(self.layers):
             out[f"{prefix}w{i}"] = w
             out[f"{prefix}b{i}"] = b
         return out
@@ -92,9 +101,9 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
         raise ShapeError(
             f"mlp expects last axis {params.in_width}, got input shape {x.shape}"
         )
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+    for w, b in params.layers[:-1]:
         x = ad.gelu(ad.affine(x, w, b))
-    return ad.affine(x, params.weights[-1], params.biases[-1])
+    return ad.affine(x, *params.layers[-1])
 
 
 @dataclass
@@ -114,9 +123,10 @@ class PositionalNet:
     head: MlpParams
 
     def __post_init__(self):
-        if self.freq.ndim != 2 or self.freq.shape[0] < 1:
+        if not isinstance(self.freq, Tensor) or self.freq.ndim != 2 or self.freq.shape[0] < 1:
             raise ConfigError(
-                f"positional net needs at least one frequency, got freq of shape {self.freq.shape}"
+                f"positional net needs at least one frequency in a Tensor, got "
+                f"{type(self.freq).__name__} of shape {np.shape(self.freq)}"
             )
         if self.head.in_width != 2 * self.n_frequencies:
             raise ConfigError(
@@ -163,5 +173,4 @@ def positional_forward(net: PositionalNet, rel_pos: np.ndarray) -> Tensor:
     """The network on the constant (m, dim) offsets ``rel_pos``, as one
     ``autodiff.positional`` node: [cos 2 pi B p ; sin 2 pi B p] per row, then
     the head."""
-    head = net.head
-    return ad.positional(rel_pos, net.freq, zip(head.weights, head.biases))
+    return ad.positional(rel_pos, net)

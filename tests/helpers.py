@@ -36,7 +36,7 @@ def naive_mlp(params, row):
     """One input row through an MLP, written with plain loops and ndarray math."""
     h = row
     last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    for i, (w, b) in enumerate(params.layers):
         h = h @ w.data + b.data
         if i != last:
             h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
@@ -68,7 +68,7 @@ def _cos_sin(t):
 def taped_head(head: MlpParams, x):
     """``head``'s layers on ``x`` as taped ``ad.affine`` nodes with
     ``ad.gelu`` between them."""
-    for i, (w, b) in enumerate(zip(head.weights, head.biases)):
+    for i, (w, b) in enumerate(head.layers):
         x = ad.affine(ad.gelu(x) if i else x, w, b)
     return x
 

@@ -7,7 +7,19 @@ from scipy.special import erf
 
 from gridifier import autodiff as ad
 from gridifier.autodiff import Tensor
-from gridifier.errors import InvariantError, ShapeError
+from gridifier.errors import ConfigError, InvariantError, ShapeError
+from gridifier.nn import MlpParams, PositionalNet
+
+
+def mlp(*arrays):
+    """``MlpParams`` of its layers' weights and biases, w0, b0, w1, b1, ..."""
+    ts = [ad.as_tensor(a) for a in arrays]
+    return MlpParams(ts[::2], ts[1::2])
+
+
+def pos_net(freq, *arrays):
+    """``PositionalNet`` of the frequencies and its head's layers, as ``mlp``."""
+    return PositionalNet(ad.as_tensor(freq), mlp(*arrays))
 
 
 def aggregate_rows(values, dst, n_dst, mode):
@@ -19,7 +31,8 @@ def aggregate_rows(values, dst, n_dst, mode):
     pass_node = np.vstack([np.eye(width), np.zeros((1, width))])
     return ad.message_aggregate(
         values, np.zeros((n_rows, 1)), np.zeros((n_dst, 1)), np.arange(n_rows), dst,
-        np.ones((1, 1)), [(np.zeros((2, 1)), np.zeros(1))], [(pass_node, np.zeros(width))], mode,
+        pos_net(np.ones((1, 1)), np.zeros((2, 1)), np.zeros(1)), mlp(pass_node, np.zeros(width)),
+        mode,
     )
 
 
@@ -31,8 +44,8 @@ def sum_rows(values, dst):
     n_rows, width = values.shape
     identity = np.eye(width).ravel()
     return ad.edge_conv(
-        np.zeros((n_rows, 1)), values, np.arange(n_rows), dst, np.ones((1, 1)),
-        [(np.zeros((2, width * width)), identity)],
+        np.zeros((n_rows, 1)), values, np.arange(n_rows), dst,
+        pos_net(np.ones((1, 1)), np.zeros((2, width * width)), identity),
     )
 
 
@@ -54,7 +67,7 @@ def edge_conv_inputs(rng, n=6, c_in=2, c_out=3, freqs=2, hidden=4):
 
 def apply_edge_conv(ts, coords, edges):
     x, freq, *layers = ts
-    return ad.edge_conv(coords, x, *edges, freq, [layers[:2], layers[2:]])
+    return ad.edge_conv(coords, x, *edges, pos_net(freq, *layers))
 
 
 def message_inputs(rng, n_src=5, n_dst=4, dim=2, width=3, freqs=2, hidden=4):
@@ -70,9 +83,8 @@ def message_inputs(rng, n_src=5, n_dst=4, dim=2, width=3, freqs=2, hidden=4):
 def apply_message_aggregate(ts, coords, edges, mode):
     (src_coords, dst_coords), (src, dst) = coords, edges
     node, freq, *layers = ts
-    pos = [(layers[0], layers[1]), (layers[2], layers[3])]
-    msg = [(layers[4], layers[5]), (layers[6], layers[7])]
-    return ad.message_aggregate(node, src_coords, dst_coords, src, dst, freq, pos, msg, mode)
+    pos, msg = pos_net(freq, *layers[:4]), mlp(*layers[4:])
+    return ad.message_aggregate(node, src_coords, dst_coords, src, dst, pos, msg, mode)
 
 
 class TestForwardValues:
@@ -88,11 +100,11 @@ class TestForwardValues:
         np.testing.assert_array_equal(values.grad, [[0.0], [1.0]])
 
     def test_scatter_max_tie_goes_to_first_row(self):
-        # the first row in canonical (destination-sorted) order wins a tie
+        # the first of a destination's rows wins a tie
         values = Tensor([[5.0], [5.0], [5.0]])
-        out = aggregate_rows(values, np.array([0, 1, 0]), 2, "max")
+        out = aggregate_rows(values, np.array([0, 0, 1]), 2, "max")
         ad.reduce_mean(out).backward()
-        np.testing.assert_array_equal(values.grad, [[0.5], [0.5], [0.0]])
+        np.testing.assert_array_equal(values.grad, [[0.5], [0.0], [0.5]])
 
     def test_scatter_max_nan_has_no_winner(self):
         # destination 0's maximum is NaN, so neither of its rows gets a gradient
@@ -112,6 +124,11 @@ class TestForwardValues:
         idx = np.concatenate([np.arange(8), rng.integers(1, 8, size=52)])
         if layout == "sorted":
             idx = np.sort(idx)
+        else:
+            # the node takes edges sorted by destination: rows move with
+            # their destinations, keeping their order within each
+            order = np.argsort(idx, kind="stable")
+            values, idx = values[order], idx[order]
         g = rng.normal(size=(8, 4))
 
         expected = np.empty((8, 4))
@@ -137,6 +154,7 @@ class TestForwardValues:
         rng = np.random.default_rng(0)
         idx = rng.integers(0, 5, size=40)
         idx[:5] = np.arange(5)  # cover every destination
+        idx.sort()
         values = Tensor(np.full((40, 3), 2.5))
         out = aggregate_rows(values, idx, 5, "mean")
         np.testing.assert_allclose(out.data, 2.5, rtol=0, atol=1e-15)
@@ -159,12 +177,19 @@ class TestForwardValues:
             "head width != node width": (
                 ts[:4] + [rand(rng, 4, 2), rand(rng, 2)] + ts[6:], coords, edges
             ),
-            "msg layers that do not chain": (ts[:8] + [rand(rng, 3, 3)] + ts[9:], coords, edges),
-            "bias of the wrong width": (ts[:9] + [rand(rng, 2)], coords, edges),
         }
         for what, (inputs, cs, es) in bad_shapes.items():
             with pytest.raises(ShapeError, match="message_aggregate"):
                 apply_message_aggregate(inputs, cs, es, "mean")
+                pytest.fail(what)
+        # the message network checks its own layers when it is built
+        bad_layers = {
+            "msg layers that do not chain": (ts[:8] + [rand(rng, 3, 3)] + ts[9:], ConfigError),
+            "bias of the wrong width": (ts[:9] + [rand(rng, 2)], ShapeError),
+        }
+        for what, (inputs, error) in bad_layers.items():
+            with pytest.raises(error, match="layer 1"):
+                apply_message_aggregate(inputs, coords, edges, "mean")
                 pytest.fail(what)
         src, dst = edges
         for bad in ((src + 1, dst), (src, dst - 1), (src, dst + 1)):
@@ -175,13 +200,14 @@ class TestForwardValues:
 
     @pytest.mark.parametrize("node", ["positional", "message_aggregate", "edge_conv"])
     def test_missing_frequencies_rejected(self, node):
-        # every positional network starts with the sinusoid: a node given no
-        # frequency matrix, or a 1-d one, fails its shape check
+        # every positional network starts with the sinusoid: the network a
+        # node would take is refused when it is built without a frequency
+        # matrix, or with a 1-d one
         rng = np.random.default_rng(45)
 
         def call(freq):
             if node == "positional":
-                return ad.positional(rand(rng, 4, 2), freq, [(rand(rng, 4, 3), rand(rng, 3))])
+                return ad.positional(rand(rng, 4, 2), pos_net(freq, rand(rng, 4, 3), rand(rng, 3)))
             if node == "message_aggregate":
                 ts = message_inputs(rng)
                 coords = (rand(rng, 5, 2), rand(rng, 4, 2))
@@ -193,8 +219,19 @@ class TestForwardValues:
 
         call(rand(rng, 2, 2))
         for freq in (None, rand(rng, 4)):
-            with pytest.raises(ShapeError, match=f"{node} shapes incompatible.*freq"):
+            with pytest.raises(ConfigError, match="needs at least one frequency"):
                 call(freq)
+
+    @pytest.mark.parametrize("node", ["message_aggregate", "edge_conv"])
+    def test_unsorted_edges_rejected(self, node):
+        # the per-edge nodes take edges sorted by destination and do not
+        # sort them
+        rows, dst = Tensor(np.ones((3, 2))), np.array([0, 1, 0])
+        with pytest.raises(InvariantError, match=f"{node} needs edges sorted by destination"):
+            if node == "message_aggregate":
+                aggregate_rows(rows, dst, 2, "mean")
+            else:
+                sum_rows(rows, dst)
 
     def test_edge_conv_sums_bits_match_sequential_loop(self, monkeypatch):
         # the per-destination sums must reproduce a left-to-right
@@ -204,7 +241,7 @@ class TestForwardValues:
         # its sums differ in the last bits)
         rng = np.random.default_rng(40)
         values = rand(rng, 200, 4)
-        idx = rng.integers(0, 7, size=200)
+        idx = np.sort(rng.integers(0, 7, size=200))
         expected = np.zeros((200, 4))
         for i in range(200):
             expected[idx[i]] += values[i]
@@ -228,15 +265,23 @@ class TestForwardValues:
         bad_shapes = {
             # 6 kernel values per row do not fill (4, c_out) matrices
             "a width that is no kernel": ([rand(rng, 4, 4), *ts[1:]], coords, edges),
+            "no input channels": ([rand(rng, 4, 0), *ts[1:]], coords, edges),
             "source rows != points": ([rand(rng, 3, 2), *ts[1:]], coords, edges),
             "coords in 3-d": (ts, rand(rng, 4, 3), edges),
             "edge arrays of two lengths": (ts, coords, (edges[0], edges[1][:2])),
-            "layers that do not chain": (ts[:4] + [rand(rng, 3, 6)] + ts[5:], coords, edges),
-            "bias of the wrong width": (ts[:5] + [rand(rng, 5)], coords, edges),
         }
         for what, (inputs, cs, es) in bad_shapes.items():
             with pytest.raises(ShapeError, match="edge_conv"):
                 apply_edge_conv(inputs, cs, es)
+                pytest.fail(what)
+        # the kernel net checks its own layers when it is built
+        bad_layers = {
+            "layers that do not chain": (ts[:4] + [rand(rng, 3, 6)] + ts[5:], ConfigError),
+            "bias of the wrong width": (ts[:5] + [rand(rng, 5)], ShapeError),
+        }
+        for what, (inputs, error) in bad_layers.items():
+            with pytest.raises(error, match="layer 1"):
+                apply_edge_conv(inputs, coords, edges)
                 pytest.fail(what)
 
     def test_edge_conv_without_points_or_edges(self):
@@ -270,15 +315,15 @@ class TestForwardValues:
         want = np.concatenate([np.cos(z), np.sin(z)], axis=1)
         eye, zero = np.eye(2 * freqs), np.zeros(2 * freqs)
         got = ad.message_aggregate(
-            np.zeros((n_src, 2 * freqs)), src_coords, dst_coords, src, np.arange(n_dst), freq,
-            [(eye, zero)], [(np.vstack([0 * eye, eye]), zero)], "mean",
+            np.zeros((n_src, 2 * freqs)), src_coords, dst_coords, src, np.arange(n_dst),
+            pos_net(freq, eye, zero), mlp(np.vstack([0 * eye, eye]), zero), "mean",
         )
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
         # edge_conv's points are both ends of its edges
         coords = np.concatenate([src_coords, dst_coords])
         got = ad.edge_conv(
-            coords, np.ones((n_src + n_dst, 1)), src, n_src + np.arange(n_dst), freq,
-            [(eye, zero)],
+            coords, np.ones((n_src + n_dst, 1)), src, n_src + np.arange(n_dst),
+            pos_net(freq, eye, zero),
         )
         np.testing.assert_allclose(got.data[n_src:], want, rtol=0, atol=1e-12)
 
@@ -296,7 +341,7 @@ class TestForwardValues:
         coords, w, b, x = rand(rng, n_rows, 2), rand(rng, 2, 6), rand(rng, 6), rand(rng, n_rows, 2)
         freq = rand(rng, 1, 2)
         src = rng.integers(0, n_rows, size=n_rows)
-        out = ad.edge_conv(coords, Tensor(x), src, np.arange(n_rows), freq, [(w, b)])
+        out = ad.edge_conv(coords, Tensor(x), src, np.arange(n_rows), pos_net(freq, w, b))
         expected = np.stack([
             x[s] @ (sinusoid(coords[[d]] - coords[[s]], freq) @ w + b).reshape(2, 3)
             for d, s in enumerate(src)
@@ -326,10 +371,16 @@ class TestForwardValues:
             ad.grid_correlate(x, Tensor(np.zeros((9, 2, 1))), 4, 2, 3)
 
     def test_positional_shape_error_names_offsets_and_layers(self):
-        with pytest.raises(ShapeError, match=r"offsets \(4, 3\).*\(6, 2\)"):
-            ad.positional(np.zeros((4, 3)), np.zeros((2, 3)), [(np.zeros((6, 2)), np.zeros(2))])
+        # a head that does not read the 2F sinusoid columns is refused when
+        # the network is built; the node refuses offsets that are not rows of
+        # the network's dimension
+        with pytest.raises(ConfigError, match="head expects input 4, got 6"):
+            pos_net(np.zeros((2, 3)), np.zeros((6, 2)), np.zeros(2))
+        net = pos_net(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
+        with pytest.raises(ShapeError, match=r"offsets \(4, 2\), freq \(2, 3\), layers \[4, 2\]"):
+            ad.positional(np.zeros((4, 2)), net)
         with pytest.raises(ShapeError, match=r"offsets \(4,\)"):
-            ad.positional(np.zeros(4), np.zeros((2, 4)), [(np.zeros((4, 2)), np.zeros(2))])
+            ad.positional(np.zeros(4), pos_net(np.zeros((2, 4)), np.zeros((4, 2)), np.zeros(2)))
 
 
 class TestGradients:
@@ -361,8 +412,8 @@ class TestGradients:
 
         def build(ts):
             out = ad.message_aggregate(
-                ts[0], src_coords, dst_coords, src, np.arange(6), ts[5],
-                [(ts[1], ts[2])], [(ts[3], ts[4])], "mean",
+                ts[0], src_coords, dst_coords, src, np.arange(6),
+                pos_net(ts[5], ts[1], ts[2]), mlp(ts[3], ts[4]), "mean",
             )
             return ad.reduce_mean(ad.mul(out, out))
 
@@ -425,13 +476,11 @@ class TestGradients:
         arrays = message_inputs(rng)[:6] + [rand(rng, *shape) for shape in msg_shapes]
 
         def layers(arrs):
-            return [(ad.as_tensor(w), ad.as_tensor(b)) for w, b in zip(arrs[::2], arrs[1::2])]
+            return mlp(*arrs).layers
 
         def forward(ts):
-            pos, msg = layers(ts[2:6]), layers(ts[6:])
-            return ad.message_aggregate(
-                ts[0], src_coords, dst_coords, src, dst, ts[1], pos, msg, "mean"
-            )
+            pos, msg = pos_net(ts[1], *ts[2:6]), mlp(*ts[6:])
+            return ad.message_aggregate(ts[0], src_coords, dst_coords, src, dst, pos, msg, "mean")
 
         def chain(ls, row):
             for i, (w, b) in enumerate(ls):
@@ -456,12 +505,13 @@ class TestGradients:
         # blocks of 3 edges of 6 kernel values, so the backward recomputes
         # blocks and sums every gradient across them; destination 2 has more
         # edges than a block, point 5 receives none, source rows 1 and 3 are
-        # unused, and the edges arrive unsorted
+        # unused, and each destination's edges arrive shuffled
         monkeypatch.setattr(ad, "_RENDER_BLOCK_BYTES", 3 * 8 * 6)
         rng = np.random.default_rng(11)
         dst = np.repeat(np.arange(5), [2, 1, 4, 3, 2])
         src = np.array([0, 5, 2, 2, 4, 0, 2, 5, 0, 2, 4, 5])
         order = rng.permutation(dst.size)
+        order = order[np.argsort(dst[order], kind="stable")]
         starts = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=6))])
         assert len(ad._segment_blocks(starts, 6, ad._RENDER_BLOCK_BYTES)) >= 4
         coords = rng.uniform(-1, 1, (6, 2))
@@ -526,7 +576,7 @@ class TestGradients:
     def test_composed_network(self):
         rng = np.random.default_rng(17)
         arrays = [rand(rng, 7, 3), rand(rng, 3, 5), rand(rng, 5), rand(rng, 5, 2)]
-        idx = np.concatenate([np.arange(3), rng.integers(0, 3, size=4)])
+        idx = np.sort(np.concatenate([np.arange(3), rng.integers(0, 3, size=4)]))
 
         def build(ts):
             h = ad.gelu(ad.affine(ts[0], ts[1], ts[2]))
@@ -569,7 +619,7 @@ class TestBuffers:
         src_coords, dst_coords = rand(rng, 5, 2), rand(rng, 9, 2)
         freq = rand(rng, 1, 2)
         out = ad.message_aggregate(
-            node, src_coords, dst_coords, src, np.arange(9), freq, [(p, pb)], [(w, b)], "mean"
+            node, src_coords, dst_coords, src, np.arange(9), pos_net(freq, p, pb), mlp(w, b), "mean"
         )
         x = ad._edge_sinusoid(ad._edge_phases(src_coords, dst_coords, freq), np.arange(9), src)
         want = (node @ w[:3])[src] + x @ (p @ w[3:]) + (pb @ w[3:] + b)

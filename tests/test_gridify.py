@@ -269,6 +269,19 @@ def test_rank_keyed_order_matches_edge_lexsort(coords, feats, res):
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("coords, feats, res", list(_ORDER_CASES.values()), ids=list(_ORDER_CASES))
+def test_canonical_order_sorts_destinations_of_permuted_clouds(coords, feats, res):
+    # message_aggregate takes edges sorted by destination and does not sort
+    # them, so the canonical order must be non-decreasing in destination
+    # however the points, duplicates included, are numbered
+    grid = make_grid_coords(GridSpec(resolution=res, dim=coords.shape[1]))
+    rng = np.random.default_rng(25)
+    for perm in (rng.permutation(coords.shape[0]), np.arange(coords.shape[0])[::-1]):
+        edges = bilateral_knn(coords[perm], grid, 3)
+        order = _canonical_edge_order(edges.src, edges.dst, coords[perm], feats[perm])
+        assert np.all(np.diff(edges.dst[order]) >= 0)
+
+
 @pytest.mark.parametrize("n_rows", [3, 17, 40, 125, 256, 729])
 @pytest.mark.parametrize("width", [2, 4, 16])
 def test_split_layer_row_bits_follow_the_row_not_its_position(n_rows, width):
@@ -278,17 +291,18 @@ def test_split_layer_row_bits_follow_the_row_not_its_position(n_rows, width):
     rng = np.random.default_rng(n_rows * width)
     node, coords = rng.normal(size=(n_rows, width)), rng.normal(size=(n_rows, 3))
     dst_coords = rng.normal(size=(50, 3))
-    freq = rng.normal(size=(1, 3))
-    pos = [(rng.normal(size=(2, width)), rng.normal(size=width))]
-    msg = [(rng.normal(size=(2 * width, width)), rng.normal(size=width))]
+    freq = Tensor(rng.normal(size=(1, 3)))
+    pos = PositionalNet(freq, MlpParams([Tensor(rng.normal(size=(2, width)))],
+                                        [Tensor(rng.normal(size=width))]))
+    msg = MlpParams([Tensor(rng.normal(size=(2 * width, width)))], [Tensor(rng.normal(size=width))])
     src, dst = rng.integers(0, n_rows, 50), np.arange(50)
-    base = ad.message_aggregate(node, coords, dst_coords, src, dst, freq, pos, msg, "mean").data
-    w = msg[0][0]
+    base = ad.message_aggregate(node, coords, dst_coords, src, dst, pos, msg, "mean").data
+    w = msg.weights[0].data
     for perm in (rng.permutation(n_rows), np.roll(np.arange(n_rows), 1), np.arange(n_rows)[::-1]):
         slot = np.empty_like(perm)
         slot[perm] = np.arange(n_rows)
         moved = ad.message_aggregate(
-            node[perm], coords[perm], dst_coords, slot[src], dst, freq, pos, msg, "mean"
+            node[perm], coords[perm], dst_coords, slot[src], dst, pos, msg, "mean"
         ).data
         np.testing.assert_array_equal(moved, base)
         np.testing.assert_array_equal(node[perm] @ w[:width], (node @ w[:width])[perm])
@@ -354,7 +368,7 @@ def unfused_pass(src_feats, src_coords, dst_coords, edges, params):
     node = mlp_forward(params.phi_node, src_feats)
     pos, msg = params.phi_pos.head, params.phi_msg
     x = taped_edge_sinusoid(params.phi_pos.freq, src_coords, dst_coords, edges.src, edges.dst)
-    for w, b in zip(pos.weights[:-1], pos.biases[:-1]):
+    for w, b in pos.layers[:-1]:
         x = ad.gelu(ad.affine(x, w, b))
     # phi_msg's first layer split by linearity, with phi_pos's output layer
     # folded into its positional half

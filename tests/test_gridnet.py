@@ -101,7 +101,7 @@ def rebuild_kernel_net(tensors):
 
 def kernel_net_arrays(net):
     arrs = [net.freq.data.copy()]
-    for w, b in zip(net.head.weights, net.head.biases):
+    for w, b in net.head.layers:
         arrs.extend([w.data.copy(), b.data.copy()])
     return arrs
 

@@ -10,6 +10,7 @@ from gridifier.checkpoint import load_checkpoint, save_checkpoint
 from gridifier.errors import ConfigError, ParseError, ShapeError, TrainingError
 from gridifier.nn import (
     MlpParams,
+    PositionalNet,
     decays_weight,
     init_mlp,
     init_positional_net,
@@ -60,6 +61,15 @@ class TestMlp:
         with pytest.raises(ShapeError, match=f"mlp layer {bad} .*bias"):
             MlpParams(ws, bs)
 
+    def test_plain_arrays_rejected(self):
+        # the autodiff nodes take a network's tensors as they are, so an
+        # array where a Tensor belongs is refused when the network is built
+        w, b = np.zeros((4, 2)), np.zeros(2)
+        with pytest.raises(ConfigError, match="mlp layer 0 needs a Tensor"):
+            MlpParams([w], [Tensor(b)])
+        with pytest.raises(ConfigError, match="at least one frequency in a Tensor, got ndarray"):
+            PositionalNet(np.ones((2, 3)), MlpParams([Tensor(w)], [Tensor(b)]))
+
     def test_bad_layer_chain(self):
         with pytest.raises(ConfigError):
             init_mlp([2], np.random.default_rng(0))
@@ -95,8 +105,7 @@ def init_freq(omega, n_frequencies, dim, rng):
 def sinusoid(freq, rel):
     """[cos 2 pi B r ; sin 2 pi B r] per row: the positional node with one
     identity layer, which passes its input through exactly."""
-    width = 2 * freq.shape[0]
-    return ad.positional(rel, freq, [(np.eye(width), np.zeros(width))])
+    return ad.positional(rel, PositionalNet(freq, identity_mlp(2 * freq.shape[0])))
 
 
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -154,7 +163,7 @@ class TestRff:
 
         def build(ts):
             freq, w0, b0, w1, b1 = ts
-            out = ad.positional(rel, freq, [(w0, b0), (w1, b1)])
+            out = ad.positional(rel, PositionalNet(freq, MlpParams([w0, w1], [b0, b1])))
             return ad.reduce_mean(ad.mul(out, weight))
 
         assert_grads_match(build, arrays)
@@ -165,7 +174,8 @@ class TestRff:
         arrays = [rand(rng, 10, 6), rand(rng, 6), rand(rng, 6, 4), rand(rng, 4)]
         weight = rand(rng, 7, 4)
         params = [Tensor(freq), *(Tensor(a) for a in arrays)]
-        out = ad.positional(x, params[0], [params[1:3], params[3:]])
+        net = PositionalNet(params[0], MlpParams(params[1::2], params[2::2]))
+        out = ad.positional(x, net)
         ad.reduce_mean(ad.mul(out, weight)).backward()
         g = np.full(out.shape, 1.0 / out.data.size) * weight
         want, grads = taped_chain_bits(x, freq, *arrays, g)
@@ -190,8 +200,6 @@ class TestPositionalNet:
         assert all(p.grad is not None for p in params)
 
     def test_head_width_must_match(self):
-        from gridifier.nn import PositionalNet
-
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError, match="head expects input 8, got 5"):
             PositionalNet(init_freq(1.0, 4, 3, rng), init_mlp([5, 2], rng))
