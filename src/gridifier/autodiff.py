@@ -1,6 +1,8 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-A Tensor wraps an ndarray plus an optional backward closure and parent links.
+A Tensor wraps an ndarray plus an optional backward closure and parent links,
+and its constructor, ``Tensor(data, parents, backward)``, is the one place a
+node records them: each op defines its backward and returns the node it builds.
 Calling ``backward()`` on a scalar output walks the graph in reverse
 topological order and accumulates ``grad`` on every tensor that contributed.
 Only the operations the gridification pipeline needs are implemented; each op
@@ -28,11 +30,12 @@ The three positional nodes rest on two contracts, each checked once:
   reads the 2F sinusoid columns), so a node checks only what relates one
   object to another: the offsets' dimension against the network's, the
   message network's input width against the node and positional widths,
-  the kernel width against the input channels, and the edge indices against
-  the point counts;
+  and the kernel width against the input channels;
 - the per-edge nodes take edges sorted by destination, as
-  ``connectivity.EdgeSet`` stores them and ``gridify`` orders them, and
-  raise ``InvariantError`` on any other order instead of sorting them.
+  ``connectivity.EdgeSet`` stores them and ``gridify`` orders them; one
+  check, ``_by_destination``, requires the edge arrays to be 1-d, of one
+  length and in bounds, and raises ``InvariantError`` on any other order
+  instead of sorting them.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ _RENDER_BLOCK_BYTES = 512 << 10
 
 
 class Tensor:
-    """Node in the differentiation graph: value, gradient slot, backward rule."""
+    """Node in the differentiation graph: value, gradient slot, backward rule;
+    the constructor is the one place a node records its parents and backward."""
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
@@ -143,38 +147,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, (a, b))
 
     def backward(g):
         a.accumulate(_unbroadcast(g, a.shape))
         b.accumulate(_unbroadcast(g, b.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data, (a, b))
 
     def backward(g):
         a.accumulate(_unbroadcast(g, a.shape))
         b.accumulate(_unbroadcast(-g, b.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, (a, b))
 
     def backward(g):
         a.accumulate(_unbroadcast(g * b.data, a.shape))
         b.accumulate(_unbroadcast(g * a.data, b.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data * b.data, (a, b), backward)
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,31 +186,26 @@ def affine(x, w, b) -> Tensor:
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"affine shapes incompatible: {x.shape} @ {w.shape} + {b.shape}")
-    out = Tensor(_affine(x.data, w.data, b.data), (x, w, b))
 
     def backward(g):
         x.accumulate(g @ w.data.T)
         w.accumulate(x.data.T @ g)
         b.accumulate(g.sum(axis=0))
 
-    out._backward = backward
-    return out
+    return Tensor(_affine(x.data, w.data, b.data), (x, w, b), backward)
 
 
 def reshape(t: Tensor, shape) -> Tensor:
     t = as_tensor(t)
-    out = Tensor(t.data.reshape(shape), (t,))
 
     def backward(g):
         t.accumulate(g.reshape(t.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(t.data.reshape(shape), (t,), backward)
 
 
 def reduce_mean(t: Tensor, axis: int | None = None) -> Tensor:
     t = as_tensor(t)
-    out = Tensor(t.data.mean(axis=axis), (t,))
     count = t.data.size if axis is None else t.shape[axis]
 
     def backward(g):
@@ -221,8 +214,7 @@ def reduce_mean(t: Tensor, axis: int | None = None) -> Tensor:
         else:
             t.accumulate(np.broadcast_to(np.expand_dims(g, axis), t.shape) / count)
 
-    out._backward = backward
-    return out
+    return Tensor(t.data.mean(axis=axis), (t,), backward)
 
 
 def _sum_rows_at(values: np.ndarray, indices: np.ndarray, n_dst: int) -> np.ndarray:
@@ -242,12 +234,15 @@ def _sum_rows_at(values: np.ndarray, indices: np.ndarray, n_dst: int) -> np.ndar
 
 
 def _by_destination(op: str, src, dst, n_src: int, n_dst: int):
-    """Edges checked, naming ``op``, to be in bounds and sorted by destination.
+    """Edges checked, naming ``op``, to be two 1-d arrays of one length, in
+    bounds and sorted by destination.
 
     Returns src, dst, each destination's edge count, and each destination's
     first edge row followed by the edge count.
     """
     src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    if src.shape != dst.shape or src.ndim != 1:
+        raise ShapeError(f"{op} edges {src.shape} -> {dst.shape} are not 1-d of one length")
     if src.size and (min(src.min(), dst.min()) < 0 or src.max() >= n_src or dst.max() >= n_dst):
         raise InvariantError(
             f"{op} index out of bounds: sources [0, {n_src}), destinations [0, {n_dst})"
@@ -417,15 +412,13 @@ def positional(rel, net) -> Tensor:
         )
     freq, layers = net.freq, net.head.layers
     ins, acts, data = _head(_sinusoid(_phases(rel, freq.data)), layers)
-    out = Tensor(data, [freq, *(t for layer in layers for t in layer)])
 
     def backward(g):
         sums = _GradSums()
         _freq_grad(rel, freq, ins[0], _head_grad(layers, ins, acts, g, sums), sums)
         sums.accumulate()
 
-    out._backward = backward
-    return out
+    return Tensor(data, [freq, *(t for layer in layers for t in layer)], backward)
 
 
 def message_aggregate(node, src_coords, dst_coords, src, dst, pos, msg, mode: str) -> Tensor:
@@ -470,13 +463,11 @@ def message_aggregate(node, src_coords, dst_coords, src, dst, pos, msg, mode: st
         or src_coords.shape[1] != pos.dim
         or dst_coords.shape[1] != pos.dim
         or msg.in_width != node.shape[1] + pos.out_width
-        or np.shape(src) != np.shape(dst)
-        or np.ndim(src) != 1
     ):
         raise ShapeError(
             f"message_aggregate shapes incompatible: node {node.shape}, coords "
-            f"{src_coords.shape} -> {dst_coords.shape}, edges {np.shape(src)} -> "
-            f"{np.shape(dst)}, freq {pos.freq.shape}, pos {pos.head.widths}, msg {msg.widths}"
+            f"{src_coords.shape} -> {dst_coords.shape}, freq {pos.freq.shape}, "
+            f"pos {pos.head.widths}, msg {msg.widths}"
         )
     freq, pos_layers, msg_layers = pos.freq, pos.head.layers, msg.layers
     (n_src, width), n_dst = node.shape, dst_coords.shape[0]
@@ -537,7 +528,6 @@ def message_aggregate(node, src_coords, dst_coords, src, dst, pos, msg, mode: st
     if per_destination:
         w_last, b_last = msg_layers[-1]
         data = _affine(reduced, w_last.data, b_last.data)
-    out = Tensor(data, [node, freq, *(t for layer in pos_layers + msg_layers for t in layer)])
 
     def backward(g):
         sums = _GradSums()
@@ -591,8 +581,8 @@ def message_aggregate(node, src_coords, dst_coords, src, dst, pos, msg, mode: st
             sums.add(b0, g_bias)
         sums.accumulate()
 
-    out._backward = backward
-    return out
+    parents = [node, freq, *(t for layer in pos_layers + msg_layers for t in layer)]
+    return Tensor(data, parents, backward)
 
 
 def edge_conv(coords, x, src, dst, net) -> Tensor:
@@ -625,13 +615,10 @@ def edge_conv(coords, x, src, dst, net) -> Tensor:
         or x.shape[0] != coords.shape[0]
         or x.shape[1] < 1
         or width % x.shape[1]
-        or np.shape(src) != np.shape(dst)
-        or np.ndim(src) != 1
     ):
         raise ShapeError(
-            f"edge_conv shapes incompatible: coords {coords.shape}, x {x.shape}, edges "
-            f"{np.shape(src)} -> {np.shape(dst)}, freq {net.freq.shape}, "
-            f"layers {net.head.widths}"
+            f"edge_conv shapes incompatible: coords {coords.shape}, x {x.shape}, "
+            f"freq {net.freq.shape}, layers {net.head.widths}"
         )
     freq, layers = net.freq, net.head.layers
     n, c_in = x.shape
@@ -658,7 +645,6 @@ def edge_conv(coords, x, src, dst, net) -> Tensor:
         rows, s, k = kept[0], kept[1], kept[-1]
         msgs = np.einsum("nio,ni->no", k, x.data[s])
         data[a:b] = _sum_rows_at(msgs, dst[rows] - a, b - a)
-    out = Tensor(data, [x, freq, *(t for layer in layers for t in layer)])
 
     def backward(g):
         sums = _GradSums()
@@ -678,8 +664,7 @@ def edge_conv(coords, x, src, dst, net) -> Tensor:
         x.accumulate(g_x)
         sums.accumulate()
 
-    out._backward = backward
-    return out
+    return Tensor(data, [x, freq, *(t for layer in layers for t in layer)], backward)
 
 
 def _window_cols(x: np.ndarray, resolution: int, dim: int, kernel_size: int) -> np.ndarray:
@@ -749,7 +734,6 @@ def grid_correlate(x, kernel, resolution: int, dim: int, kernel_size: int) -> Te
     data = rows @ w[a]
     for a, dst, rows in taps:
         data[dst] += rows @ w[a]
-    out = Tensor(data, (x, kernel))
 
     def backward(g):
         flipped = kernel.data[::-1].transpose(0, 2, 1).reshape(kernel_size, per_lead * c_out, c_in)
@@ -767,8 +751,7 @@ def grid_correlate(x, kernel, resolution: int, dim: int, kernel_size: int) -> Te
         dw = dw.reshape(kernel_size, c_in, per_lead, c_out)[:, :, ::-1].transpose(0, 2, 1, 3)
         kernel.accumulate(dw.reshape(kernel.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(data, (x, kernel), backward)
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
@@ -795,13 +778,11 @@ def gelu(t: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x) with Phi the standard normal CDF."""
     t = as_tensor(t)
     cdf = _gelu_cdf(t.data)
-    out = Tensor(t.data * cdf, (t,))
 
     def backward(g):
         t.accumulate(_gelu_grad(t.data, cdf, g))
 
-    out._backward = backward
-    return out
+    return Tensor(t.data * cdf, (t,), backward)
 
 
 def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -816,7 +797,6 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     var = x.data.var(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mean) * inv_std
-    out = Tensor(xhat * gamma.data + beta.data, (x, gamma, beta))
 
     def backward(g):
         gamma.accumulate((g * xhat).sum(axis=0))
@@ -827,8 +807,7 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             * (gy - gy.mean(axis=1, keepdims=True) - xhat * (gy * xhat).mean(axis=1, keepdims=True))
         )
 
-    out._backward = backward
-    return out
+    return Tensor(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
 def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -837,13 +816,11 @@ def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate == 0.0:
         return t
     mask = (rng.uniform(size=t.shape) >= rate) / (1.0 - rate)
-    out = Tensor(t.data * mask, (t,))
 
     def backward(g):
         t.accumulate(g * mask)
 
-    out._backward = backward
-    return out
+    return Tensor(t.data * mask, (t,), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -856,15 +833,13 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
-    out = Tensor(-log_probs[np.arange(n), labels].mean(), (logits,))
 
     def backward(g):
         grad = np.exp(log_probs)
         grad[np.arange(n), labels] -= 1.0
         logits.accumulate(g * grad / n)
 
-    out._backward = backward
-    return out
+    return Tensor(-log_probs[np.arange(n), labels].mean(), (logits,), backward)
 
 
 def mse(a: Tensor, b) -> Tensor:

@@ -12,6 +12,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -53,9 +54,14 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def blob(self) -> tuple[str, np.ndarray]:
-        name = self.take(self.u32()).decode("utf-8")
+        size = self.u32()
+        try:
+            name = self.take(size).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{self.path}: offset {self.off - size}: blob name is not UTF-8")
         shape = tuple(self.u32() for _ in range(self.u32()))
-        count = int(np.prod(shape)) if shape else 1
+        # math.prod does not wrap, so a huge shape reads as a truncated file
+        count = math.prod(shape)
         data = np.frombuffer(self.take(8 * count), dtype="<f8").reshape(shape)
         return name, data.astype(np.float64)
 

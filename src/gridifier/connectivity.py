@@ -75,8 +75,9 @@ class EdgeSet:
     n_dst: int
 
     def __post_init__(self):
-        src = np.ascontiguousarray(self.src, dtype=np.int64)
-        dst = np.ascontiguousarray(self.dst, dtype=np.int64)
+        # copies, so freezing them leaves the caller's arrays writeable
+        src = np.array(self.src, dtype=np.int64)
+        dst = np.array(self.dst, dtype=np.int64)
         if src.shape != dst.shape or src.ndim != 1:
             raise DataError(f"src/dst must be 1-d and equal length, got {src.shape} vs {dst.shape}")
         if src.size:

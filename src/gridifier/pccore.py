@@ -21,7 +21,8 @@ PCB_MAGIC = b"PCB1"
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.float64)
+    """A read-only float64 copy of ``a``: the caller's array stays writeable."""
+    out = np.array(a, dtype=np.float64, order="C")
     out.setflags(write=False)
     return out
 
@@ -141,9 +142,8 @@ def read_cloud(path: str | Path) -> PointCloud:
 def _write_csv(cloud: PointCloud, path: Path) -> None:
     with open(path, "w") as fh:
         fh.write(f"D={cloud.dim},F={cloud.n_feats}\n")
-        for c, f in zip(cloud.coords, cloud.feats):
-            row = np.concatenate([c, f])
-            fh.write(",".join(format(v, ".10g") for v in row) + "\n")
+        rows = np.concatenate([cloud.coords, cloud.feats], axis=1)
+        np.savetxt(fh, rows, fmt="%.10g", delimiter=",")
 
 
 def _read_csv(path: Path) -> PointCloud:
@@ -160,6 +160,8 @@ def _read_csv(path: Path) -> PointCloud:
         f = int(f_part[2:])
     except ValueError:
         raise ParseError(f"{path}: line 1: malformed header {header!r}, expected 'D=<d>,F=<f>'")
+    if d < 0 or f < 0:
+        raise ParseError(f"{path}: line 1: negative count in header {header!r}")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -51,18 +51,18 @@ def naive_pos(net: PositionalNet, rel_row):
 
 def _phase(rel, freq):
     """rel @ B^T with B = ``freq``; the offsets are constants."""
-    out = Tensor(rel @ freq.data.T, (freq,))
-    out._backward = lambda g: freq.accumulate((rel.T @ g).T)
-    return out
+    return Tensor(rel @ freq.data.T, (freq,), lambda g: freq.accumulate((rel.T @ g).T))
 
 
 def _cos_sin(t):
     """[cos t ; sin t] along the last axis; the backward reads both halves."""
     width = t.shape[1]
     c, s = np.cos(t.data), np.sin(t.data)
-    out = Tensor(np.concatenate([c, s], axis=1), (t,))
-    out._backward = lambda g: t.accumulate(-g[:, :width] * s + g[:, width:] * c)
-    return out
+
+    def backward(g):
+        t.accumulate(-g[:, :width] * s + g[:, width:] * c)
+
+    return Tensor(np.concatenate([c, s], axis=1), (t,), backward)
 
 
 def taped_head(head: MlpParams, x):

@@ -1,10 +1,13 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import assert_grads_match, rand
 from scipy.special import erf
 
+import gridifier
 from gridifier import autodiff as ad
 from gridifier.autodiff import Tensor
 from gridifier.errors import ConfigError, InvariantError, ShapeError
@@ -173,6 +176,7 @@ class TestForwardValues:
             "node rows != source coords": (ts, (coords[0][:4], coords[1]), edges),
             "destination coords in 3-d": (ts, (coords[0], rand(rng, 4, 3)), edges),
             "edge arrays of two lengths": (ts, coords, (edges[0], edges[1][:3])),
+            "edge arrays in 2-d": (ts, coords, (edges[0][None], edges[1][None])),
             "frequencies in 3-d": ([ts[0], rand(rng, 2, 3), *ts[2:]], coords, edges),
             "head width != node width": (
                 ts[:4] + [rand(rng, 4, 2), rand(rng, 2)] + ts[6:], coords, edges
@@ -269,6 +273,7 @@ class TestForwardValues:
             "source rows != points": ([rand(rng, 3, 2), *ts[1:]], coords, edges),
             "coords in 3-d": (ts, rand(rng, 4, 3), edges),
             "edge arrays of two lengths": (ts, coords, (edges[0], edges[1][:2])),
+            "edge arrays in 2-d": (ts, coords, (edges[0][None], edges[1][None])),
         }
         for what, (inputs, cs, es) in bad_shapes.items():
             with pytest.raises(ShapeError, match="edge_conv"):
@@ -361,6 +366,28 @@ class TestForwardValues:
     def test_backward_requires_scalar(self):
         with pytest.raises(ShapeError):
             Tensor(np.zeros(3)).backward()
+
+    def test_only_the_constructor_records_the_tape(self):
+        # a node is complete when it is built: no code in the package sets a
+        # node's parents or backward rule but ``Tensor.__init__``
+        found = []
+        for path in sorted(Path(gridifier.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            allowed = set()
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef) and cls.name == "Tensor":
+                    for fn in cls.body:
+                        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                            allowed |= {id(n) for n in ast.walk(fn)}
+            found += [
+                f"{path.name}:{node.lineno} .{node.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and node.attr in ("_backward", "_parents")
+                and id(node) not in allowed
+            ]
+        assert found == []
 
     def test_grid_correlate_shape_error_names_geometry(self):
         x = Tensor(np.zeros((9, 2)))

@@ -142,6 +142,12 @@ class TestInspectCommand:
                     "--edges"]) == 0
         assert capsys.readouterr().out == "0,0\n"
 
+    def test_negative_header_count_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("D=3,F=-1\n0.5,0.25\n1.0,2.0\n")
+        assert run(["inspect", "--in", str(path)]) == 1
+        assert "line 1: negative count" in capsys.readouterr().err
+
     def test_summary_line(self, cloud_file, capsys):
         assert run(["inspect", "--in", cloud_file, "--resolution", "3", "--k", "2"]) == 0
         out = capsys.readouterr().out

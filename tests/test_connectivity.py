@@ -262,6 +262,16 @@ class TestEdgeSet:
         with pytest.raises(InvariantError):
             EdgeSet(np.array([1, 0]), np.array([1, 0]), Direction.CLOUD_TO_GRID, 3, 2)
 
+    def test_caller_arrays_stay_writeable(self):
+        # the edge set freezes copies it owns, not the arrays it was given
+        src, dst = np.array([0, 2, 1]), np.array([0, 0, 1])
+        e = EdgeSet(src, dst, Direction.CLOUD_TO_GRID, 3, 2)
+        assert src.flags.writeable and dst.flags.writeable
+        assert not e.src.flags.writeable and not e.dst.flags.writeable
+        src[0] = dst[0] = 1
+        np.testing.assert_array_equal(e.src, [0, 2, 1])
+        np.testing.assert_array_equal(e.dst, [0, 0, 1])
+
     def test_degree_helpers(self):
         e = EdgeSet(np.array([0, 2, 1]), np.array([0, 0, 1]), Direction.CLOUD_TO_GRID, 3, 2)
         np.testing.assert_array_equal(e.out_degrees(), [1, 1, 1])

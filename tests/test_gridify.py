@@ -341,15 +341,12 @@ def unfused_aggregate(values, dst, n_dst, mode):
     if mode == "mean":
         data = ad._sum_rows_at(values.data, dst, n_dst)
         data /= counts[:, None]
-        out = Tensor(data, (values,))
-        out._backward = lambda g: values.accumulate((g / counts[:, None])[dst])
-        return out
+        return Tensor(data, (values,), lambda g: values.accumulate((g / counts[:, None])[dst]))
     n = values.shape[0]
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     data = np.maximum.reduceat(values.data, starts, axis=0)
     hits = np.where(values.data == np.repeat(data, counts, axis=0), np.arange(n)[:, None], n)
     winner = np.minimum.reduceat(hits, starts, axis=0)
-    out = Tensor(data, (values,))
 
     def backward(g):
         grad = np.zeros_like(values.data)
@@ -357,8 +354,7 @@ def unfused_aggregate(values, dst, n_dst, mode):
         grad[winner[hit], np.nonzero(hit)[1]] += g[hit]
         values.accumulate(grad)
 
-    out._backward = backward
-    return out
+    return Tensor(data, (values,), backward)
 
 
 def unfused_pass(src_feats, src_coords, dst_coords, edges, params):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -474,6 +476,30 @@ class TestCheckpoint:
         save_checkpoint(path, self._tree(7))
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _one_blob(name: bytes, shape) -> bytes:
+        """A checkpoint of one blob ``name`` declaring ``shape``, eight data
+        bytes and no optimizer state."""
+        head = checkpoint.MAGIC + struct.pack("<III", 1, 1, len(name)) + name
+        return head + struct.pack(f"<I{len(shape)}I", len(shape), *shape) + bytes(8) + b"\x00"
+
+    def test_blob_name_not_utf8(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(self._one_blob(b"w\xff", (1,)))
+        good = tmp_path / "ok.ckpt"
+        good.write_bytes(self._one_blob(b"w0", (1,)))
+        assert list(load_checkpoint(good)[0]) == ["w0"]
+        with pytest.raises(ParseError, match=r"model\.ckpt: offset 20: blob name is not UTF-8"):
+            load_checkpoint(path)
+
+    def test_shape_whose_element_count_overflows_int64(self, tmp_path):
+        # 2**31 * 2**31 * 4 elements wrap to 0 in int64; the file cannot
+        # hold them, so it reads as truncated
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(self._one_blob(b"w0", (2**31, 2**31, 4)))
+        with pytest.raises(ParseError, match=r"model\.ckpt: offset 38: truncated checkpoint"):
             load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):

@@ -74,6 +74,16 @@ class TestCloudValidation:
         with pytest.raises(ValueError):
             cloud.coords[0, 0] = 1.0
 
+    def test_caller_arrays_stay_writeable(self):
+        # the cloud freezes copies it owns, not the arrays it was given
+        coords, feats = np.zeros((3, 3)), np.ones((3, 1))
+        cloud = PointCloud(coords, feats)
+        assert cloud.coords is not coords and cloud.feats is not feats
+        assert coords.flags.writeable and feats.flags.writeable
+        coords[0, 0] = feats[0, 0] = 2.0
+        np.testing.assert_array_equal(cloud.coords, np.zeros((3, 3)))
+        np.testing.assert_array_equal(cloud.feats, np.ones((3, 1)))
+
     def test_nonfinite_coords_rejected(self):
         coords = np.array([[0.0, np.inf]])
         with pytest.raises(DataError):
@@ -131,6 +141,13 @@ class TestFileIO:
         path = tmp_path / "bad.csv"
         path.write_text("N=3 D=3\n")
         with pytest.raises(ParseError, match="line 1"):
+            read_cloud(path)
+
+    @pytest.mark.parametrize("header", ["D=3,F=-1", "D=-1,F=3"])
+    def test_csv_negative_header_count(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n0.5,0.25\n1.0,2.0\n")
+        with pytest.raises(ParseError, match=f"line 1: negative count in header '{header}'"):
             read_cloud(path)
 
     def test_pcb_round_trip_exact(self, tmp_path):
