@@ -64,6 +64,16 @@ _MESSAGE_BLOCK_BYTES = 256 << 10
 # 1/2 MiB ran 1.76/1.22/1.08/1.01/1.15 of it at N=1000 and
 # 2.06/1.29/1.01/1.05/1.17 at N=8000 (CHANGES.md)
 _RENDER_BLOCK_BYTES = 512 << 10
+# bytes of the trailing-axes window ``grid_correlate`` may copy of its
+# argument; past it a 3-d correlation windows only the last axis.  Swept over
+# 40 geometries (r 5-11, K 3-11, C 2-40; forward + backward medians, 2-vCPU
+# Xeon with 2 MiB of L2 per core, one BLAS thread), the last-axis form ran
+# 0.50-0.81 of the trailing-axes form at every window above 2 MiB and
+# 1.50-2.55 at every window below 0.6 MiB (train-classify's r=5, K=3, C=8,
+# 0.07 MiB: 2.04).  Between, it ran 0.74-1.14 at C >= 6 but 1.90-3.79 at
+# C <= 4 (r=9, K=9, C=2/3/4, 0.90/1.35/1.80 MiB: 3.79/2.11/1.90), where its
+# up to K**2 * r small matmuls cost more than the window saves (CHANGES.md)
+_WINDOW_BYTES = 2 << 20
 
 
 class Tensor:
@@ -667,38 +677,84 @@ def edge_conv(coords, x, src, dst, net) -> Tensor:
     return Tensor(data, [x, freq, *(t for layer in layers for t in layer)], backward)
 
 
-def _window_cols(x: np.ndarray, resolution: int, dim: int, kernel_size: int) -> np.ndarray:
-    """Windows over every axis but the first, shape (r, r**(D-1), K**(D-1) * C).
-
-    Axes 1..D-1 are zero-padded by (K-1)/2 and each cell's K**(D-1) window is
-    copied once, taps in row-major order with the channel axis fastest, so
-    slicing the leading axis yields contiguous row blocks.
-    """
-    half = (kernel_size - 1) // 2
-    r, c = resolution, x.shape[1]
-    padded = np.zeros((r,) + (r + 2 * half,) * (dim - 1) + (c,))
-    padded[(slice(None),) + (slice(half, half + r),) * (dim - 1)] = x.reshape((r,) * dim + (c,))
-    win = sliding_window_view(padded, (kernel_size,) * (dim - 1), axis=tuple(range(1, dim)))
-    win = win.transpose(*range(dim), *range(dim + 1, 2 * dim), dim)
-    return np.ascontiguousarray(win).reshape(r, r ** (dim - 1), kernel_size ** (dim - 1) * c)
+def _lead_axes(resolution: int, dim: int, kernel_size: int, channels: int) -> int:
+    """Leading axes ``grid_correlate`` loops over for a ``channels``-wide array:
+    one, or two on a 3-d lattice whose trailing-axes window would take more
+    than ``_WINDOW_BYTES``."""
+    window = 8 * resolution**dim * kernel_size ** (dim - 1) * channels
+    return 2 if dim == 3 and window > _WINDOW_BYTES else 1
 
 
-def _taps(v: np.ndarray, resolution: int, dim: int, kernel_size: int):
-    """(a, dst, rows) for each first-axis tap a that stays in range, centre first.
-
-    Tap a shifts the first axis by a - (K-1)/2; ``rows`` are the windows of
-    ``v`` (``_window_cols``) at the shifted sources of the flat output rows
-    ``dst``.  The other taps follow the centre tap in ascending order.
-    """
-    cols = _window_cols(v, resolution, dim, kernel_size)
-    r, step, width = cols.shape
-    flat = cols.reshape(r * step, width)
+def _crops(resolution: int, kernel_size: int):
+    """(a, lo, hi, shift) for each tap a of one axis that keeps some rows in
+    range, centre first, then ascending: tap a shifts the axis by
+    shift = a - (K-1)/2, and output rows lo..hi-1 read source rows
+    lo + shift..hi + shift - 1."""
     half = (kernel_size - 1) // 2
     for a in [half, *range(half), *range(half + 1, kernel_size)]:
         shift = a - half
-        lo, hi = max(0, -shift), min(r, r - shift)
+        lo, hi = max(0, -shift), min(resolution, resolution - shift)
         if lo < hi:
-            yield a, slice(lo * step, hi * step), flat[(lo + shift) * step : (hi + shift) * step]
+            yield a, lo, hi, shift
+
+
+def _window(x: np.ndarray, resolution: int, dim: int, kernel_size: int, lead: int) -> np.ndarray:
+    """Windows over the last D - lead axes, shape (r, r**(D-1), K**(D-lead) * C).
+
+    The windowed axes are zero-padded by (K-1)/2 and each cell's window is
+    copied once, taps in row-major order with the channel axis fastest, so
+    slicing the leading axes yields contiguous row blocks.
+    """
+    half = (kernel_size - 1) // 2
+    r, c = resolution, x.shape[1]
+    axes = tuple(range(lead, dim))
+    padded = np.zeros((r,) * lead + (r + 2 * half,) * len(axes) + (c,))
+    padded[(slice(None),) * lead + (slice(half, half + r),) * len(axes)] = x.reshape((r,) * dim + (c,))
+    win = sliding_window_view(padded, (kernel_size,) * len(axes), axis=axes)
+    win = win.transpose(*range(dim), *range(dim + 1, dim + 1 + len(axes)), dim)
+    return np.ascontiguousarray(win).reshape(r, r ** (dim - 1), kernel_size ** len(axes) * c)
+
+
+def _taps(v: np.ndarray, resolution: int, dim: int, kernel_size: int, lead: int):
+    """(a, dst, rows) for each tap on the ``lead`` leading axes that keeps
+    some rows in range, the centre tap first (``_crops`` per axis).
+
+    ``a`` is the flat index of the leading taps (row-major), and ``rows``
+    are the windows of ``v`` (``_window``) at the shifted sources of the
+    output rows ``dst``.  For lead 1, ``rows`` is one (rows, K**(D-1) * C)
+    block and ``dst`` slices the flat output.  For lead 2, ``rows`` is a
+    stack of cropped axis-0 planes, each a block of cropped axis-1 rows of
+    width K**(D-2) * C, and ``dst`` slices the output viewed as
+    (r, r**(D-1), C).  The first tap covers every output row.
+    """
+    win = _window(v, resolution, dim, kernel_size, lead)
+    r, plane, width = win.shape
+    if lead == 1:
+        flat = win.reshape(r * plane, width)
+        for a0, lo, hi, shift in _crops(r, kernel_size):
+            yield a0, slice(lo * plane, hi * plane), flat[(lo + shift) * plane : (hi + shift) * plane]
+        return
+    step = plane // r
+    for a0, lo0, hi0, s0 in _crops(r, kernel_size):
+        planes = win[lo0 + s0 : hi0 + s0]
+        for a1, lo1, hi1, s1 in _crops(r, kernel_size):
+            dst = (slice(lo0, hi0), slice(lo1 * step, hi1 * step))
+            yield a0 * kernel_size + a1, dst, planes[:, (lo1 + s1) * step : (hi1 + s1) * step]
+
+
+def _outer_sum(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum over every axis but the last of x[..., i] * rows[..., j].
+
+    A stack of planes is summed plane by plane, so only one (i, j) product
+    exists at a time; all of a tap's plane products at once would take
+    10.6 MB at r=9, K=9, C=128.
+    """
+    if x.ndim == 2:
+        return x.T @ rows
+    out = x[0].T @ rows[0]
+    for x_plane, rows_plane in zip(x[1:], rows[1:]):
+        out += x_plane.T @ rows_plane
+    return out
 
 
 def grid_correlate(x, kernel, resolution: int, dim: int, kernel_size: int) -> Tensor:
@@ -706,11 +762,16 @@ def grid_correlate(x, kernel, resolution: int, dim: int, kernel_size: int) -> Te
 
     ``kernel`` is (K**D, c_in, c_out) with taps in row-major order (last axis
     fastest) running from -(K-1)/2 to +(K-1)/2 per axis, and
-    out[p] = sum_t x[p + offset(t)] @ kernel[t].  Only the trailing D-1 axes
-    are windowed into memory; the first axis is a loop over K shifted row
-    blocks.  The tape keeps only the input: the backward windows the output
-    gradient g, and its shifted rows give both gradients, the input's with
-    the tap-reversed, channel-transposed kernel (exact for odd K with
+    out[p] = sum_t x[p + offset(t)] @ kernel[t].  The correlation windows a
+    copy of its argument over the trailing axes and loops over the taps of
+    the leading ones (``_taps``).  Up to ``_WINDOW_BYTES`` of window it
+    windows the D-1 trailing axes and loops over the K first-axis taps, each
+    one matmul over a row block; past that budget a 3-d lattice windows only
+    its last axis and loops over the K**2 taps of the first two, each one
+    matmul over the stack of first-axis planes that tap keeps, cropped on
+    axis 1 too.  The tape keeps only the input: the backward windows the
+    output gradient g, and its shifted rows give both gradients, the input's
+    with the tap-reversed, channel-transposed kernel (exact for odd K with
     symmetric zero padding) and the kernel's with the plain input, as
     sum_p x[p + offset(t)]^T g[p] = sum_q x[q]^T g[q - offset(t)].
     """
@@ -727,31 +788,35 @@ def grid_correlate(x, kernel, resolution: int, dim: int, kernel_size: int) -> Te
             f"for r={resolution}, D={dim}, K={kernel_size}"
         )
     c_in, c_out = kernel.shape[1:]
-    per_lead = n_taps // kernel_size
-    w = kernel.data.reshape(kernel_size, per_lead * c_in, c_out)
-    taps = _taps(x.data, resolution, dim, kernel_size)
+    lead = _lead_axes(resolution, dim, kernel_size, c_in)
+    w = kernel.data.reshape(kernel_size**lead, -1, c_out)
+    taps = _taps(x.data, resolution, dim, kernel_size, lead)
     a, _, rows = next(taps)
     data = rows @ w[a]
     for a, dst, rows in taps:
         data[dst] += rows @ w[a]
 
     def backward(g):
-        flipped = kernel.data[::-1].transpose(0, 2, 1).reshape(kernel_size, per_lead * c_out, c_in)
-        taps = _taps(g, resolution, dim, kernel_size)
+        lead = _lead_axes(resolution, dim, kernel_size, c_out)
+        n_lead = kernel_size**lead
+        per_lead = n_taps // n_lead
+        flipped = kernel.data[::-1].transpose(0, 2, 1).reshape(n_lead, per_lead * c_out, c_in)
+        taps = _taps(g, resolution, dim, kernel_size, lead)
         a, _, rows = next(taps)
         g_x = rows @ flipped[a]
-        # dw[K-1-a] is first-axis tap a reversed; taps cropped away stay zero
-        dw = np.zeros((kernel_size, c_in, per_lead * c_out))
-        dw[kernel_size - 1 - a] = x.data.T @ rows
+        xs = x.data.reshape(g_x.shape[:-1] + (c_in,))
+        # dw[n_lead-1-a] is leading tap a reversed; taps cropped away stay zero
+        dw = np.zeros((n_lead, c_in, per_lead * c_out))
+        dw[n_lead - 1 - a] = _outer_sum(xs, rows)
         for a, dst, rows in taps:
             g_x[dst] += rows @ flipped[a]
-            dw[kernel_size - 1 - a] = x.data[dst].T @ rows
-        x.accumulate(g_x)
+            dw[n_lead - 1 - a] = _outer_sum(xs[dst], rows)
+        x.accumulate(g_x.reshape(x.shape))
         # reversing the flat trailing-tap index reverses every trailing axis
-        dw = dw.reshape(kernel_size, c_in, per_lead, c_out)[:, :, ::-1].transpose(0, 2, 1, 3)
+        dw = dw.reshape(n_lead, c_in, per_lead, c_out)[:, :, ::-1].transpose(0, 2, 1, 3)
         kernel.accumulate(dw.reshape(kernel.shape))
 
-    return Tensor(data, (x, kernel), backward)
+    return Tensor(data.reshape(x.shape[0], c_out), (x, kernel), backward)
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:

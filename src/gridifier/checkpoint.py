@@ -6,6 +6,10 @@ Layout (all little-endian):
   u8 has_optimizer; if set: u64 step | f64 lr, weight_decay, beta1, beta2, eps
   then moment blobs named "m:<param>" and "v:<param>" (u32 count + blobs).
 
+A loaded file holds no blob name twice, and its moments name exactly its
+parameters, each moment shaped like its parameter, as ``adamw_init`` makes
+them; anything else is a ``ParseError``.
+
 Float64 bytes round-trip exactly, so save/load reproduces training state
 bit-for-bit.
 """
@@ -65,6 +69,18 @@ class _Reader:
         data = np.frombuffer(self.take(8 * count), dtype="<f8").reshape(shape)
         return name, data.astype(np.float64)
 
+    def blobs(self) -> dict[str, np.ndarray]:
+        """A u32 count, then that many blobs, by name; a name read twice is
+        an error at the offset of its second blob."""
+        out = {}
+        for _ in range(self.u32()):
+            at = self.off
+            name, data = self.blob()
+            if name in out:
+                raise ParseError(f"{self.path}: offset {at}: duplicate blob name {name!r}")
+            out[name] = data
+        return out
+
 
 def save_checkpoint(
     path: str | Path,
@@ -121,22 +137,28 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], AdamWState
     version = r.u32()
     if version != _VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {version}")
-    params = dict(r.blob() for _ in range(r.u32()))
+    params = r.blobs()
 
     optimizer = None
     if struct.unpack("<B", r.take(1))[0]:
         step = struct.unpack("<Q", r.take(8))[0]
         lr, wd, b1, b2, eps = struct.unpack("<5d", r.take(40))
         moments = {"m": {}, "v": {}}
-        for _ in range(r.u32()):
-            name, arr = r.blob()
+        for name, arr in r.blobs().items():
             kind, _, pname = name.partition(":")
             if kind not in moments:
                 raise ParseError(f"{path}: unknown optimizer blob {name!r}")
             moments[kind][pname] = arr
-        shapes = [{k: a.shape for k, a in moments[kind].items()} for kind in "mv"]
-        if shapes[0] != shapes[1]:
-            raise ParseError(f"{path}: optimizer moments m and v name different parameters or shapes")
+        # adamw_init makes both moments of every parameter, shaped like it
+        shapes = {k: a.shape for k, a in params.items()}
+        for kind in "mv":
+            got = {k: a.shape for k, a in moments[kind].items()}
+            if got != shapes:
+                first = min(k for k in got.keys() | shapes.keys() if got.get(k) != shapes.get(k))
+                raise ParseError(
+                    f"{path}: optimizer moments {kind!r} do not match the saved parameters "
+                    f"in names and shapes, first at {first!r}"
+                )
         optimizer = AdamWState(lr, wd, b1, b2, eps, step, m=moments["m"], v=moments["v"])
     if r.off != len(raw):
         raise ParseError(f"{path}: offset {r.off}: {len(raw) - r.off} trailing bytes")

@@ -5,8 +5,12 @@ The centerpiece is a dense D-dimensional cross-correlation whose kernel is a
 offsets scaled to the grid spacing, as one ``autodiff.positional`` node.
 Because the grid is regular, that evaluation happens once per forward pass and
 the rendered kernel is reused at every cell: ``autodiff.grid_correlate``
-applies it as K shifted matmuls along the first axis over one windowed copy of
-the trailing axes, with no per-cell window matrix, and tapes only its input.
+applies it as shifted matmuls over one windowed copy of its input, with no
+per-cell window matrix, and tapes only that input.  A byte budget picks the
+window: up to ``autodiff._WINDOW_BYTES`` it covers the trailing D-1 axes and
+the first axis is a loop over K shifted row blocks; past it a 3-d lattice
+windows its last axis only and loops over the K^2 taps of the first two, each
+one matmul over a stack of first-axis planes cropped on both leading axes.
 ``conv_point_native`` is the irregular counterpart — the same positional
 network evaluated once per edge — kept as a baseline so the two cost profiles
 can be compared directly.  It renders one kernel matrix per edge, in

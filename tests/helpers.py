@@ -132,5 +132,26 @@ def assert_grads_match(build, arrays, tol=1e-4, skip=()):
         assert rel.max() < tol, f"arg {i}: max rel err {rel.max():.3g}"
 
 
+def assert_directional_grads_match(build, arrays, rng, tol=1e-6):
+    """Compare each argument's analytic gradient with one central difference
+    along a random direction: <grad, v> against (f(a + h v) - f(a - h v)) / 2h.
+
+    Two evaluations per argument, so it probes arguments too large for
+    ``assert_grads_match``'s element-by-element differences.
+    """
+    tensors = [Tensor(a) for a in arrays]
+    build(tensors).backward()
+    for i, t in enumerate(tensors):
+        v = rng.normal(size=arrays[i].shape)
+        hi = [a + FD_STEP * v if j == i else a for j, a in enumerate(arrays)]
+        lo = [a - FD_STEP * v if j == i else a for j, a in enumerate(arrays)]
+        numeric = (build([Tensor(a) for a in hi]).item() - build([Tensor(a) for a in lo]).item()) / (
+            2.0 * FD_STEP
+        )
+        analytic = float(np.sum(t.grad * v))
+        rel = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-6)
+        assert rel < tol, f"arg {i}: directional derivative {analytic} vs {numeric}"
+
+
 def rand(rng, *shape):
     return rng.normal(size=shape)

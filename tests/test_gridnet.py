@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import (
+    assert_directional_grads_match,
     assert_grads_match,
     naive_pos,
     rand,
@@ -155,6 +156,17 @@ ORACLE_GEOMETRIES = pytest.mark.parametrize(
         (3, 1, 3, 3, 2, 45),
         # the infer geometry
         (3, 9, 9, 2, 1, 46),
+        # around the 2 MiB window budget: 1.8 MiB keeps the trailing-axes
+        # window; 2.3 MiB windows the last axis only, in the forward and the
+        # backward
+        (3, 9, 9, 4, 4, 70),
+        (3, 9, 9, 5, 5, 71),
+        # the last-axis form in one direction only: forward (c_in=6,
+        # 2.7 MiB) or backward (c_out=6)
+        (3, 9, 9, 6, 2, 72),
+        (3, 9, 9, 2, 6, 73),
+        # the last-axis form with a kernel wider than the grid (2.3 MiB)
+        (3, 5, 11, 20, 20, 74),
     ],
 )
 
@@ -184,6 +196,50 @@ class TestConvAgainstOracle:
         dx, dk = conv_grad_oracle(x.data, out.grad, resolution, dim, kernel_size, kernel.data)
         np.testing.assert_allclose(x.grad, dx, rtol=0, atol=1e-12)
         np.testing.assert_allclose(kernel.grad, dk, rtol=0, atol=1e-12)
+
+    @ORACLE_GEOMETRIES
+    def test_gradients_match_directional_finite_differences(
+        self, dim, resolution, kernel_size, c_in, c_out, seed
+    ):
+        rng = np.random.default_rng(seed + 200)
+        arrays = [rand(rng, kernel_size**dim, c_in, c_out), rand(rng, resolution**dim, c_in)]
+
+        def build(ts):
+            out = ad.grid_correlate(ts[1], ts[0], resolution, dim, kernel_size)
+            return ad.reduce_mean(ad.mul(out, out))
+
+        assert_directional_grads_match(build, arrays, rng)
+
+    def test_window_budget_picks_the_form(self):
+        # the trailing-axes window is 8 r^3 K^2 C bytes; only a 3-d lattice
+        # past the budget windows the last axis alone
+        assert ad._WINDOW_BYTES == 2 << 20
+        assert ad._lead_axes(5, 3, 3, 8) == 1  # train-classify, 72 KB
+        assert ad._lead_axes(9, 3, 9, 4) == 1  # 1.8 MiB
+        assert ad._lead_axes(9, 3, 9, 5) == 2  # 2.3 MiB
+        assert ad._lead_axes(9, 3, 9, 16) == 2  # infer and bench, 7.2 MiB
+        assert ad._lead_axes(729, 1, 9, 128) == 1
+        assert ad._lead_axes(27, 2, 9, 128) == 1
+
+    def test_both_forms_agree_at_the_window_budget(self, monkeypatch):
+        # a budget equal to this geometry's window keeps the trailing-axes
+        # form; one byte less switches it to the last-axis form
+        r, k, c_in, c_out = 4, 5, 3, 3
+        window = 8 * r**3 * k**2 * c_in
+        rng = np.random.default_rng(75)
+        feats = rand(rng, r**3, c_in)
+        kernel_data = rand(rng, k**3, c_in, c_out)
+        weights = rand(rng, r**3, c_out)
+        results = []
+        for budget, lead in ((window, 1), (window - 1, 2)):
+            monkeypatch.setattr(ad, "_WINDOW_BYTES", budget)
+            assert ad._lead_axes(r, 3, k, c_in) == lead
+            x, kernel = Tensor(feats), Tensor(kernel_data)
+            out = ad.grid_correlate(x, kernel, r, 3, k)
+            ad.reduce_mean(ad.mul(out, Tensor(weights))).backward()
+            results.append((out.data, x.grad, kernel.grad))
+        for trailing, last in zip(*results):
+            np.testing.assert_allclose(last, trailing, rtol=0, atol=1e-12)
 
     def test_one_dimensional_hand_case(self):
         # signal [0,1,0], taps [1,2,3]: cross-correlation slides the window
@@ -227,7 +283,8 @@ class TestConvAgainstOracle:
 
     def test_rendered_layer_stays_below_window_matrix_size(self):
         # an (r^D * K^D, C) window matrix at r=9, K=9, C=16 alone is 68 MB;
-        # windowing only the trailing axes needs (r^D * K^(D-1), C), 7.5 MB
+        # windowing the trailing axes would need (r^D * K^(D-1), C), 7.6 MB,
+        # and windowing the last axis needs (r^D * K, C), 0.84 MB
         rng = np.random.default_rng(47)
         spec = GridSpec(resolution=9, dim=3)
         conv = init_conv(9, 3, 16, 16, rng, n_frequencies=8, hidden=[32])
@@ -247,8 +304,8 @@ class TestConvTape:
     """The grid correlation tapes its input, not a window of it."""
 
     def test_forward_holds_only_its_output(self):
-        # the trailing-axes window at r=9, K=9, C=16 is 7.3 MiB; with only x
-        # on the tape, a forward leaves its 0.09 MiB output
+        # the last-axis window at r=9, K=9, C=16 is 0.8 MiB; with only x on
+        # the tape, a forward leaves its 0.09 MiB output
         rng = np.random.default_rng(60)
         x = Tensor(rand(rng, 9**3, 16))
         kernel = Tensor(rand(rng, 9**3, 16, 16))
@@ -260,6 +317,22 @@ class TestConvTape:
             tracemalloc.stop()
         assert out.shape == (9**3, 16)
         assert held < 2**20, f"held {held / 2**20:.2f} MiB"
+
+    def test_forward_peak_is_below_the_trailing_axes_window(self):
+        # at r=9, K=9, C=16 the trailing-axes window alone is 7.2 MiB; the
+        # last-axis window, its zero-padded input and one tap's product come
+        # to 1.1 MiB
+        rng = np.random.default_rng(63)
+        x = Tensor(rand(rng, 9**3, 16))
+        kernel = Tensor(rand(rng, 9**3, 16, 16))
+        ad.grid_correlate(x, kernel, 9, 3, 9)
+        tracemalloc.start()
+        try:
+            ad.grid_correlate(x, kernel, 9, 3, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
     def test_grid_training_step_peak(self):
         # bilateral k-NN, gridify, three r=9, K=9, C=16 layers at N=8000,

@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -484,6 +485,56 @@ class TestCheckpoint:
         bytes and no optimizer state."""
         head = checkpoint.MAGIC + struct.pack("<III", 1, 1, len(name)) + name
         return head + struct.pack(f"<I{len(shape)}I", len(shape), *shape) + bytes(8) + b"\x00"
+
+    @staticmethod
+    def _blobs(blobs) -> bytes:
+        """A u32 count, then each (name, values) blob as ``save_checkpoint``
+        writes it."""
+        fh = io.BytesIO()
+        fh.write(struct.pack("<I", len(blobs)))
+        for name, values in blobs:
+            checkpoint._write_blob(fh, name, np.asarray(values, dtype=np.float64))
+        return fh.getvalue()
+
+    def _with_optimizer(self, params, moments) -> bytes:
+        head = checkpoint.MAGIC + struct.pack("<I", 1) + self._blobs(params)
+        state = struct.pack("<BQ5d", 1, 3, 0.01, 0.0, 0.9, 0.999, 1e-8)
+        return head + state + self._blobs(moments)
+
+    def test_duplicate_parameter_name(self, tmp_path):
+        # 16 header bytes, then a 22-byte blob: the second w0 starts at 38
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(
+            checkpoint.MAGIC + struct.pack("<I", 1) + self._blobs([("w0", [1.0]), ("w0", [2.0])]) + b"\x00"
+        )
+        with pytest.raises(ParseError, match=r"model\.ckpt: offset 38: duplicate blob name 'w0'"):
+            load_checkpoint(path)
+
+    def test_duplicate_optimizer_moment(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        moments = [("m:w0", [0.1]), ("m:w0", [0.2]), ("v:w0", [0.3])]
+        path.write_bytes(self._with_optimizer([("w0", [1.0])], moments))
+        good = tmp_path / "ok.ckpt"
+        good.write_bytes(self._with_optimizer([("w0", [1.0])], [moments[0], moments[2]]))
+        assert load_checkpoint(good)[1].m["w0"].tolist() == [0.1]
+        with pytest.raises(ParseError, match=r"offset \d+: duplicate blob name 'm:w0'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "moments",
+        [
+            [("m:zz", [0.0, 0.0]), ("v:zz", [0.0, 0.0])],
+            [("m:w0", [0.0]), ("m:zz", [0.0]), ("v:w0", [0.0]), ("v:zz", [0.0])],
+            [("m:w0", [0.0, 0.0]), ("v:w0", [0.0, 0.0])],
+            [],
+        ],
+        ids=["other-parameter", "extra-parameter", "other-shape", "none"],
+    )
+    def test_moments_must_match_the_saved_parameters(self, tmp_path, moments):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(self._with_optimizer([("w0", [1.0])], moments))
+        with pytest.raises(ParseError, match="optimizer moments 'm' do not match the saved parameters"):
+            load_checkpoint(path)
 
     def test_blob_name_not_utf8(self, tmp_path):
         path = tmp_path / "model.ckpt"
