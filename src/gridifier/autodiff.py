@@ -11,9 +11,8 @@ central finite differences in the test suite.
 
 Each forward op builds its full-size output in one buffer.  A tensor adopts
 the first gradient array it receives without copying it, and that array may
-be shared (``add`` hands one array to both parents, ``reshape`` hands down a
-view), so a stored ``grad`` is never written in place: later contributions
-replace it with a new sum.
+be shared (``add`` hands one array to both parents), so a stored ``grad`` is
+never written in place: later contributions replace it with a new sum.
 
 The positional network starts with the sinusoid [cos 2 pi B r ; sin 2 pi B r]
 of an offset r.  ``positional`` takes it of constant offsets; the two per-edge
@@ -205,16 +204,8 @@ def affine(x, w, b) -> Tensor:
     return Tensor(_affine(x.data, w.data, b.data), (x, w, b), backward)
 
 
-def reshape(t: Tensor, shape) -> Tensor:
-    t = as_tensor(t)
-
-    def backward(g):
-        t.accumulate(g.reshape(t.shape))
-
-    return Tensor(t.data.reshape(shape), (t,), backward)
-
-
 def reduce_mean(t: Tensor, axis: int | None = None) -> Tensor:
+    """Mean over all elements, or over ``axis`` kept at length 1."""
     t = as_tensor(t)
     count = t.data.size if axis is None else t.shape[axis]
 
@@ -222,9 +213,9 @@ def reduce_mean(t: Tensor, axis: int | None = None) -> Tensor:
         if axis is None:
             t.accumulate(np.full(t.shape, g / count))
         else:
-            t.accumulate(np.broadcast_to(np.expand_dims(g, axis), t.shape) / count)
+            t.accumulate(np.broadcast_to(g, t.shape) / count)
 
-    return Tensor(t.data.mean(axis=axis), (t,), backward)
+    return Tensor(t.data.mean(axis=axis, keepdims=axis is not None), (t,), backward)
 
 
 def _sum_rows_at(values: np.ndarray, indices: np.ndarray, n_dst: int) -> np.ndarray:
@@ -760,9 +751,11 @@ def _outer_sum(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def grid_correlate(x, kernel, resolution: int, dim: int, kernel_size: int) -> Tensor:
     """Zero-padded D-d cross-correlation on a lattice, (r**D, c_in) -> (r**D, c_out).
 
-    ``kernel`` is (K**D, c_in, c_out) with taps in row-major order (last axis
-    fastest) running from -(K-1)/2 to +(K-1)/2 per axis, and
-    out[p] = sum_t x[p + offset(t)] @ kernel[t].  The correlation windows a
+    ``kernel`` is (K**D, c_in * c_out), one row per tap as a kernel net emits
+    it, with taps in row-major order (last axis fastest) running from
+    -(K-1)/2 to +(K-1)/2 per axis; like ``edge_conv`` it reads each row as a
+    (c_in, c_out) matrix k[t], so c_in must divide the width, and
+    out[p] = sum_t x[p + offset(t)] @ k[t].  The correlation windows a
     copy of its argument over the trailing axes and loops over the taps of
     the leading ones (``_taps``).  Up to ``_WINDOW_BYTES`` of window it
     windows the D-1 trailing axes and loops over the K first-axis taps, each
@@ -778,16 +771,18 @@ def grid_correlate(x, kernel, resolution: int, dim: int, kernel_size: int) -> Te
     x, kernel = as_tensor(x), as_tensor(kernel)
     n_taps = kernel_size**dim
     if (
-        x.ndim != 2
-        or kernel.ndim != 3
+        (x.ndim, kernel.ndim) != (2, 2)
         or x.shape[0] != resolution**dim
-        or kernel.shape[:2] != (n_taps, x.shape[1])
+        or kernel.shape[0] != n_taps
+        or x.shape[1] < 1
+        or kernel.shape[1] % x.shape[1]
     ):
         raise ShapeError(
             f"grid_correlate shapes incompatible: x {x.shape}, kernel {kernel.shape} "
             f"for r={resolution}, D={dim}, K={kernel_size}"
         )
-    c_in, c_out = kernel.shape[1:]
+    c_in = x.shape[1]
+    c_out = kernel.shape[1] // c_in
     lead = _lead_axes(resolution, dim, kernel_size, c_in)
     w = kernel.data.reshape(kernel_size**lead, -1, c_out)
     taps = _taps(x.data, resolution, dim, kernel_size, lead)
@@ -800,7 +795,8 @@ def grid_correlate(x, kernel, resolution: int, dim: int, kernel_size: int) -> Te
         lead = _lead_axes(resolution, dim, kernel_size, c_out)
         n_lead = kernel_size**lead
         per_lead = n_taps // n_lead
-        flipped = kernel.data[::-1].transpose(0, 2, 1).reshape(n_lead, per_lead * c_out, c_in)
+        flipped = kernel.data.reshape(n_taps, c_in, c_out)[::-1].transpose(0, 2, 1)
+        flipped = flipped.reshape(n_lead, per_lead * c_out, c_in)
         taps = _taps(g, resolution, dim, kernel_size, lead)
         a, _, rows = next(taps)
         g_x = rows @ flipped[a]

@@ -183,21 +183,21 @@ def _render_kernel(
     counter: KernelEvalCounter | None,
     cache: KernelCache | None,
 ) -> Tensor:
-    """Kernel tensor (taps, c_in, c_out) for one grid spacing, rendered at most once.
+    """Kernel rows (taps, c_in * c_out) for one grid spacing, rendered at most once.
 
     Tap t is evaluated at the relative position of the target as seen from the
     source cell, c_target - c_source = -offset(t) * spacing, matching the
     convention used on irregular edges.  The offsets are constants, and the
-    render is two graph nodes: one ``autodiff.positional`` node, the same
-    positional network ``edge_conv`` runs per edge, and a reshape.
+    render is one ``autodiff.positional`` node, the same positional network
+    ``edge_conv`` runs per edge, whose rows ``grid_correlate`` takes as they
+    are.
     """
     key = (id(conv), float(spacing))
     owner, kernel = (None, None) if cache is None else cache.get(key, (None, None))
     if owner is conv:
         return kernel
     rel = -offset_lattice(conv.kernel_size, conv.dim).astype(np.float64) * spacing
-    flat = positional_forward(conv.kernel_net, rel)
-    kernel = ad.reshape(flat, (conv.n_taps, conv.in_channels, conv.out_channels))
+    kernel = positional_forward(conv.kernel_net, rel)
     if counter is not None:
         counter.bump(pos_evals=conv.n_taps, materializations=1)
     if cache is not None:
@@ -344,6 +344,4 @@ def init_affine_head(in_width: int, out_width: int, rng: np.random.Generator) ->
 
 def classify_head(grid_feats: Tensor, head: MlpParams) -> Tensor:
     """Global mean pool over all cells, then the head; returns (1, n_classes) logits."""
-    grid_feats = ad.as_tensor(grid_feats)
-    pooled = ad.reshape(ad.reduce_mean(grid_feats, axis=0), (1, grid_feats.shape[1]))
-    return mlp_forward(head, pooled)
+    return mlp_forward(head, ad.reduce_mean(grid_feats, axis=0))

@@ -391,11 +391,19 @@ class TestForwardValues:
 
     def test_grid_correlate_shape_error_names_geometry(self):
         x = Tensor(np.zeros((9, 2)))
-        for kernel in (np.zeros((9, 3, 1)), np.zeros((3, 2, 1)), np.zeros((9, 2))):
+        for kernel in (np.zeros((9, 2, 1)), np.zeros((3, 2))):
             with pytest.raises(ShapeError, match="r=3, D=2, K=3"):
                 ad.grid_correlate(x, Tensor(kernel), 3, 2, 3)
         with pytest.raises(ShapeError, match="r=4"):
-            ad.grid_correlate(x, Tensor(np.zeros((9, 2, 1))), 4, 2, 3)
+            ad.grid_correlate(x, Tensor(np.zeros((9, 2))), 4, 2, 3)
+
+    def test_grid_correlate_reads_each_kernel_row_as_c_in_by_c_out(self):
+        # as in edge_conv, a row of width c_in * c_out is one (c_in, c_out)
+        # matrix, and a width c_in does not divide is refused
+        x = Tensor(np.ones((9, 2)))
+        assert ad.grid_correlate(x, Tensor(np.ones((9, 6))), 3, 2, 3).shape == (9, 3)
+        with pytest.raises(ShapeError, match=r"x \(9, 2\), kernel \(9, 5\)"):
+            ad.grid_correlate(x, Tensor(np.ones((9, 5))), 3, 2, 3)
 
     def test_positional_shape_error_names_offsets_and_layers(self):
         # a head that does not read the 2F sinusoid columns is refused when
@@ -451,13 +459,6 @@ class TestGradients:
         want = joined @ arrays[3] + arrays[4]
         np.testing.assert_allclose(out.data, np.mean(want * want), rtol=1e-14)
 
-    def test_reshape(self):
-        rng = np.random.default_rng(5)
-        arrays = [rand(rng, 4, 6)]
-        assert_grads_match(
-            lambda ts: ad.reduce_mean(ad.mul(ad.reshape(ts[0], (2, 12)), 3.0)), arrays
-        )
-
     @pytest.mark.parametrize("axis", [None, 0, 1])
     def test_reduce_mean_axes(self, axis):
         rng = np.random.default_rng(6)
@@ -466,6 +467,12 @@ class TestGradients:
             lambda ts: ad.reduce_mean(ad.mul(ad.reduce_mean(ts[0], axis=axis), 2.0)),
             arrays,
         )
+
+    def test_reduce_mean_keeps_the_reduced_axis(self):
+        x = Tensor(np.arange(12.0).reshape(4, 3))
+        np.testing.assert_array_equal(ad.reduce_mean(x, axis=0).data, [[4.5, 5.5, 6.5]])
+        assert ad.reduce_mean(x, axis=1).shape == (4, 1)
+        assert ad.reduce_mean(x).shape == ()
 
     @pytest.mark.parametrize("mode", ["mean", "max"])
     def test_message_aggregate(self, monkeypatch, mode):

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from gridifier import autodiff as ad
 from gridifier import experiments, gridnet
 from gridifier.checkpoint import load_checkpoint
 from gridifier.connectivity import bilateral_knn
@@ -298,6 +299,28 @@ def test_classify_forward_renders_each_kernel_once_per_block(monkeypatch):
     logits = _classify_logits(model, cloud, bilateral_knn(cloud.coords, grid_coords, 3))
     assert logits.shape == (1, 2)
     assert rows == [3**3] * len(blocks)
+
+
+def test_classify_loss_tape_records_five_nodes_per_block():
+    # at the train-classify shape, gridify tapes 7 nodes, each block 5 (norm,
+    # kernel render, correlation, GELU, residual sum), the head 2 (mean pool,
+    # affine) and the loss 1
+    rng = np.random.default_rng(0)
+    spec = GridSpec(resolution=5, dim=3)
+    grid_coords = make_grid_coords(spec)
+    blocks = [init_conv_block(8, 3, 3, rng) for _ in range(3)]
+    model = _ClassifyModel(
+        spec, grid_coords, init_gridifier(1, 8, 8, 3, rng), blocks, init_affine_head(8, 2, rng)
+    )
+    cloud = gen_shape_cloud(100, "sphere", seed=1)
+    logits = _classify_logits(model, cloud, bilateral_knn(cloud.coords, grid_coords, 3))
+    stack, seen = [ad.softmax_cross_entropy(logits, np.array([0]))], {}
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    assert sum(node._backward is not None for node in seen.values()) == 7 + 3 * 5 + 2 + 1
 
 
 @pytest.mark.parametrize("study", ["recon", "classify"])

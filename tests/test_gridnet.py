@@ -178,7 +178,8 @@ class TestConvAgainstOracle:
         spec = GridSpec(resolution=resolution, dim=dim)
         feats = rand(rng, spec.n_points, c_in)
         kernel = rand(rng, kernel_size**dim, c_in, c_out)
-        out = ad.grid_correlate(Tensor(feats), Tensor(kernel), resolution, dim, kernel_size)
+        rows = Tensor(kernel.reshape(kernel_size**dim, -1))
+        out = ad.grid_correlate(Tensor(feats), rows, resolution, dim, kernel_size)
         expected = conv_oracle(feats, resolution, dim, kernel_size, kernel)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
@@ -189,20 +190,22 @@ class TestConvAgainstOracle:
         rng = np.random.default_rng(seed + 100)
         spec = GridSpec(resolution=resolution, dim=dim)
         x = Tensor(rand(rng, spec.n_points, c_in))
-        kernel = Tensor(rand(rng, kernel_size**dim, c_in, c_out))
+        kernel_data = rand(rng, kernel_size**dim, c_in, c_out)
+        kernel = Tensor(kernel_data.reshape(kernel_size**dim, -1))
         weights = rand(rng, spec.n_points, c_out)
         out = ad.grid_correlate(x, kernel, resolution, dim, kernel_size)
         ad.reduce_mean(ad.mul(out, Tensor(weights))).backward()
-        dx, dk = conv_grad_oracle(x.data, out.grad, resolution, dim, kernel_size, kernel.data)
+        dx, dk = conv_grad_oracle(x.data, out.grad, resolution, dim, kernel_size, kernel_data)
         np.testing.assert_allclose(x.grad, dx, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(kernel.grad, dk, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kernel.grad.reshape(dk.shape), dk, rtol=0, atol=1e-12)
 
     @ORACLE_GEOMETRIES
     def test_gradients_match_directional_finite_differences(
         self, dim, resolution, kernel_size, c_in, c_out, seed
     ):
         rng = np.random.default_rng(seed + 200)
-        arrays = [rand(rng, kernel_size**dim, c_in, c_out), rand(rng, resolution**dim, c_in)]
+        kernel = rand(rng, kernel_size**dim, c_in, c_out).reshape(kernel_size**dim, -1)
+        arrays = [kernel, rand(rng, resolution**dim, c_in)]
 
         def build(ts):
             out = ad.grid_correlate(ts[1], ts[0], resolution, dim, kernel_size)
@@ -234,7 +237,7 @@ class TestConvAgainstOracle:
         for budget, lead in ((window, 1), (window - 1, 2)):
             monkeypatch.setattr(ad, "_WINDOW_BYTES", budget)
             assert ad._lead_axes(r, 3, k, c_in) == lead
-            x, kernel = Tensor(feats), Tensor(kernel_data)
+            x, kernel = Tensor(feats), Tensor(kernel_data.reshape(k**3, -1))
             out = ad.grid_correlate(x, kernel, r, 3, k)
             ad.reduce_mean(ad.mul(out, Tensor(weights))).backward()
             results.append((out.data, x.grad, kernel.grad))
@@ -247,7 +250,8 @@ class TestConvAgainstOracle:
         spec = GridSpec(resolution=3, dim=1)
         kernel = np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1)
         signal = np.array([[0.0], [1.0], [0.0]])
-        out = ad.grid_correlate(Tensor(signal), Tensor(kernel), spec.resolution, 1, 3)
+        rows = Tensor(kernel.reshape(3, -1))
+        out = ad.grid_correlate(Tensor(signal), rows, spec.resolution, 1, 3)
         expected = conv_oracle(signal, 3, 1, 3, kernel)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(out.data, [[3.0], [2.0], [1.0]])
@@ -256,7 +260,7 @@ class TestConvAgainstOracle:
         rng = np.random.default_rng(6)
         spec = GridSpec(resolution=4, dim=3)
         feats = rand(rng, spec.n_points, 5)
-        out = ad.grid_correlate(Tensor(feats), Tensor(np.eye(5).reshape(1, 5, 5)), 4, 3, 1)
+        out = ad.grid_correlate(Tensor(feats), Tensor(np.eye(5).reshape(1, -1)), 4, 3, 1)
         np.testing.assert_array_equal(out.data, feats)
 
     def test_neural_kernel_matches_oracle_with_counter(self):
@@ -308,7 +312,7 @@ class TestConvTape:
         # the tape, a forward leaves its 0.09 MiB output
         rng = np.random.default_rng(60)
         x = Tensor(rand(rng, 9**3, 16))
-        kernel = Tensor(rand(rng, 9**3, 16, 16))
+        kernel = Tensor(rand(rng, 9**3, 16, 16).reshape(9**3, -1))
         tracemalloc.start()
         try:
             out = ad.grid_correlate(x, kernel, 9, 3, 9)
@@ -324,7 +328,7 @@ class TestConvTape:
         # to 1.1 MiB
         rng = np.random.default_rng(63)
         x = Tensor(rand(rng, 9**3, 16))
-        kernel = Tensor(rand(rng, 9**3, 16, 16))
+        kernel = Tensor(rand(rng, 9**3, 16, 16).reshape(9**3, -1))
         ad.grid_correlate(x, kernel, 9, 3, 9)
         tracemalloc.start()
         try:
@@ -690,7 +694,7 @@ class TestConvGradients:
     def test_explicit_kernel_weights(self):
         rng = np.random.default_rng(23)
         spec = GridSpec(resolution=4, dim=2)
-        arrays = [rand(rng, 9, 2, 3), rand(rng, spec.n_points, 2)]
+        arrays = [rand(rng, 9, 2, 3).reshape(9, -1), rand(rng, spec.n_points, 2)]
 
         def build(ts):
             out = ad.grid_correlate(ts[1], ts[0], spec.resolution, 2, 3)
@@ -714,7 +718,8 @@ class TestConvGradients:
     ):
         rng = np.random.default_rng(seed)
         spec = GridSpec(resolution=resolution, dim=dim)
-        arrays = [rand(rng, kernel_size**dim, c_in, c_out), rand(rng, spec.n_points, c_in)]
+        kernel = rand(rng, kernel_size**dim, c_in, c_out).reshape(kernel_size**dim, -1)
+        arrays = [kernel, rand(rng, spec.n_points, c_in)]
 
         def build(ts):
             out = ad.grid_correlate(ts[1], ts[0], resolution, dim, kernel_size)
@@ -751,8 +756,7 @@ class TestConvGradients:
 
         def taped(net, x, spec):
             rel = -offset_lattice(3, 3).astype(np.float64) * spec.spacing
-            kernel = ad.reshape(taped_positional(net, rel), (27, 2, 3))
-            return ad.grid_correlate(x, kernel, spec.resolution, 3, 3)
+            return ad.grid_correlate(x, taped_positional(net, rel), spec.resolution, 3, 3)
 
         def run(conv):
             arrays = kernel_net_arrays(template.kernel_net)
