@@ -162,9 +162,10 @@ def knn_brute(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     by (distance, index).  This is the reference ``knn_tree`` must match exactly.
     """
     queries, targets = _check_knn_args(queries, targets, k)
-    m, t = queries.shape[0], targets.shape[0]
+    (m, d), t = queries.shape, targets.shape[0]
     out = np.empty((m, k), dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(t, 1))
+    # query rows whose (rows, t, D) difference array takes about 8 MiB
+    chunk = max(1, (1 << 20) // max(t * d, 1))
     for lo in range(0, m, chunk):
         q = queries[lo : lo + chunk]
         d2 = ((targets[None, :, :] - q[:, None, :]) ** 2).sum(axis=2)
@@ -196,18 +197,15 @@ def knn_tree(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
 
     d2 = _squared_distances(targets[idx], queries[:, None, :])
     # the tree's float order agrees with (exact d², index) on almost every
-    # row; the two stable sorts run only on the rows where it does not
+    # row; the row-wise sort runs only on the rows where it does not
     d_prev, d_next = d2[:, :-1], d2[:, 1:]
     in_order = (d_prev < d_next) | ((d_prev == d_next) & (idx[:, :-1] < idx[:, 1:]))
     unordered = np.flatnonzero(~in_order.all(axis=1))
     if unordered.size:
         rows_idx, rows_d2 = idx[unordered], d2[unordered]
-        by_index = np.argsort(rows_idx, axis=1, kind="stable")
-        rows_idx = np.take_along_axis(rows_idx, by_index, axis=1)
-        rows_d2 = np.take_along_axis(rows_d2, by_index, axis=1)
-        by_dist = np.argsort(rows_d2, axis=1, kind="stable")
-        idx[unordered] = np.take_along_axis(rows_idx, by_dist, axis=1)
-        d2[unordered] = np.take_along_axis(rows_d2, by_dist, axis=1)
+        order = np.lexsort((rows_idx, rows_d2), axis=1)
+        idx[unordered] = np.take_along_axis(rows_idx, order, axis=1)
+        d2[unordered] = np.take_along_axis(rows_d2, order, axis=1)
     out = np.ascontiguousarray(idx[:, :k], dtype=np.int64)
 
     if n_cand < t:

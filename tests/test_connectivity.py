@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,20 @@ def test_squared_distances_bits_equal_knn_brute_expression(dim):
         idx = np.random.default_rng(dim).integers(0, targets.shape[0], (queries.shape[0], 7))
         old = ((targets[idx] - queries[:, None, :]) ** 2).sum(axis=2)
         assert _squared_distances(targets[idx], queries[:, None, :]).tobytes() == old.tobytes()
+
+
+def test_brute_force_holds_a_bounded_chunk():
+    # infer's oracle check searches a 9^3 lattice against up to 8000 points;
+    # each chunk's (rows, t, D) difference array is held near 8 MiB
+    lattice = make_grid_coords(GridSpec(resolution=9, dim=3))
+    cloud = np.random.default_rng(5).uniform(-1, 1, (8000, 3))
+    tracemalloc.start()
+    try:
+        knn_brute(lattice, cloud, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestEdgeSet:
