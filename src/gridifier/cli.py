@@ -10,8 +10,10 @@ random numbers, takes a seed; it falls back, in order, to ``--seed``, a
 one-line summary of the result goes to stdout.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad config values,
-missing or malformed inputs), 2 runtime error (diverged training and other
-mid-run failures).
+missing or malformed inputs, output paths that cannot be written), 2 runtime
+error (diverged training and other mid-run failures).  Output paths
+(``--out``, ``--checkpoint``) are checked before any data is read or
+generated: their directory must exist, and they must not name a directory.
 """
 
 from __future__ import annotations
@@ -261,6 +263,14 @@ def _check_values(eff: dict) -> None:
     omega = eff.get("omega")
     if omega is not None and not (np.isfinite(omega) and omega > 0):
         raise ConfigError(f"omega must be finite and > 0, got {omega}")
+    for key, flag in (("out", "--out"), ("checkpoint", "--checkpoint")):
+        if eff.get(key) is None:
+            continue
+        target = Path(eff[key])
+        if target.is_dir():
+            raise ConfigError(f"{key} ({flag}): {str(target)!r} is a directory")
+        if not target.parent.is_dir():
+            raise ConfigError(f"{key} ({flag}): directory {str(target.parent)!r} does not exist")
 
 
 def _show(value) -> str:
@@ -484,7 +494,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         code = 0 if exc.code is None else exc.code
         return 1 if code == 2 else int(code)
-    except (ConfigError, DataError, ParseError, ShapeError, FileNotFoundError) as exc:
+    except (ConfigError, DataError, ParseError, ShapeError, FileNotFoundError,
+            IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (GridifierError, OSError) as exc:

@@ -387,6 +387,40 @@ def test_bad_value_exits_1_before_input(
     assert field in error
 
 
+# (task, output flag); every other required flag is given, so only the path can fail
+OUTPUT_FLAGS = [
+    ("gridify", "--out"),
+    ("train-recon", "--out"),
+    ("train-recon", "--checkpoint"),
+    ("train-classify", "--out"),
+    ("train-classify", "--checkpoint"),
+    ("bench", "--out"),
+]
+
+
+@pytest.mark.parametrize("bad", ["missing_dir", "directory"])
+@pytest.mark.parametrize("task, flag", OUTPUT_FLAGS, ids=[f"{t}{f}" for t, f in OUTPUT_FLAGS])
+def test_bad_output_path_exits_1_before_work(
+    task, flag, bad, cloud_file, tmp_path, monkeypatch, capsys
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("read_cloud", "train_classify_synth", "train_reconstruction", "bench_scaling"):
+        monkeypatch.setattr(f"gridifier.cli.{name}", no_work)
+    path = tmp_path / "nonexistent" / "x.out" if bad == "missing_dir" else tmp_path
+    files = ["--in", cloud_file] if task == "gridify" else []
+    assert run([task, *files, flag, str(path)]) == 1
+    (error,) = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert flag in error
+
+
+def test_directory_as_input_exits_1(tmp_path):
+    (tmp_path / "d.pcb").mkdir()
+    assert run(["inspect", "--in", str(tmp_path / "d.pcb")]) == 1
+    assert run(["inspect", "--config", str(tmp_path)]) == 1
+
+
 def test_module_is_runnable():
     proc = subprocess.run([sys.executable, "-m", "gridifier.cli", "--help"],
                           capture_output=True, text=True, env=checkout_env())
