@@ -495,7 +495,7 @@ def run(argv=None) -> int:
         code = 0 if exc.code is None else exc.code
         return 1 if code == 2 else int(code)
     except (ConfigError, DataError, ParseError, ShapeError, FileNotFoundError,
-            IsADirectoryError) as exc:
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (GridifierError, OSError) as exc:

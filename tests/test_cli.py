@@ -416,9 +416,13 @@ def test_bad_output_path_exits_1_before_work(
 
 
 def test_directory_as_input_exits_1(tmp_path):
+    # a directory, or a path below a file, is a malformed input, not a mid-run failure
     (tmp_path / "d.pcb").mkdir()
-    assert run(["inspect", "--in", str(tmp_path / "d.pcb")]) == 1
-    assert run(["inspect", "--config", str(tmp_path)]) == 1
+    (tmp_path / "f").write_text("")
+    for path in (tmp_path / "d.pcb", tmp_path / "f" / "c.pcb"):
+        assert run(["inspect", "--in", str(path)]) == 1
+    for path in (tmp_path, tmp_path / "f" / "run.cfg"):
+        assert run(["inspect", "--config", str(path)]) == 1
 
 
 def test_module_is_runnable():
