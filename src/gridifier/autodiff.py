@@ -13,6 +13,9 @@ Each forward op builds its full-size output in one buffer.  A tensor adopts
 the first gradient array it receives without copying it, and that array may
 be shared (``add`` hands one array to both parents), so a stored ``grad`` is
 never written in place: later contributions replace it with a new sum.
+Every gradient reaches a tensor through ``Tensor.accumulate``, as it arrives:
+the per-edge nodes hand over each edge block's parameter gradients as that
+block's backward forms them.
 
 The positional network starts with the sinusoid [cos 2 pi B r ; sin 2 pi B r]
 of an offset r.  ``positional`` takes it of constant offsets; the two per-edge
@@ -341,13 +344,13 @@ def _hidden(x: np.ndarray, layers):
     return ins, acts, x
 
 
-def _hidden_grad(layers, ins, acts, g: np.ndarray, sums) -> np.ndarray:
-    """Backward of ``_hidden`` for the gradient ``g`` of its output: adds the
-    gradient of every layer to ``sums`` and returns that of the input."""
+def _hidden_grad(layers, ins, acts, g: np.ndarray) -> np.ndarray:
+    """Backward of ``_hidden`` for the gradient ``g`` of its output:
+    accumulates the gradient of every layer and returns that of the input."""
     for (w, b), x, (pre, cdf) in zip(layers[::-1], ins[::-1], acts[::-1]):
         g = _gelu_grad(pre, cdf, g)
-        sums.add(w, x.T @ g)
-        sums.add(b, g.sum(axis=0))
+        w.accumulate(x.T @ g)
+        b.accumulate(g.sum(axis=0))
         g = g @ w.data.T
     return g
 
@@ -361,40 +364,22 @@ def _head(x: np.ndarray, layers):
     return ins + [h], acts, _affine(h, w.data, b.data)
 
 
-def _head_grad(layers, ins, acts, g: np.ndarray, sums) -> np.ndarray:
+def _head_grad(layers, ins, acts, g: np.ndarray) -> np.ndarray:
     """Backward of ``_head``, as ``_hidden_grad`` is of ``_hidden``."""
     w, b = layers[-1]
-    sums.add(w, ins[-1].T @ g)
-    sums.add(b, g.sum(axis=0))
-    return _hidden_grad(layers[:-1], ins[:-1], acts, g @ w.data.T, sums)
+    w.accumulate(ins[-1].T @ g)
+    b.accumulate(g.sum(axis=0))
+    return _hidden_grad(layers[:-1], ins[:-1], acts, g @ w.data.T)
 
 
-def _freq_grad(rel: np.ndarray, freq, x: np.ndarray, g: np.ndarray, sums) -> None:
-    """Adds to ``sums`` the gradient of ``freq`` through the sinusoid
+def _freq_grad(rel: np.ndarray, freq, x: np.ndarray, g: np.ndarray) -> None:
+    """Accumulates the gradient of ``freq`` through the sinusoid
     ``x`` = [cos 2 pi B r ; sin 2 pi B r] of the offsets ``rel``, given the
     gradient ``g`` of x."""
     f = freq.shape[0]
     gz = -g[:, :f] * x[:, f:] + g[:, f:] * x[:, :f]
     gz *= _TWO_PI
-    sums.add(freq, (rel.T @ gz).T)
-
-
-class _GradSums:
-    """Gradient parts summed across edge blocks, handed to each tensor once."""
-
-    def __init__(self):
-        self.parts: dict[int, list] = {}  # id -> [tensor, gradient]
-
-    def add(self, t: Tensor, part: np.ndarray) -> None:
-        # every part is a fresh array, so later blocks add onto the first
-        if id(t) in self.parts:
-            self.parts[id(t)][1] += part
-        else:
-            self.parts[id(t)] = [t, part]
-
-    def accumulate(self) -> None:
-        for t, part in self.parts.values():
-            t.accumulate(part)
+    freq.accumulate((rel.T @ gz).T)
 
 
 def positional(rel, net) -> Tensor:
@@ -415,9 +400,7 @@ def positional(rel, net) -> Tensor:
     ins, acts, data = _head(_sinusoid(_phases(rel, freq.data)), layers)
 
     def backward(g):
-        sums = _GradSums()
-        _freq_grad(rel, freq, ins[0], _head_grad(layers, ins, acts, g, sums), sums)
-        sums.accumulate()
+        _freq_grad(rel, freq, ins[0], _head_grad(layers, ins, acts, g))
 
     return Tensor(data, [freq, *(t for layer in layers for t in layer)], backward)
 
@@ -531,10 +514,9 @@ def message_aggregate(node, src_coords, dst_coords, src, dst, pos, msg, mode: st
         data = _affine(reduced, w_last.data, b_last.data)
 
     def backward(g):
-        sums = _GradSums()
         if per_destination:
-            sums.add(w_last, reduced.T @ g)
-            sums.add(b_last, g.sum(axis=0))
+            w_last.accumulate(reduced.T @ g)
+            b_last.accumulate(g.sum(axis=0))
             g = g @ w_last.data.T
         g_mean = g / counts[:, None] if mode == "mean" else None
         # the forward keeps only the last block, not the projected rows or
@@ -561,7 +543,7 @@ def message_aggregate(node, src_coords, dst_coords, src, dst, pos, msg, mode: st
                 gm[winner[hit], np.nonzero(hit)[1]] += g[a:b][hit]
             if len(msg_layers) > 1:
                 grad = _hidden_grad if per_destination else _head_grad
-                gm = _gelu_grad(*msg_acts[0], grad(msg_edge, msg_ins, msg_acts[1:], gm, sums))
+                gm = _gelu_grad(*msg_acts[0], grad(msg_edge, msg_ins, msg_acts[1:], gm))
             # the split first layer: the node half is summed onto source rows
             if g_rows is None:
                 g_rows, g_fold, g_bias = _sum_rows_at(gm, s, n_src), hp.T @ gm, gm.sum(axis=0)
@@ -569,18 +551,17 @@ def message_aggregate(node, src_coords, dst_coords, src, dst, pos, msg, mode: st
                 g_rows += _sum_rows_at(gm, s, n_src)
                 g_fold += hp.T @ gm
                 g_bias += gm.sum(axis=0)
-            g_x = _hidden_grad(pos_hidden, pos_ins, pos_acts, gm @ w_fold.T, sums)
-            _freq_grad(dst_coords[dst[rows]] - src_coords[s], freq, x, g_x, sums)
+            g_x = _hidden_grad(pos_hidden, pos_ins, pos_acts, gm @ w_fold.T)
+            _freq_grad(dst_coords[dst[rows]] - src_coords[s], freq, x, g_x)
         if g_rows is not None:
             node.accumulate(g_rows @ w0_node.T)
             # the folded layer: W' = W_pos @ w0[H:], b' = b_pos @ w0[H:] + b0
-            sums.add(w_pos, g_fold @ w0_pos.T)
-            sums.add(b_pos, g_bias @ w0_pos.T)
+            w_pos.accumulate(g_fold @ w0_pos.T)
+            b_pos.accumulate(g_bias @ w0_pos.T)
             g_w0_pos = w_pos.data.T @ g_fold
             g_w0_pos += np.outer(b_pos.data, g_bias)
-            sums.add(w0, np.concatenate([node.data.T @ g_rows, g_w0_pos]))
-            sums.add(b0, g_bias)
-        sums.accumulate()
+            w0.accumulate(np.concatenate([node.data.T @ g_rows, g_w0_pos]))
+            b0.accumulate(g_bias)
 
     parents = [node, freq, *(t for layer in pos_layers + msg_layers for t in layer)]
     return Tensor(data, parents, backward)
@@ -648,7 +629,6 @@ def edge_conv(coords, x, src, dst, net) -> Tensor:
         data[a:b] = _sum_rows_at(msgs, dst[rows] - a, b - a)
 
     def backward(g):
-        sums = _GradSums()
         g_x = np.zeros(x.shape)
         # the forward keeps only the last block, not the phases
         phases = _edge_phases(coords, coords, freq.data) if len(blocks) > 1 else None
@@ -660,10 +640,9 @@ def edge_conv(coords, x, src, dst, net) -> Tensor:
             g_x += _sum_rows_at(np.einsum("nio,no->ni", k, gm), s, n)
             # d(message)/d(kernel row) is the outer product of the source row and g
             g_k = (x.data[s][:, :, None] * gm[:, None, :]).reshape(-1, width)
-            g_in = _head_grad(layers, ins, acts, g_k, sums)
-            _freq_grad(coords[dst[rows]] - coords[s], freq, ins[0], g_in, sums)
+            g_in = _head_grad(layers, ins, acts, g_k)
+            _freq_grad(coords[dst[rows]] - coords[s], freq, ins[0], g_in)
         x.accumulate(g_x)
-        sums.accumulate()
 
     return Tensor(data, [x, freq, *(t for layer in layers for t in layer)], backward)
 

@@ -90,6 +90,22 @@ def apply_message_aggregate(ts, coords, edges, mode):
     return ad.message_aggregate(node, src_coords, dst_coords, src, dst, pos, msg, mode)
 
 
+def assert_passes_accumulate(build, arrays, weights):
+    """Backward passes of ``build(ts, weight)`` for each weight into the same
+    tensors, as ``_fit`` accumulates a batch, leave every gradient at the sum
+    of the passes' own gradients."""
+    shared = [Tensor(a) for a in arrays]
+    want = [np.zeros(np.shape(a)) for a in arrays]
+    for weight in weights:
+        build(shared, weight).backward()
+        alone = [Tensor(a) for a in arrays]
+        build(alone, weight).backward()
+        for w, t in zip(want, alone):
+            w += t.grad
+    for w, t in zip(want, shared):
+        np.testing.assert_allclose(t.grad, w, rtol=1e-12, atol=1e-12)
+
+
 class TestForwardValues:
     def test_scatter_mean_pair(self):
         out = aggregate_rows([[1.0], [3.0]], np.array([0, 0]), 1, "mean")
@@ -487,12 +503,14 @@ class TestGradients:
         assert len(ad._segment_blocks(starts, 3, ad._MESSAGE_BLOCK_BYTES)) >= 4
         coords = (rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (6, 2)))
         arrays = message_inputs(rng, n_dst=6)
-        weight = rand(rng, 6, 3)
-        def build(ts):
+        weights = [rand(rng, 6, 3), rand(rng, 6, 3)]
+
+        def build(ts, weight=weights[0]):
             out = apply_message_aggregate(ts, coords, (src, dst), mode)
             return ad.reduce_mean(ad.mul(out, weight))
 
         assert_grads_match(build, arrays)
+        assert_passes_accumulate(build, arrays, weights)
 
     @pytest.mark.parametrize("msg_depth", [1, 2, 3])
     def test_message_aggregate_mean_against_loop(self, monkeypatch, msg_depth):
@@ -550,13 +568,14 @@ class TestGradients:
         assert len(ad._segment_blocks(starts, 6, ad._RENDER_BLOCK_BYTES)) >= 4
         coords = rng.uniform(-1, 1, (6, 2))
         arrays = edge_conv_inputs(rng)
-        weight = rand(rng, 6, 3)
-        assert_grads_match(
-            lambda ts: ad.reduce_mean(
-                ad.mul(apply_edge_conv(ts, coords, (src[order], dst[order])), weight)
-            ),
-            arrays,
-        )
+        weights = [rand(rng, 6, 3), rand(rng, 6, 3)]
+
+        def build(ts, weight=weights[0]):
+            out = apply_edge_conv(ts, coords, (src[order], dst[order]))
+            return ad.reduce_mean(ad.mul(out, weight))
+
+        assert_grads_match(build, arrays)
+        assert_passes_accumulate(build, arrays, weights)
 
     def test_affine(self):
         rng = np.random.default_rng(20)
