@@ -46,6 +46,13 @@ _TIE_SLACK = 4
 # nodes per axis in the first window of the lattice search
 _WINDOW = 4
 
+# bytes of the widest float64 array of a query chunk in the exhaustive
+# searches, the smallest power of two that keeps every training-workload
+# search in one chunk.  Against the 9^3 lattice at k=9 and 8000 points (2-vCPU
+# Xeon, one BLAS thread) it took the traced peaks of ``knn`` and ``knn_brute``
+# from 9.5 and 13.2 MiB to 1.8 and 0.7 MiB, in no more time (CHANGES.md)
+_CHUNK_BYTES = 512 << 10
+
 
 class Direction(Enum):
     CLOUD_TO_GRID = "cloud_to_grid"
@@ -155,6 +162,11 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _chunk_rows(row_width: int) -> int:
+    """Query rows per chunk of ``row_width`` float64 values per row."""
+    return max(1, _CHUNK_BYTES // (8 * max(row_width, 1)))
+
+
 def knn_brute(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     """Exhaustive k-NN: row m holds the k targets nearest query m.
 
@@ -164,8 +176,7 @@ def knn_brute(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     queries, targets = _check_knn_args(queries, targets, k)
     (m, d), t = queries.shape, targets.shape[0]
     out = np.empty((m, k), dtype=np.int64)
-    # query rows whose (rows, t, D) difference array takes about 8 MiB
-    chunk = max(1, (1 << 20) // max(t * d, 1))
+    chunk = _chunk_rows(t * d)
     for lo in range(0, m, chunk):
         q = queries[lo : lo + chunk]
         d2 = ((targets[None, :, :] - q[:, None, :]) ** 2).sum(axis=2)
@@ -260,12 +271,12 @@ def _select_k(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _knn_partition(queries: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     """Exhaustive k-NN through partial selection, equal to ``knn_brute`` index-for-index.
 
-    Squared distances come from ``_squared_distances`` in ``knn_brute``'s
-    chunks, and ``_select_k`` picks and orders k targets per row.
+    Squared distances come from ``_squared_distances`` in ``_CHUNK_BYTES``
+    query chunks, and ``_select_k`` picks and orders k targets per row.
     """
     m, t = queries.shape[0], targets.shape[0]
     out = np.empty((m, k), dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(t, 1))
+    chunk = _chunk_rows(t)
     for lo in range(0, m, chunk):
         q = queries[lo : lo + chunk]
         out[lo : lo + chunk] = _select_k(_squared_distances(targets[None, :, :], q[:, None, :]), k)[0]
@@ -307,7 +318,9 @@ def _knn_lattice(queries: np.ndarray, targets: np.ndarray, axes, k: int) -> np.n
     when its k-th squared distance lies strictly below the squared offset to
     the nearest lattice coordinate outside the window on any axis: a sum of
     non-negative floats is at least each of its terms, so every node outside
-    the window is farther.  Other rows go to ``_knn_scan``.
+    the window is farther.  Queries run in chunks of ``_CHUNK_BYTES`` of
+    window distances, and the rows no chunk proves exact go to one
+    ``_knn_scan`` at the end.
     """
     counts = np.array([a.size for a in axes])
     strides = np.append(np.cumprod(counts[:0:-1])[::-1], 1)
@@ -319,10 +332,11 @@ def _knn_lattice(queries: np.ndarray, targets: np.ndarray, axes, k: int) -> np.n
     padded = [np.concatenate(([-np.inf], a, [np.inf])) for a in axes]
     m = queries.shape[0]
     out = np.empty((m, k), dtype=np.int64)
-    chunk = max(1, (1 << 22) // rel.size)
+    exact = np.empty(m, dtype=bool)
+    chunk = _chunk_rows(rel.size)
     for lo_row in range(0, m, chunk):
         q = queries[lo_row : lo_row + chunk]
-        n = q.shape[0]
+        n, rows = q.shape[0], slice(lo_row, lo_row + chunk)
         base = np.zeros(n, dtype=np.int64)
         bound = np.full(n, np.inf)
         d2 = None
@@ -338,11 +352,10 @@ def _knn_lattice(queries: np.ndarray, targets: np.ndarray, axes, k: int) -> np.n
             base += lo * strides[c]
             d2 = sq if d2 is None else d2[..., None] + sq.reshape((n,) + (1,) * c + (win[c],))
         pos, kth = _select_k(d2.reshape(n, rel.size), k)
-        exact = kth < bound
-        rows = out[lo_row : lo_row + n]
-        rows[exact] = base[exact, None] + rel[pos[exact]]
-        if not exact.all():
-            rows[~exact] = _knn_scan(q[~exact], targets, k)
+        exact[rows] = kth < bound
+        out[rows] = base[:, None] + rel[pos]
+    if not exact.all():
+        out[~exact] = _knn_scan(queries[~exact], targets, k)
     return out
 
 

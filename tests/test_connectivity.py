@@ -252,7 +252,8 @@ def test_squared_distances_bits_equal_knn_brute_expression(dim):
 
 def test_brute_force_holds_a_bounded_chunk():
     # infer's oracle check searches a 9^3 lattice against up to 8000 points;
-    # each chunk's (rows, t, D) difference array is held near 8 MiB
+    # each chunk's (rows, t, D) difference array holds _CHUNK_BYTES, and
+    # 8 MiB chunks peaked at 13.2 MiB here
     lattice = make_grid_coords(GridSpec(resolution=9, dim=3))
     cloud = np.random.default_rng(5).uniform(-1, 1, (8000, 3))
     tracemalloc.start()
@@ -261,7 +262,31 @@ def test_brute_force_holds_a_bounded_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+_CLOUD_8000 = np.random.default_rng(6).uniform(-1.2, 1.2, (8000, 3))
+# targets, and the traced peak bound in MiB of searching them for 8000 points
+_CHUNKED = {
+    "lattice_window": (make_grid_coords(GridSpec(resolution=9, dim=3)), 3),
+    "partition": (_CLOUD_8000[:500], 4),
+}
+
+
+@pytest.mark.parametrize("targets, bound", list(_CHUNKED.values()), ids=list(_CHUNKED))
+def test_exhaustive_search_peak_stays_near_the_chunk_budget(targets, bound):
+    # each chunk's widest float64 array holds _CHUNK_BYTES; 4 MiB and 32 MiB
+    # chunks peaked at 9.5 and 92.1 MiB here.  The 500 targets are below
+    # EXHAUSTIVE_CUTOFF, so knn scans them with partial selection
+    knn(_CLOUD_8000, targets, 9)
+    tracemalloc.start()
+    try:
+        got = knn(_CLOUD_8000, targets, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    np.testing.assert_array_equal(got, knn_brute(_CLOUD_8000, targets, 9))
 
 
 class TestEdgeSet:
@@ -471,6 +496,19 @@ def test_lattice_search_matches_brute_force(monkeypatch, queries, targets, k):
     window_calls = _count_calls(monkeypatch, "_knn_lattice")
     np.testing.assert_array_equal(knn(queries, targets, k), expected)
     assert window_calls == [queries.shape[0]]
+
+
+@pytest.mark.parametrize("queries, targets, k", list(_LATTICE.values()), ids=list(_LATTICE))
+def test_every_search_matches_brute_force_in_small_chunks(monkeypatch, queries, targets, k):
+    # chunks of a few rows; the rows no window chunk proves exact take one
+    # scan after the last chunk
+    expected = knn_brute(queries, targets, k)
+    monkeypatch.setattr(connectivity, "_CHUNK_BYTES", 8 * 7 * targets.shape[0])
+    np.testing.assert_array_equal(knn_brute(queries, targets, k), expected)
+    np.testing.assert_array_equal(connectivity._knn_partition(queries, targets, k), expected)
+    scan_calls = _count_calls(monkeypatch, "_knn_scan")
+    np.testing.assert_array_equal(knn(queries, targets, k), expected)
+    assert len(scan_calls) <= 1
 
 
 def test_lattice_axes_are_the_sorted_coordinates():
