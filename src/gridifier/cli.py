@@ -168,9 +168,11 @@ _COMMANDS: dict[str, list[_Opt]] = {
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_bytes().decode("utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file {path!r} does not exist") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start}: not UTF-8 text") from None
     out: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

@@ -147,8 +147,12 @@ def _write_csv(cloud: PointCloud, path: Path) -> None:
 
 
 def _read_csv(path: Path) -> PointCloud:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    raw = path.read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = lines[0].strip()

@@ -3,6 +3,7 @@ file round trips, and one tiny run of each training subcommand."""
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,6 +426,18 @@ def test_directory_as_input_exits_1(tmp_path):
         assert run(["inspect", "--config", str(path)]) == 1
 
 
+def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys):
+    # byte 0xff starts no UTF-8 sequence; it sits on line 3 of the cloud
+    cloud = tmp_path / "bad.csv"
+    cloud.write_bytes(b"D=3,F=1\n0,0,0,1\n0,0,\xff,1\n")
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"nr_neighbors=2\n# \xff\n")
+    for args, where in ((["--in", str(cloud)], f"{cloud}: line 3"), (["--config", str(config)], str(config))):
+        assert run(["inspect", *args]) == 1
+        (error,) = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert where in error and "UTF-8" in error
+
+
 def test_module_is_runnable():
     proc = subprocess.run([sys.executable, "-m", "gridifier.cli", "--help"],
                           capture_output=True, text=True, env=checkout_env())
@@ -436,7 +449,6 @@ def test_suite_tests_the_checkout_source():
     # pyproject puts src/ on pytest's path, so `python -m pytest` from a
     # checkout tests this tree without an editable install
     import gridifier
-    from pathlib import Path
 
     src = Path(__file__).resolve().parents[1] / "src"
     assert Path(gridifier.__file__).resolve().is_relative_to(src)
