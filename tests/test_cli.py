@@ -1,6 +1,7 @@
 """Exercises the command-line layer: flag/file/env precedence, exit codes,
 file round trips, and one tiny run of each training subcommand."""
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -443,6 +444,20 @@ def test_module_is_runnable():
                           capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0
     assert "gridify" in proc.stdout
+
+
+def test_console_script_entry_point_runs(monkeypatch, capsys):
+    # the [project.scripts] entry an install turns into the `gridifier` command
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["gridifier"]
+    module, attr = target.split(":")
+    main = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["gridifier", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert "train-classify" in capsys.readouterr().out
 
 
 def test_suite_tests_the_checkout_source():
