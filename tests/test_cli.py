@@ -433,7 +433,8 @@ def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys):
     cloud.write_bytes(b"D=3,F=1\n0,0,0,1\n0,0,\xff,1\n")
     config = tmp_path / "run.cfg"
     config.write_bytes(b"nr_neighbors=2\n# \xff\n")
-    for args, where in ((["--in", str(cloud)], f"{cloud}: line 3"), (["--config", str(config)], str(config))):
+    cases = ((["--in", str(cloud)], f"{cloud}: line 3"), (["--config", str(config)], str(config)))
+    for args, where in cases:
         assert run(["inspect", *args]) == 1
         (error,) = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
         assert where in error and "UTF-8" in error
